@@ -1,8 +1,9 @@
 """Substrate kernel micro-benchmarks.
 
 Not paper artifacts — these time the hot paths every experiment rides on
-(feature extraction, functional simulation, NN inference, one tester
-measurement) so performance regressions are visible in CI.
+(random test generation, feature extraction, functional simulation, NN
+inference, one tester measurement) so performance regressions are visible
+in CI.
 """
 
 import numpy as np
@@ -25,6 +26,15 @@ def thousand_cycle_test():
 def test_kernel_feature_extraction(benchmark, thousand_cycle_test):
     result = benchmark(extract_features, thousand_cycle_test.sequence)
     assert len(result.values) > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def test_kernel_random_generation(benchmark):
+    """One fresh random test from the default style mix."""
+    generator = RandomTestGenerator(seed=67)
+
+    result = benchmark(generator.generate)
+    assert result.origin == "random"
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -77,6 +77,9 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
 
+#: Seconds a terminated pool worker gets to exit before it is killed.
+_TERMINATE_GRACE_S = 5.0
+
 #: A unit runner: executes one unit, returns its outcome.  Must be a
 #: module-level callable so the process pool can pickle it by reference.
 UnitRunner = Callable[[WorkUnit], UnitOutcome]
@@ -409,8 +412,20 @@ class ParallelExecutor(_ExecutorBase):
             max_workers=self.workers
         )
 
-    def _shutdown(self, pool, status: str = "stopped") -> None:
+    def _shutdown(self, pool, status: str = "stopped",
+                  terminate: bool = False) -> None:
+        # shutdown() cannot stop a task that is already running, so a
+        # stalled worker would outlive the run; ``terminate`` stops and
+        # reaps the pool's processes.
+        processes = list((pool._processes or {}).values()) if terminate else []
         pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join(_TERMINATE_GRACE_S)
+            if process.is_alive():
+                process.kill()
+                process.join()
         if OBS.enabled:
             OBS.bus.emit(FarmWorkerPool(status=status, workers=self.workers))
 
@@ -420,6 +435,7 @@ class ParallelExecutor(_ExecutorBase):
         failures: List[Tuple[WorkUnit, str]] = []
         config = collector.worker_config() if collector is not None else None
         pool = self._pool()
+        clean = False
         try:
             for attempt in range(1, self.max_attempts + 1):
                 failures = []
@@ -477,7 +493,7 @@ class ParallelExecutor(_ExecutorBase):
                     if recycle:
                         # Stalled or dead workers poison the pool; start a
                         # fresh one for the retry pass.
-                        self._shutdown(pool, status="recycled")
+                        self._shutdown(pool, status="recycled", terminate=True)
                         pool = self._pool()
                     if attempt < self.max_attempts:
                         for unit, reason in failures:
@@ -485,8 +501,9 @@ class ParallelExecutor(_ExecutorBase):
                         pending = [unit for unit, _ in failures]
                 if not pending:
                     break
+            clean = not failures
         finally:
-            self._shutdown(pool)
+            self._shutdown(pool, terminate=not clean)
         if failures:
             raise FarmExecutionError(failures)
 

@@ -22,11 +22,12 @@ identity mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.patterns.vectors import Operation, VectorSequence
+from repro.patterns.vectors import Operation, VectorSequence, checkerboard_word
 
 #: Canonical feature order.  Extend only by appending — NN weight files
 #: record the feature dimension they were trained with.
@@ -77,6 +78,11 @@ FEATURE_DESCRIPTIONS = {
 #: the supply-decoupling time constant of the simulated chip.
 PEAK_WINDOW_CYCLES = 16
 
+_FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+_OP = attrgetter("op")
+_ADDRESS = attrgetter("address")
+_DATA = attrgetter("data")
+
 
 @dataclass(frozen=True)
 class PatternFeatures:
@@ -105,14 +111,28 @@ class PatternFeatures:
         return len(self.values)
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    """Vectorized population count for small unsigned integers."""
-    counts = np.zeros_like(values)
-    work = values.copy()
-    while np.any(work):
-        counts += work & 1
-        work >>= 1
+#: Set bits of every byte value; :func:`_popcount` looks words up a byte at
+#: a time (``np.bitwise_count`` needs numpy >= 2.0).
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)],
+                          dtype=np.int64)
+
+
+def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
+    """Population count of non-negative integers narrower than ``bits``."""
+    counts = _BYTE_POPCOUNT[values & 0xFF]
+    for shift in range(8, bits, 8):
+        counts += _BYTE_POPCOUNT[(values >> shift) & 0xFF]
     return counts
+
+
+def _mean_count(values: np.ndarray) -> float:
+    """Mean of an integer or boolean array.
+
+    The integer sum divided once: bit-identical to ``np.mean``, whose
+    float64 sum of integers below 2**53 is exact, at a fraction of its
+    call overhead.
+    """
+    return int(values.sum()) / values.size
 
 
 def _mean_run_length(mask: np.ndarray) -> float:
@@ -122,7 +142,7 @@ def _mean_run_length(mask: np.ndarray) -> float:
     padded = np.concatenate(([False], mask, [False]))
     changes = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = changes[::2], changes[1::2]
-    return float(np.mean(ends - starts))
+    return _mean_count(ends - starts)
 
 
 def _max_run_length(mask: np.ndarray) -> int:
@@ -141,91 +161,83 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     Every feature is normalized to ``[0, 1]``.  Extraction is deterministic
     and linear in the sequence length.
     """
-    n = len(sequence)
+    vectors = sequence.vectors
+    n = len(vectors)
     addr_bits = sequence.addr_bits
     data_bits = sequence.data_bits
 
-    addresses = np.array(sequence.addresses(), dtype=np.int64)
-    ops = np.array(
-        [0 if op is Operation.NOP else (1 if op is Operation.READ else 2)
-         for op in sequence.operations()],
-        dtype=np.int64,
-    )
-    is_read = ops == 1
-    is_write = ops == 2
-    is_active = ops != 0
+    # Enum members are singletons, so their ids identify them; this keeps
+    # the per-cycle work in C (hashing an Enum member runs Python code).
+    op_ids = np.fromiter(map(id, map(_OP, vectors)), dtype=np.uintp, count=n)
+    addresses = np.fromiter(map(_ADDRESS, vectors), dtype=np.int64, count=n)
+    data = np.fromiter(map(_DATA, vectors), dtype=np.int64, count=n)
+    is_read = op_ids == id(Operation.READ)
+    is_write = op_ids == id(Operation.WRITE)
+    is_active = op_ids != id(Operation.NOP)
 
     # Written data stream (holds the last written word through reads/NOPs so
     # bus toggle reflects what actually switches on the data bus).
-    raw_data = np.array(
-        [vec.data if vec.op is Operation.WRITE else -1 for vec in sequence],
-        dtype=np.int64,
-    )
-    write_positions = np.where(raw_data >= 0, np.arange(n), -1)
+    write_positions = np.where(is_write, np.arange(n), -1)
     last_write_index = np.maximum.accumulate(write_positions)
     bus_data = np.where(
         last_write_index >= 0,
-        raw_data[np.maximum(last_write_index, 0)],
+        data[np.maximum(last_write_index, 0)],
         0,
     )
 
     features = np.zeros(len(FEATURE_NAMES), dtype=float)
-    index = {name: i for i, name in enumerate(FEATURE_NAMES)}
+    index = _FEATURE_INDEX
 
     if n >= 2:
-        addr_xor = addresses[1:] ^ addresses[:-1]
-        addr_hamming = _popcount(addr_xor)
-        features[index["addr_transition_density"]] = float(
-            np.mean(addr_hamming) / addr_bits
+        addr_hamming = _popcount(addresses[1:] ^ addresses[:-1], addr_bits)
+        features[index["addr_transition_density"]] = (
+            _mean_count(addr_hamming) / addr_bits
         )
         msb = (addresses >> (addr_bits - 1)) & 1
-        features[index["addr_msb_toggle_rate"]] = float(
-            np.mean(msb[1:] != msb[:-1])
-        )
+        features[index["addr_msb_toggle_rate"]] = _mean_count(msb[1:] != msb[:-1])
         jumps = np.abs(np.diff(addresses))
-        features[index["addr_jump_distance"]] = float(
-            np.mean(jumps) / max(1, (1 << addr_bits) - 1)
+        features[index["addr_jump_distance"]] = (
+            _mean_count(jumps) / max(1, (1 << addr_bits) - 1)
         )
         repeat = addresses[1:] == addresses[:-1]
         features[index["addr_repeat_run"]] = min(
             1.0, _mean_run_length(repeat) / 8.0
         )
-        data_xor = bus_data[1:] ^ bus_data[:-1]
-        features[index["data_toggle_density"]] = float(
-            np.mean(_popcount(data_xor)) / data_bits
+        data_hamming = _popcount(bus_data[1:] ^ bus_data[:-1], data_bits)
+        features[index["data_toggle_density"]] = (
+            _mean_count(data_hamming) / data_bits
         )
         op_flip = (is_read[1:] & is_write[:-1]) | (is_write[1:] & is_read[:-1])
-        features[index["rw_alternation_rate"]] = float(np.mean(op_flip))
-        raw = is_read[1:] & is_write[:-1] & (addresses[1:] == addresses[:-1])
-        features[index["read_after_write_rate"]] = float(np.mean(raw))
-        turnaround = (addresses[1:] == addresses[:-1]) & op_flip
-        features[index["same_addr_turnaround_rate"]] = float(np.mean(turnaround))
+        features[index["rw_alternation_rate"]] = _mean_count(op_flip)
+        raw = is_read[1:] & is_write[:-1] & repeat
+        features[index["read_after_write_rate"]] = _mean_count(raw)
+        features[index["same_addr_turnaround_rate"]] = _mean_count(repeat & op_flip)
         idle_to_active = is_active[1:] & ~is_active[:-1]
-        features[index["idle_to_active_rate"]] = float(np.mean(idle_to_active))
+        features[index["idle_to_active_rate"]] = _mean_count(idle_to_active)
 
     written = bus_data[is_write]
     if written.size:
-        features[index["data_ones_density"]] = float(
-            np.mean(_popcount(written)) / data_bits
+        features[index["data_ones_density"]] = (
+            _mean_count(_popcount(written, data_bits)) / data_bits
         )
-        checker = np.array(
-            [_checkerboard_distance(a, d, data_bits)
-             for a, d in zip(addresses[is_write], written)],
-            dtype=float,
-        )
+        # Every address's two checkerboard phases are the same pair of words,
+        # a checkerboard word and its complement, so the distance to the
+        # nearer one does not depend on the address.
+        dist0 = _popcount(written ^ checkerboard_word(0, data_bits), data_bits)
+        checker = np.minimum(dist0, data_bits - dist0) / data_bits
         features[index["checkerboard_affinity"]] = float(1.0 - np.mean(checker))
 
-    features[index["write_fraction"]] = float(np.mean(is_write))
-    features[index["read_fraction"]] = float(np.mean(is_read))
-    features[index["nop_fraction"]] = float(np.mean(~is_active))
+    features[index["write_fraction"]] = _mean_count(is_write)
+    features[index["read_fraction"]] = _mean_count(is_read)
+    features[index["nop_fraction"]] = _mean_count(~is_active)
     features[index["burst_read_run"]] = min(1.0, _max_run_length(is_read) / 64.0)
     features[index["burst_write_run"]] = min(1.0, _max_run_length(is_write) / 64.0)
-    features[index["addr_coverage"]] = float(
-        np.unique(addresses).size / (1 << addr_bits)
-    )
+    ordered = np.sort(addresses)
+    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    features[index["addr_coverage"]] = distinct / (1 << addr_bits)
 
     if n >= 2:
-        activity = (addr_hamming / addr_bits + _popcount(data_xor) / data_bits) / 2.0
+        activity = (addr_hamming / addr_bits + data_hamming / data_bits) / 2.0
         window = min(PEAK_WINDOW_CYCLES, activity.size)
         kernel = np.ones(window) / window
         rolling = np.convolve(activity, kernel, mode="valid")
@@ -233,14 +245,3 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
 
     np.clip(features, 0.0, 1.0, out=features)
     return PatternFeatures(features)
-
-
-def _checkerboard_distance(address: int, data: int, data_bits: int) -> float:
-    """Normalized Hamming distance of ``data`` to the nearer checkerboard phase."""
-    phase0 = 0
-    for bit in range(data_bits):
-        phase0 |= ((address + bit) & 1) << bit
-    phase1 = phase0 ^ ((1 << data_bits) - 1)
-    dist0 = bin(data ^ phase0).count("1")
-    dist1 = bin(data ^ phase1).count("1")
-    return min(dist0, dist1) / data_bits

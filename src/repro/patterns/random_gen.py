@@ -136,9 +136,14 @@ class RandomTestGenerator:
     ) -> List[TestVector]:
         ops = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
                          size=cycles, p=[0.45, 0.45, 0.10])
+        # Addresses and data in one call, interleaved as the per-cycle
+        # scalar draws (address, then data) would consume the stream.
+        draws = rng.integers(
+            0, np.tile([1 << self.addr_bits, 1 << self.data_bits], cycles)
+        ).tolist()
         return [
-            TestVector(op, self._rand_addr(rng), self._rand_data(rng))
-            for op in ops
+            TestVector(op, address, data)
+            for op, address, data in zip(ops, draws[0::2], draws[1::2])
         ]
 
     def _build_burst(
@@ -162,14 +167,18 @@ class RandomTestGenerator:
         addr = self._rand_addr(rng)
         word = self._rand_data(rng)
         write_phase = bool(rng.integers(0, 2))
-        vectors: List[TestVector] = []
-        for _ in range(cycles):
-            op = Operation.WRITE if write_phase else Operation.READ
-            vectors.append(TestVector(op, addr, word))
-            addr = (addr + stride) % (1 << self.addr_bits)
-            if rng.random() < 0.02:
-                write_phase = not write_phase
-        return vectors
+        # The phase flips with probability 0.02 after each cycle, so cycle i
+        # runs in the initial phase iff an even number of the first i draws
+        # flipped it.
+        flips = rng.random(cycles) < 0.02
+        flipped = np.cumsum(flips) - flips
+        writes = write_phase ^ (flipped % 2 == 1)
+        addresses = (addr + stride * np.arange(cycles)) % (1 << self.addr_bits)
+        return [
+            TestVector(Operation.WRITE if write else Operation.READ,
+                       address, word)
+            for write, address in zip(writes.tolist(), addresses.tolist())
+        ]
 
     def _build_hammer(
         self, rng: np.random.Generator, cycles: int
@@ -190,12 +199,13 @@ class RandomTestGenerator:
     ) -> List[TestVector]:
         mask = (1 << self.data_bits) - 1
         word = int(rng.integers(0, 1 << self.data_bits))
-        half = 1 << (self.addr_bits - 1)
         addr = self._rand_addr(rng)
-        vectors: List[TestVector] = []
-        for i in range(cycles):
-            word ^= mask  # AA/55-style full-bus toggle
-            addr ^= half if i % 2 else int(rng.integers(0, 1 << self.addr_bits))
-            addr &= (1 << self.addr_bits) - 1
-            vectors.append(TestVector(Operation.WRITE, addr, word))
-        return vectors
+        # Even cycles jump to a random address, odd cycles flip the address
+        # MSB; the data word toggles the full bus (AA/55-style) every cycle.
+        steps = np.full(cycles, 1 << (self.addr_bits - 1), dtype=np.int64)
+        steps[0::2] = rng.integers(0, 1 << self.addr_bits, size=(cycles + 1) // 2)
+        addresses = addr ^ np.bitwise_xor.accumulate(steps)
+        return [
+            TestVector(Operation.WRITE, address, word ^ mask if i % 2 == 0 else word)
+            for i, address in enumerate(addresses.tolist())
+        ]

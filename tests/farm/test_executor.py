@@ -1,5 +1,7 @@
 """Tests for the serial and parallel farm executors."""
 
+import multiprocessing
+
 import pytest
 
 from repro.farm.checkpoint import CheckpointStore
@@ -158,14 +160,23 @@ class TestRetry:
         assert "worker process died" in str(excinfo.value)
 
     def test_parallel_timeout(self):
-        # Short sleep: shutdown(wait=False) cannot kill a worker mid-call,
-        # so the interpreter still joins it at exit — keep the drag small.
         units = _units(1, sleep_s=2.0)
         with pytest.raises(FarmExecutionError) as excinfo:
             ParallelExecutor(workers=1, timeout_s=0.3, max_attempts=1).run(
                 units, sleeping_runner
             )
         assert "timed out" in str(excinfo.value)
+
+    def test_timed_out_workers_do_not_outlive_run(self):
+        # A stalled worker keeps sleeping after its deadline; the executor
+        # must stop it on the recycle and on the final shutdown.
+        before = set(multiprocessing.active_children())
+        with pytest.raises(FarmExecutionError):
+            ParallelExecutor(workers=1, timeout_s=0.5, max_attempts=2).run(
+                _units(1, sleep_s=30.0), sleeping_runner
+            )
+        leaked = set(multiprocessing.active_children()) - before
+        assert leaked == set()
 
 
 class TestCheckpointIntegration:

@@ -6,7 +6,12 @@ import pytest
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
 from repro.patterns.features import extract_features
 from repro.patterns.random_gen import STYLES, RandomTestGenerator
-from repro.patterns.vectors import MAX_SEQUENCE_CYCLES, MIN_SEQUENCE_CYCLES
+from repro.patterns.vectors import (
+    MAX_SEQUENCE_CYCLES,
+    MIN_SEQUENCE_CYCLES,
+    Operation,
+    TestVector,
+)
 
 
 class TestConstruction:
@@ -117,3 +122,72 @@ class TestStyleProfiles:
                 assert np.prod(acts) < 0.5, (
                     f"style {name} (seed {seed}) fully activates the weakness"
                 )
+
+
+class ScalarReferenceGenerator(RandomTestGenerator):
+    """The array-drawing builders as per-cycle scalar loops.
+
+    This is how the builders were written before they drew whole arrays.
+    The generator must emit the same tests and leave its RNG stream at the
+    same point, so every later test of a stream stays aligned.
+    """
+
+    def _build_uniform(self, rng, cycles):
+        ops = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
+                         size=cycles, p=[0.45, 0.45, 0.10])
+        return [
+            TestVector(op, self._rand_addr(rng), self._rand_data(rng))
+            for op in ops
+        ]
+
+    def _build_sweep(self, rng, cycles):
+        stride = int(rng.integers(1, 17))
+        addr = self._rand_addr(rng)
+        word = self._rand_data(rng)
+        write_phase = bool(rng.integers(0, 2))
+        vectors = []
+        for _ in range(cycles):
+            op = Operation.WRITE if write_phase else Operation.READ
+            vectors.append(TestVector(op, addr, word))
+            addr = (addr + stride) % (1 << self.addr_bits)
+            if rng.random() < 0.02:
+                write_phase = not write_phase
+        return vectors
+
+    def _build_toggle(self, rng, cycles):
+        mask = (1 << self.data_bits) - 1
+        word = int(rng.integers(0, 1 << self.data_bits))
+        half = 1 << (self.addr_bits - 1)
+        addr = self._rand_addr(rng)
+        vectors = []
+        for i in range(cycles):
+            word ^= mask
+            addr ^= half if i % 2 else int(rng.integers(0, 1 << self.addr_bits))
+            addr &= (1 << self.addr_bits) - 1
+            vectors.append(TestVector(Operation.WRITE, addr, word))
+        return vectors
+
+
+class TestArrayBuildersMatchScalarReference:
+    GEOMETRIES = (
+        {},
+        {"addr_bits": 12, "data_bits": 16, "min_cycles": 1},
+    )
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["default", "12x16"])
+    @pytest.mark.parametrize("style", ["uniform", "sweep", "toggle"])
+    def test_same_tests_and_stream_position(self, style, geometry):
+        for seed in range(50):
+            fast = RandomTestGenerator(seed=seed, **geometry)
+            reference = ScalarReferenceGenerator(seed=seed, **geometry)
+            for _ in range(3):
+                assert fast.generate(style) == reference.generate(style)
+            assert fast._rng.random() == reference._rng.random()
+
+    def test_mixed_stream_matches(self):
+        """Unforced styles interleave array and scalar builders."""
+        fast = RandomTestGenerator(seed=9, condition_space=ConditionSpace())
+        reference = ScalarReferenceGenerator(
+            seed=9, condition_space=ConditionSpace()
+        )
+        assert fast.batch(40) == reference.batch(40)
