@@ -18,8 +18,9 @@ File format (one JSON object per line):
   ``{"unit": "die/0003", "index": 3, "measurements": 412, "attempts": 1,
   "elapsed_s": 0.21, "rtp": 31.55, "value_b64": "..."}``.
 
-A truncated final line (the process died mid-write) is detected and
-dropped on load; everything before it is kept.
+A truncated final line (the process died mid-write), or any other line
+that is not a decodable result, is dropped on load and counted;
+everything else is kept.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pickle
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.ioutil import durable_append_line
+from repro.ioutil import durable_append_line, iter_jsonl
 from repro.farm.workunit import WorkResult
 from repro.obs.events import FarmCheckpointDropped
 from repro.obs.runtime import OBS
@@ -68,8 +69,8 @@ class CheckpointStore:
     def load(self) -> Dict[str, WorkResult]:
         """Completed results on disk, keyed by unit key.
 
-        Corrupt or truncated lines are skipped with a warning — and,
-        with telemetry enabled, counted on the
+        Corrupt, truncated or non-object lines are skipped with a
+        warning — and, with telemetry enabled, counted on the
         ``farm.checkpoint.dropped_lines`` counter and announced by one
         :class:`~repro.obs.events.FarmCheckpointDropped` event, so a
         resume that silently lost results is visible in the trace.  A
@@ -80,28 +81,16 @@ class CheckpointStore:
         if not self.path.exists():
             return results
         dropped = 0
-        with self.path.open("r") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning(
-                        "checkpoint %s: dropping corrupt line %d "
-                        "(interrupted write?)", self.path, number,
-                    )
-                    dropped += 1
-                    continue
-                if payload.get("kind") == _KIND:
-                    self._check_header(payload)
-                    continue
-                result = self._decode(payload, number)
-                if result is not None:
-                    results[result.unit_key] = result
-                else:
-                    dropped += 1
+        for number, payload in iter_jsonl(self.path):
+            payload = payload or {}
+            if payload.get("kind") == _KIND:
+                self._check_header(payload)
+                continue
+            result = self._decode(payload, number)
+            if result is not None:
+                results[result.unit_key] = result
+            else:
+                dropped += 1
         if dropped and OBS.enabled:
             OBS.metrics.counter("farm.checkpoint.dropped_lines").inc(dropped)
             OBS.bus.emit(

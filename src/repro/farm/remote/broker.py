@@ -56,7 +56,7 @@ from repro.farm.remote.protocol import (
     send_frame,
 )
 from repro.farm.remote.telemetry import BrokerTelemetry, MetricsHTTPServer
-from repro.ioutil import durable_append_line
+from repro.ioutil import durable_append_line, iter_jsonl
 from repro.obs.events import (
     BrokerCampaignStarted,
     DuplicateSuppressed,
@@ -102,7 +102,7 @@ class ResultSpool:
     def load(self) -> Tuple[Dict[str, Dict[str, Any]], int]:
         """Spooled results keyed by unit key, plus the dropped-line count.
 
-        Tolerant reader, same discipline as ``read_trace``: a torn or
+        Tolerant reader (:func:`~repro.ioutil.iter_jsonl`): a torn or
         corrupt line (truncated JSON from a crash mid-append, a payload
         that is not a result record) is counted and skipped, never
         fatal — the campaign re-runs those units instead of refusing to
@@ -113,37 +113,17 @@ class ResultSpool:
         dropped = 0
         if not self.path.exists():
             return results, dropped
-        with self.path.open("r") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning(
-                        "spool %s: dropping corrupt line %d",
-                        self.path, number,
-                    )
-                    dropped += 1
-                    continue
-                if not isinstance(payload, dict):
-                    logger.warning(
-                        "spool %s: dropping non-record line %d",
-                        self.path, number,
-                    )
-                    dropped += 1
-                    continue
-                if payload.get("kind") == _SPOOL_KIND:
-                    continue
-                if "key" in payload and "outcome" in payload:
-                    results[str(payload["key"])] = payload
-                else:
-                    logger.warning(
-                        "spool %s: dropping incomplete record on line %d",
-                        self.path, number,
-                    )
-                    dropped += 1
+        for number, payload in iter_jsonl(self.path):
+            payload = payload or {}
+            if payload.get("kind") == _SPOOL_KIND:
+                continue
+            if "key" in payload and "outcome" in payload:
+                results[str(payload["key"])] = payload
+            else:
+                logger.warning(
+                    "spool %s: dropping corrupt line %d", self.path, number
+                )
+                dropped += 1
         return results, dropped
 
     def record(self, payload: Dict[str, Any]) -> None:

@@ -30,7 +30,6 @@ Everything here is stdlib-only and import-safe from the lowest layers.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -320,8 +319,3 @@ def fetch_broker_stats(
     if not isinstance(payload, dict):
         raise ConnectionError(f"malformed stats frame from {address}")
     return payload
-
-
-def render_metrics_json(stats: Dict[str, object]) -> str:
-    """``stats`` payload as stable JSON (for ``farm-top --once --json``)."""
-    return json.dumps(stats, sort_keys=True, indent=2)

@@ -36,6 +36,7 @@ from repro.obs.exposition import (
     find_sample,
     parse_exposition,
 )
+from repro.obs.metrics import nearest_rank
 
 #: Severity order; index = process exit code.
 LEVELS = ("ok", "warning", "critical")
@@ -203,14 +204,6 @@ def worst_level(results: Sequence[AlertResult]) -> int:
     return worst
 
 
-def _nearest_rank(values: List[float], q: float) -> float:
-    """Nearest-rank quantile matching :meth:`Histogram.quantile`."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def store_samples(store: object) -> List[Sample]:
     """Synthesize alert-compatible samples from a result store.
 
@@ -255,7 +248,7 @@ def store_samples(store: object) -> List[Sample]:
     ):
         for q, label in ((0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")):
             samples.append(
-                Sample(name, _nearest_rank(series, q), {"quantile": label})
+                Sample(name, nearest_rank(series, q), {"quantile": label})
             )
         samples.append(Sample(name + "_count", float(len(series))))
     return samples

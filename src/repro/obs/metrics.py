@@ -24,11 +24,24 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Reservoir size of a streaming histogram.  Quantiles are exact up to this
 #: many observations and a uniform sample beyond it.
 DEFAULT_RESERVOIR_SIZE = 512
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of ``values`` by the nearest-rank rule.
+
+    Returns an observed value (the one at rank ``int(q * n)``, clamped),
+    or ``nan`` for no values.  Histograms, alert rules and the service
+    dashboard all summarize latencies with this one rule.
+    """
+    if not values:
+        return float("nan")
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class _NullLock:
@@ -167,11 +180,7 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         with self._lock:
-            if not self._reservoir:
-                return float("nan")
-            ordered = sorted(self._reservoir)
-        rank = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[rank]
+            return nearest_rank(self._reservoir, q)
 
     @property
     def p50(self) -> float:

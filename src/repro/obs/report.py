@@ -15,25 +15,13 @@ Two views of one campaign:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.ioutil import iter_jsonl
 from repro.obs.events import known_event_types
 from repro.obs.metrics import MetricsRegistry
-
-
-def _iter_trace_lines(path: Union[str, Path]):
-    """Stream ``(line_number, line)`` pairs without loading the file.
-
-    Farm traces can reach multiple gigabytes; both loaders iterate the
-    file handle directly so memory stays proportional to the kept
-    records, never to the file size.
-    """
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            yield line_number, line
 
 
 def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
@@ -46,16 +34,10 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
         (line-numbered, so a truncated trace is easy to diagnose).
     """
     records: List[Dict[str, object]] = []
-    for line_number, line in _iter_trace_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace line {line_number}: {exc}") from exc
-        if not isinstance(record, dict) or "type" not in record:
+    for line_number, record in iter_jsonl(path):
+        if record is None or "type" not in record:
             raise ValueError(
-                f"trace line {line_number}: not an event object"
+                f"trace line {line_number}: not a JSON event object"
             )
         records.append(record)
     return records
@@ -81,15 +63,8 @@ def load_trace(path: Union[str, Path]) -> TraceLoadResult:
     """
     known = known_event_types()
     loaded = TraceLoadResult()
-    for _, line in _iter_trace_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            loaded.dropped_lines += 1
-            continue
-        if not isinstance(record, dict) or "type" not in record:
+    for _, record in iter_jsonl(path):
+        if record is None or "type" not in record:
             loaded.dropped_lines += 1
             continue
         kind = str(record["type"])
@@ -247,8 +222,8 @@ def _resource_rollup(
 def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
     """``repro obs summary --json``: the summary as plain data.
 
-    Mirrors :func:`render_trace_summary` section for section so CI can
-    assert on fields instead of scraping the text table.
+    :func:`render_trace_summary` renders this same data as text, so CI
+    can assert on fields instead of scraping the text table.
     """
     records = loaded.records
     counts: Dict[str, int] = {}
@@ -303,35 +278,27 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
     an honesty footer for anything the tolerant loader had to forgive.
     """
     records = loaded.records
-    lines = [f"== trace summary: {len(records)} event(s) =="]
-    counts: Dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("type"))
-        counts[kind] = counts.get(kind, 0) + 1
+    data = trace_summary_data(loaded)
+    counts: Dict[str, int] = data["events_by_type"]
+    lines = [f"== trace summary: {data['events']} event(s) =="]
     lines.append("events by type:")
     for kind in sorted(counts, key=lambda k: (-counts[k], k)):
         lines.append(f"  {kind:<30} {counts[kind]:>8}")
 
-    units = _farm_unit_rows(records)
-    if units:
-        by_worker: Dict[str, List[Dict[str, object]]] = {}
-        for row in units:
-            by_worker.setdefault(str(row["worker"]), []).append(row)
-        retries = counts.get("farm_unit_retried", 0)
-        skipped = counts.get("farm_unit_skipped", 0)
-        merged = counts.get("farm_unit_merged", 0)
+    farm: Dict[str, object] = data["farm"]
+    workers: Dict[str, Dict[str, object]] = farm["workers"]
+    if farm["units"]:
         lines.append(
-            f"farm: {len(units)} unit(s) completed on "
-            f"{len(by_worker)} worker(s), {skipped} restored from "
-            f"checkpoint, {retries} retry(ies), {merged} merged"
+            f"farm: {farm['units']} unit(s) completed on "
+            f"{len(workers)} worker(s), {farm['skipped']} restored from "
+            f"checkpoint, {farm['retries']} retry(ies), "
+            f"{farm['merged']} merged"
         )
-        for worker in sorted(by_worker):
-            rows = by_worker[worker]
-            busy = sum(float(r["elapsed_s"]) for r in rows)
-            meas = sum(int(r["measurements"]) for r in rows)
+        for worker in sorted(workers):
+            row = workers[worker]
             lines.append(
-                f"  {worker:<24} {len(rows):>4} unit(s)"
-                f" {busy:>9.3f}s busy {meas:>9} meas"
+                f"  {worker:<24} {row['units']:>4} unit(s)"
+                f" {row['busy_s']:>9.3f}s busy {row['measurements']:>9} meas"
             )
         dropped_events = sum(
             int(r.get("dropped_events", 0) or 0)
@@ -354,21 +321,18 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
             f"line(s) dropped"
         )
 
-    groups = per_test_measurement_counts(records)
-    if groups:
-        total = sum(count for _, count in groups)
-        totals: Dict[str, int] = {}
-        for name, count in groups:
-            totals[name] = totals.get(name, 0) + count
+    measurements: Dict[str, object] = data["measurements"]
+    totals: Dict[str, int] = measurements["per_test"]
+    if measurements["groups"]:
         lines.append(
-            f"measurements: {total} over {len(groups)} test group(s); "
-            f"costliest:"
+            f"measurements: {measurements['total']} over "
+            f"{measurements['groups']} test group(s); costliest:"
         )
         ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         for name, count in ranked:
             lines.append(f"  {name[:40]:<40} {count:>8}")
 
-    resources = _resource_rollup(records)
+    resources = data["resources"]
     if resources is not None:
         lines.append(
             f"resources: {resources['samples']} sample(s), "

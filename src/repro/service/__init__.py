@@ -39,7 +39,6 @@ from repro.service.progress import (
     ProgressTally,
     job_progress,
     read_events_page,
-    read_numbered_events,
 )
 from repro.service.server import (
     DEFAULT_READY_QUEUE_LIMIT,
@@ -73,7 +72,6 @@ __all__ = [
     "create_server",
     "job_progress",
     "read_events_page",
-    "read_numbered_events",
     "route_template",
     "serve_in_thread",
 ]

@@ -28,17 +28,10 @@ from repro.obs.html import (  # noqa: F401 — shared chart kit
     _section,
     _table,
 )
+from repro.obs.metrics import nearest_rank
 
 #: Buckets of the throughput chart.
 THROUGHPUT_BUCKETS = 24
-
-
-def _quantile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile matching :meth:`Histogram.quantile`."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def _job_command(job: Dict[str, object]) -> str:
@@ -133,8 +126,8 @@ def _queue_wait_section(jobs: Sequence[Dict[str, object]]) -> str:
         )
     rows = [
         ("jobs started", len(waits)),
-        ("p50 wait", f"{_fmt(_quantile(waits, 0.5), 4)} s"),
-        ("p95 wait", f"{_fmt(_quantile(waits, 0.95), 4)} s"),
+        ("p50 wait", f"{_fmt(nearest_rank(waits, 0.5), 4)} s"),
+        ("p95 wait", f"{_fmt(nearest_rank(waits, 0.95), 4)} s"),
         ("max wait", f"{_fmt(max(waits), 4)} s"),
     ]
     return _section(
@@ -175,14 +168,14 @@ def _per_command_section(jobs: Sequence[Dict[str, object]]) -> str:
         finished = len(slot["finished"])
         failed = len(slot["failed"])
         rate = failed / finished if finished else 0.0
-        p95 = _quantile(slot["runs"], 0.95)
+        p95 = nearest_rank(slot["runs"], 0.95)
         rows.append(
             (
                 command,
                 finished,
                 failed,
                 _fmt(rate),
-                f"{_fmt(_quantile(slot['runs'], 0.5), 4)} s",
+                f"{_fmt(nearest_rank(slot['runs'], 0.5), 4)} s",
                 f"{_fmt(p95, 4)} s",
             )
         )

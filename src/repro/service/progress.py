@@ -3,16 +3,18 @@
 Every job runs with ``--trace`` pointing into its job directory, and the
 :class:`~repro.obs.events.TraceWriter` flushes each event line as it is
 emitted — so the trace file *is* the live progress stream.  This module
-reads it tolerantly (a torn final line is simply the event in flight)
-and rolls the per-unit farm events, measurement events and campaign
-phases up into the small progress dict ``GET /jobs/{id}`` returns.
+reads it tolerantly through :func:`repro.ioutil.iter_jsonl` (a torn
+final line is simply the event in flight) and rolls the per-unit farm
+events, measurement events and campaign phases up into the small
+progress dict ``GET /jobs/{id}`` returns.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
+
+from repro.ioutil import iter_jsonl
 
 
 class ProgressTally:
@@ -67,7 +69,7 @@ class ProgressTally:
 def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
     """Roll a (possibly still growing) trace up into progress numbers.
 
-    Returns ``events`` (total lines parsed), ``measurements``,
+    Returns ``events`` (total event lines parsed), ``measurements``,
     ``units_total``/``units_done``/``units_skipped`` (farm work units;
     skipped = restored from checkpoint), and ``phase`` — the innermost
     campaign phase currently open (``None`` before the first phase or
@@ -76,11 +78,9 @@ def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
     path = Path(trace_path)
     tally = ProgressTally()
     if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                record = _parse(line)
-                if record is not None:
-                    tally.add(record)
+        for _, record in iter_jsonl(path):
+            if record is not None and "type" in record:
+                tally.add(record)
     return tally.as_dict()
 
 
@@ -88,89 +88,37 @@ def read_events_page(
     trace_path: Union[str, Path],
     offset: int = 0,
     limit: int = 500,
-) -> Tuple[List[Dict[str, object]], int, int]:
-    """One page of trace events for ``GET /jobs/{id}/events``.
-
-    Offsets count *file lines* (not parsed events), so a page boundary
-    is stable while the file grows.  Returns ``(events, next_offset,
-    malformed)`` where ``next_offset`` is the line offset to pass for
-    the following page and ``malformed`` counts skipped unparseable
-    lines within the page (normally just a torn in-flight final line).
-    """
-    path = Path(trace_path)
-    events: List[Dict[str, object]] = []
-    malformed = 0
-    consumed = 0
-    if limit < 1:
-        return events, offset, malformed
-    if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle):
-                if number < offset:
-                    continue
-                if consumed >= limit:
-                    break
-                consumed += 1
-                record = _parse(line)
-                if record is None:
-                    malformed += 1
-                else:
-                    events.append(record)
-    return events, offset + consumed, malformed
-
-
-def read_numbered_events(
-    trace_path: Union[str, Path],
-    offset: int = 0,
-    limit: int = 500,
     complete_lines_only: bool = False,
 ) -> Tuple[List[Tuple[int, Dict[str, object]]], int, int]:
-    """Like :func:`read_events_page`, but each event carries its line id.
+    """One page of trace events, each paired with its trace line number.
 
-    Returns ``(numbered, next_offset, malformed)`` where ``numbered``
-    pairs each event with the 1-based number of the trace line it came
-    from.  The SSE stream uses that number as the frame's ``id:`` field,
-    so a client reconnecting with ``Last-Event-ID: N`` resumes at
-    ``offset=N`` without replaying or skipping events — offsets and ids
-    share the same unit (file lines consumed).
+    Backs both ``GET /jobs/{id}/events`` and the SSE stream.  Offsets
+    count *file lines* (not parsed events), so a page boundary is stable
+    while the file grows, and the SSE stream can use each event's
+    1-based line number as its ``id:`` — a client reconnecting with
+    ``Last-Event-ID: N`` resumes at ``offset=N`` without replaying or
+    skipping events.
 
-    With ``complete_lines_only`` a final line missing its newline is
-    left *unconsumed* (not counted in ``next_offset``): it is the event
-    in flight, and a tailing reader must pick it up whole on the next
-    poll instead of skipping its truncated half as malformed.
+    Returns ``(numbered, next_offset, malformed)``: ``next_offset`` is
+    the line offset to pass for the following page, and ``malformed``
+    counts skipped lines within the page that are not event objects
+    (normally just a torn in-flight final line).  With
+    ``complete_lines_only`` a final line missing its newline is left
+    *unconsumed*: it is the event in flight, and a tailing reader must
+    pick it up whole on the next poll instead of skipping its truncated
+    half as malformed.
     """
     path = Path(trace_path)
     numbered: List[Tuple[int, Dict[str, object]]] = []
     malformed = 0
-    consumed = 0
-    if limit < 1:
-        return numbered, offset, malformed
+    next_offset = offset
     if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle):
-                if number < offset:
-                    continue
-                if consumed >= limit:
-                    break
-                if complete_lines_only and not line.endswith("\n"):
-                    break
-                consumed += 1
-                record = _parse(line)
-                if record is None:
-                    malformed += 1
-                else:
-                    numbered.append((number + 1, record))
-    return numbered, offset + consumed, malformed
-
-
-def _parse(line: str) -> Optional[Dict[str, object]]:
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or "type" not in record:
-        return None
-    return record
+        for number, record in iter_jsonl(
+            path, offset, limit, complete_lines_only
+        ):
+            next_offset = number
+            if record is None or "type" not in record:
+                malformed += 1
+            else:
+                numbered.append((number, record))
+    return numbered, next_offset, malformed

@@ -129,3 +129,29 @@ class TestDroppedLineTelemetry:
         assert not obs.OBS.enabled
         assert set(CheckpointStore(path).load()) == {"good"}
         assert "farm.checkpoint.dropped_lines" not in obs.OBS.metrics.counters
+
+
+class TestNonObjectLines:
+    def test_valid_json_that_is_not_an_object_is_dropped(self, tmp_path):
+        from repro import obs
+
+        path = tmp_path / "ckpt.jsonl"
+        with CheckpointStore(path, campaign="c1") as store:
+            store.record(_result("a", 0))
+        with path.open("a") as handle:
+            handle.write('42\n[1,2]\n"x"\n')
+        with CheckpointStore(path, campaign="c1") as store:
+            store.record(_result("b", 1))
+        sink = obs.RingBufferSink()
+        obs.enable(sink)
+        try:
+            loaded = CheckpointStore(path, campaign="c1").load()
+        finally:
+            counter = obs.OBS.metrics.counters.get(
+                "farm.checkpoint.dropped_lines"
+            )
+            events = sink.of_type("farm_checkpoint_dropped")
+            obs.reset()
+        assert set(loaded) == {"a", "b"}
+        assert counter is not None and counter.value == 3
+        assert [event.lines for event in events] == [3]
