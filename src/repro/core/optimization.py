@@ -190,10 +190,9 @@ class OptimizationScheme:
         for individual in sorted(
             finalists, key=lambda ind: ind.fitness or 0.0, reverse=True
         ):
-            key = hash(individual.sequence)
-            if key in seen:
+            if individual.sequence in seen:
                 continue
-            seen.add(key)
+            seen.add(individual.sequence)
             if rank >= cfg.top_k_database:
                 break
             test = individual.to_test_case(

@@ -30,6 +30,8 @@ from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
     DEFAULT_ADDR_BITS,
     DEFAULT_DATA_BITS,
+    READ_CODE,
+    WRITE_CODE,
     Operation,
     VectorSequence,
 )
@@ -168,25 +170,37 @@ class MemoryTestChip:
         cached = self._functional_cache.get(id(sequence))
         if cached is not None and cached[0] is sequence:
             return cached[1]
+        if self._array.faults:
+            result = self._simulate(sequence)
+        else:
+            # A fault-free array is the golden model: every read matches.
+            result = FunctionalResult(
+                cycles=len(sequence), reads=sequence.count(Operation.READ),
+                mismatches=(),
+            )
+        self._functional_cache[id(sequence)] = (sequence, result)
+        return result
+
+    def _simulate(self, sequence: VectorSequence) -> FunctionalResult:
+        """Cycle-by-cycle application against the faulty and golden arrays."""
         self._array.reset()
         self._golden.reset()
         mismatches: List[Tuple[int, int, int, int]] = []
         reads = 0
-        for cycle, vector in enumerate(sequence):
-            if vector.op is Operation.WRITE:
-                self._array.write(vector.address, vector.data)
-                self._golden.write(vector.address, vector.data)
-            elif vector.op is Operation.READ:
+        ops, addresses, data = (column.tolist() for column in sequence.columns)
+        for cycle, (op, address, word) in enumerate(zip(ops, addresses, data)):
+            if op == WRITE_CODE:
+                self._array.write(address, word)
+                self._golden.write(address, word)
+            elif op == READ_CODE:
                 reads += 1
-                observed = self._array.read(vector.address)
-                expected = self._golden.read(vector.address)
+                observed = self._array.read(address)
+                expected = self._golden.read(address)
                 if observed != expected:
-                    mismatches.append((cycle, vector.address, expected, observed))
-        result = FunctionalResult(
+                    mismatches.append((cycle, address, expected, observed))
+        return FunctionalResult(
             cycles=len(sequence), reads=reads, mismatches=tuple(mismatches)
         )
-        self._functional_cache[id(sequence)] = (sequence, result)
-        return result
 
     # -- parametric face ---------------------------------------------------------
     def features_of(self, sequence: VectorSequence) -> PatternFeatures:

@@ -29,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.patterns.vectors import Operation, VectorSequence
+from repro.patterns.vectors import NOP_CODE, WRITE_CODE, VectorSequence
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:
@@ -72,15 +72,11 @@ class SupplyNoiseModel:
     # -- activity ---------------------------------------------------------------
     def cycle_toggles(self, sequence: VectorSequence) -> np.ndarray:
         """Per-cycle switched bits (address bus + write-data bus)."""
-        n = len(sequence)
-        addresses = np.array(sequence.addresses(), dtype=np.int64)
-        raw_data = np.array(
-            [v.data if v.op is Operation.WRITE else -1 for v in sequence],
-            dtype=np.int64,
-        )
-        write_positions = np.where(raw_data >= 0, np.arange(n), -1)
+        ops, addresses, data = sequence.columns
+        n = len(ops)
+        write_positions = np.where(ops == WRITE_CODE, np.arange(n), -1)
         last_write = np.maximum.accumulate(write_positions)
-        bus_data = np.where(last_write >= 0, raw_data[np.maximum(last_write, 0)], 0)
+        bus_data = np.where(last_write >= 0, data[np.maximum(last_write, 0)], 0)
 
         toggles = np.zeros(n, dtype=float)
         if n >= 2:
@@ -92,9 +88,8 @@ class SupplyNoiseModel:
         """Per-cycle instantaneous current draw in mA."""
         cfg = self.config
         toggles = self.cycle_toggles(sequence)
-        active = np.array(
-            [v.op is not Operation.NOP for v in sequence], dtype=float
-        )
+        ops, _, _ = sequence.columns
+        active = (ops != NOP_CODE).astype(float)
         return (
             cfg.baseline_current_ma
             + cfg.active_cycle_current_ma * active

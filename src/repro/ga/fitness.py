@@ -28,9 +28,10 @@ FitnessFunction = Callable[[TestCase], float]
 class CachingFitness:
     """Memoizing adapter around a :data:`FitnessFunction`.
 
-    The cache key is the genome content (sequence identity hash + rounded
+    The cache key is the genome content (the sequence itself + rounded
     condition genes), so re-evaluating elite survivors is free while any
-    mutation produces a fresh measurement.
+    mutation produces a fresh measurement.  Keying on the sequence, not on
+    its hash, lets the dict tell apart sequences whose hashes collide.
     """
 
     def __init__(
@@ -45,7 +46,7 @@ class CachingFitness:
 
     def _key(self, individual: TestIndividual) -> Tuple:
         genes = tuple(round(float(g), 6) for g in individual.condition_genes)
-        return (hash(individual.sequence), genes)
+        return (individual.sequence, genes)
 
     def evaluate(self, individual: TestIndividual) -> TestIndividual:
         """Return the individual with fitness attached (cached or measured)."""

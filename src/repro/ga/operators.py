@@ -19,7 +19,7 @@ characterization objective's worst case).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,10 @@ from repro.ga.chromosome import TestIndividual
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    Operation,
-    TestVector,
+    OPS,
+    Columns,
+    READ_CODE,
+    WRITE_CODE,
     VectorSequence,
 )
 
@@ -69,12 +71,14 @@ def crossover_sequences(
     return a.spliced(b, cut_a, cut_b), b.spliced(a, cut_b, cut_a)
 
 
-def _random_vector(
+def _random_cycle(
     rng: np.random.Generator, addr_bits: int, data_bits: int
-) -> TestVector:
-    op = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
-                    p=[0.45, 0.45, 0.10])
-    return TestVector(
+) -> Tuple[int, int, int]:
+    """One uniform random cycle as ``(op code, address, data)``."""
+    # Choosing among three codes consumes the same draws as choosing
+    # among the three operations.
+    op = int(rng.choice(len(OPS), p=[0.45, 0.45, 0.10]))
+    return (
         op,
         int(rng.integers(0, 1 << addr_bits)),
         int(rng.integers(0, 1 << data_bits)),
@@ -89,65 +93,78 @@ def point_mutate_sequence(
     """Rewrite each cycle independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
-    vectors = list(sequence.vectors)
-    mutated = False
-    for i in range(len(vectors)):
+    columns: Optional[Tuple[np.ndarray, ...]] = None
+    for i in range(len(sequence)):
         if rng.random() < rate:
-            vectors[i] = _random_vector(rng, sequence.addr_bits, sequence.data_bits)
-            mutated = True
-    if not mutated:
+            if columns is None:
+                columns = tuple(column.copy() for column in sequence.columns)
+            ops, addresses, data = columns
+            ops[i], addresses[i], data[i] = _random_cycle(
+                rng, sequence.addr_bits, sequence.data_bits
+            )
+    if columns is None:
         return sequence
-    return VectorSequence(
-        vectors, sequence.addr_bits, sequence.data_bits, name=sequence.name
+    return VectorSequence.from_columns(
+        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
     )
 
 
 # -- motifs ----------------------------------------------------------------------
+# Each motif builder returns the ``(op codes, addresses, data)`` columns of
+# ``length`` cycles.
+
+def _alternating(start: int, flip: int, length: int) -> np.ndarray:
+    """``start ^ flip, start, start ^ flip, ...``: a value toggled each cycle."""
+    values = np.full(length, start, dtype=np.int64)
+    values[0::2] ^= flip
+    return values
+
+
 def _motif_toggle_burst(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> Columns:
     """Hot window: full data-bus and address-bus toggling writes."""
     mask = (1 << data_bits) - 1
     full = (1 << addr_bits) - 1
     word = int(rng.integers(0, 1 << data_bits))
     addr = int(rng.integers(0, 1 << addr_bits))
-    out = []
-    for _ in range(length):
-        word ^= mask
-        addr ^= full
-        out.append(TestVector(Operation.WRITE, addr, word))
-    return out
+    return (
+        np.full(length, WRITE_CODE, dtype=np.int8),
+        _alternating(addr, full, length),
+        _alternating(word, mask, length),
+    )
 
 
 def _motif_raw_pairs(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> Columns:
     """Same-address write-then-read pairs with MSB-hopping addresses."""
     half = 1 << (addr_bits - 1)
     mask = (1 << data_bits) - 1
     word = int(rng.integers(0, 1 << data_bits))
     addr = int(rng.integers(0, 1 << addr_bits))
-    out: List[TestVector] = []
-    while len(out) < length:
-        word ^= mask
-        addr ^= half
-        out.append(TestVector(Operation.WRITE, addr, word))
-        out.append(TestVector(Operation.READ, addr, 0))
-    return out[:length]
+    # Pair k writes (word, addr) toggled k + 1 times, then reads it back.
+    pairs = (length + 1) // 2
+    ops = np.tile(np.array([WRITE_CODE, READ_CODE], dtype=np.int8), pairs)
+    addresses = np.repeat(_alternating(addr, half, pairs), 2)
+    data = np.repeat(_alternating(word, mask, pairs), 2)
+    data[1::2] = 0
+    return ops[:length], addresses[:length], data[:length]
 
 
 def _motif_msb_hop(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> Columns:
     """Writes hopping between the two address halves every cycle."""
     half = 1 << (addr_bits - 1)
     addr = int(rng.integers(0, 1 << addr_bits))
-    out = []
-    for _ in range(length):
-        addr ^= half
-        data = int(rng.integers(0, 1 << data_bits))
-        out.append(TestVector(Operation.WRITE, addr, data))
-    return out
+    # One bound per element: the same draws as one scalar call per cycle.
+    data = rng.integers(0, np.full(length, 1 << data_bits))
+    return (
+        np.full(length, WRITE_CODE, dtype=np.int8),
+        _alternating(addr, half, length),
+        data,
+    )
 
 
 _MOTIF_BUILDERS = {
@@ -171,13 +188,11 @@ def motif_mutate_sequence(
     motif = _MOTIF_BUILDERS[name](
         rng, length, sequence.addr_bits, sequence.data_bits
     )
-    vectors = list(sequence.vectors)
-    vectors[start : start + length] = motif
-    return VectorSequence(
-        vectors[:MAX_SEQUENCE_CYCLES],
-        sequence.addr_bits,
-        sequence.data_bits,
-        name=sequence.name,
+    columns = [column.copy() for column in sequence.columns]
+    for column, segment in zip(columns, motif):
+        column[start : start + length] = segment
+    return VectorSequence.from_columns(
+        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
     )
 
 
@@ -191,16 +206,18 @@ def resize_mutate_sequence(
     target = int(
         np.clip(len(sequence) + change, MIN_SEQUENCE_CYCLES, MAX_SEQUENCE_CYCLES)
     )
-    vectors = list(sequence.vectors)
-    if target <= len(vectors):
-        vectors = vectors[:target]
-    else:
-        while len(vectors) < target:
-            vectors.append(
-                _random_vector(rng, sequence.addr_bits, sequence.data_bits)
-            )
-    return VectorSequence(
-        vectors, sequence.addr_bits, sequence.data_bits, name=sequence.name
+    grown = [
+        _random_cycle(rng, sequence.addr_bits, sequence.data_bits)
+        for _ in range(target - len(sequence))
+    ]
+    columns = [column[:target] for column in sequence.columns]
+    if grown:
+        columns = [
+            np.concatenate((column, added))
+            for column, added in zip(columns, zip(*grown))
+        ]
+    return VectorSequence.from_columns(
+        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
     )
 
 

@@ -94,18 +94,16 @@ class Population:
         sequence.  0 means every sequence equals the best's; 1 means no
         cycle agrees anywhere.
         """
-        reference = list(self.best().sequence)
+        reference = self.best().sequence.columns
         distances = []
         for individual in self.individuals:
-            sequence = list(individual.sequence)
-            longest = max(len(reference), len(sequence))
-            if longest == 0:
-                distances.append(0.0)
-                continue
-            mismatches = sum(
-                1 for a, b in zip(reference, sequence) if a != b
-            )
-            mismatches += abs(len(reference) - len(sequence))
+            columns = individual.sequence.columns
+            shorter = min(len(reference[0]), len(columns[0]))
+            longest = max(len(reference[0]), len(columns[0]))
+            differs = np.zeros(shorter, dtype=bool)
+            for mine, theirs in zip(reference, columns):
+                differs |= mine[:shorter] != theirs[:shorter]
+            mismatches = int(np.count_nonzero(differs)) + longest - shorter
             distances.append(mismatches / longest)
         return float(np.mean(distances))
 

@@ -22,12 +22,17 @@ identity mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.patterns.vectors import Operation, VectorSequence, checkerboard_word
+from repro.patterns.vectors import (
+    NOP_CODE,
+    READ_CODE,
+    WRITE_CODE,
+    VectorSequence,
+    checkerboard_word,
+)
 
 #: Canonical feature order.  Extend only by appending — NN weight files
 #: record the feature dimension they were trained with.
@@ -79,9 +84,6 @@ FEATURE_DESCRIPTIONS = {
 PEAK_WINDOW_CYCLES = 16
 
 _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-_OP = attrgetter("op")
-_ADDRESS = attrgetter("address")
-_DATA = attrgetter("data")
 
 
 @dataclass(frozen=True)
@@ -161,19 +163,13 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     Every feature is normalized to ``[0, 1]``.  Extraction is deterministic
     and linear in the sequence length.
     """
-    vectors = sequence.vectors
-    n = len(vectors)
+    ops, addresses, data = sequence.columns
+    n = len(ops)
     addr_bits = sequence.addr_bits
     data_bits = sequence.data_bits
-
-    # Enum members are singletons, so their ids identify them; this keeps
-    # the per-cycle work in C (hashing an Enum member runs Python code).
-    op_ids = np.fromiter(map(id, map(_OP, vectors)), dtype=np.uintp, count=n)
-    addresses = np.fromiter(map(_ADDRESS, vectors), dtype=np.int64, count=n)
-    data = np.fromiter(map(_DATA, vectors), dtype=np.int64, count=n)
-    is_read = op_ids == id(Operation.READ)
-    is_write = op_ids == id(Operation.WRITE)
-    is_active = op_ids != id(Operation.NOP)
+    is_read = ops == READ_CODE
+    is_write = ops == WRITE_CODE
+    is_active = ops != NOP_CODE
 
     # Written data stream (holds the last written word through reads/NOPs so
     # bus toggle reflects what actually switches on the data bus).

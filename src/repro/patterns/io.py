@@ -25,7 +25,7 @@ from typing import List, Union
 
 from repro.patterns.conditions import TestCondition
 from repro.patterns.testcase import TestCase
-from repro.patterns.vectors import Operation, TestVector, VectorSequence
+from repro.patterns.vectors import OPS, Operation, VectorSequence
 
 FORMAT_TAG = "repro-pattern v1"
 
@@ -45,10 +45,10 @@ def dump_test(test: TestCase) -> str:
     ]
     addr_width = (sequence.addr_bits + 3) // 4
     data_width = (sequence.data_bits + 3) // 4
-    for vector in sequence:
+    ops, addresses, data = (column.tolist() for column in sequence.columns)
+    for op, address, word in zip(ops, addresses, data):
         lines.append(
-            f"{vector.op.value} {vector.address:0{addr_width}x} "
-            f"{vector.data:0{data_width}x}"
+            f"{OPS[op].value} {address:0{addr_width}x} {word:0{data_width}x}"
         )
     return "\n".join(lines) + "\n"
 
@@ -90,7 +90,9 @@ def load_test(text: str) -> TestCase:
         clock_period=float(header.get("clock_period", 40.0)),
     )
 
-    vectors: List[TestVector] = []
+    ops: List[int] = []
+    addresses: List[int] = []
+    data: List[int] = []
     for line_number, line in enumerate(lines[body_start:], start=body_start + 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -100,15 +102,17 @@ def load_test(text: str) -> TestCase:
             raise ValueError(f"line {line_number}: expected 'op addr data'")
         op_code, addr_hex, data_hex = parts
         try:
-            vectors.append(
-                TestVector(Operation(op_code), int(addr_hex, 16), int(data_hex, 16))
-            )
+            ops.append(OPS.index(Operation(op_code)))
+            addresses.append(int(addr_hex, 16))
+            data.append(int(data_hex, 16))
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from exc
-    if not vectors:
+    if not ops:
         raise ValueError("pattern file contains no cycles")
 
-    sequence = VectorSequence(vectors, addr_bits, data_bits, name=name)
+    sequence = VectorSequence.from_columns(
+        ops, addresses, data, addr_bits, data_bits, name=name
+    )
     return TestCase(sequence, condition, name=name, origin=origin)
 
 

@@ -26,7 +26,7 @@ application board" of section 3.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from repro.patterns.vectors import (
     DEFAULT_DATA_BITS,
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    Operation,
-    TestVector,
+    OPS,
+    Columns,
+    READ_CODE,
+    WRITE_CODE,
     VectorSequence,
 )
 
@@ -103,11 +105,11 @@ class RandomTestGenerator:
         builder = getattr(self, f"_build_{style}", None)
         if builder is None:
             raise ValueError(f"unknown stimulus style {style!r}")
-        vectors = builder(rng, cycles)
+        ops, addresses, data = builder(rng, cycles)
         name = f"rnd_{self._counter:05d}_{style}"
         self._counter += 1
-        sequence = VectorSequence(
-            vectors, self.addr_bits, self.data_bits, name=name
+        sequence = VectorSequence.from_columns(
+            ops, addresses, data, self.addr_bits, self.data_bits, name=name
         )
         if self.condition_space is not None:
             condition = self.condition_space.sample(rng)
@@ -125,44 +127,41 @@ class RandomTestGenerator:
             yield self.generate()
 
     # -- style builders --------------------------------------------------------
+    # Each builder returns the ``(op codes, addresses, data)`` columns of
+    # ``cycles`` cycles.
     def _rand_addr(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, 1 << self.addr_bits))
 
     def _rand_data(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, 1 << self.data_bits))
 
-    def _build_uniform(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
-        ops = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
-                         size=cycles, p=[0.45, 0.45, 0.10])
+    def _build_uniform(self, rng: np.random.Generator, cycles: int) -> Columns:
+        # Choosing among three codes consumes the same draws as choosing
+        # among the three operations.
+        ops = rng.choice(len(OPS), size=cycles, p=[0.45, 0.45, 0.10])
         # Addresses and data in one call, interleaved as the per-cycle
         # scalar draws (address, then data) would consume the stream.
         draws = rng.integers(
             0, np.tile([1 << self.addr_bits, 1 << self.data_bits], cycles)
-        ).tolist()
-        return [
-            TestVector(op, address, data)
-            for op, address, data in zip(ops, draws[0::2], draws[1::2])
-        ]
+        )
+        return ops, draws[0::2], draws[1::2]
 
-    def _build_burst(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
-        vectors: List[TestVector] = []
-        while len(vectors) < cycles:
+    def _build_burst(self, rng: np.random.Generator, cycles: int) -> Columns:
+        addresses: List[int] = []
+        data: List[int] = []
+        while len(addresses) < cycles:
             base = self._rand_addr(rng)
             burst = int(rng.integers(2, 9))
             word = self._rand_data(rng)
             for offset in range(burst):
                 addr = (base + offset) % (1 << self.addr_bits)
-                vectors.append(TestVector(Operation.WRITE, addr, word ^ offset))
-                vectors.append(TestVector(Operation.READ, addr, 0))
-        return vectors[:cycles]
+                addresses += (addr, addr)
+                data += (word ^ offset, 0)
+        # Write, read, write, read, ...
+        ops = np.tile(np.array([WRITE_CODE, READ_CODE]), len(addresses) // 2)
+        return ops[:cycles], addresses[:cycles], data[:cycles]
 
-    def _build_sweep(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_sweep(self, rng: np.random.Generator, cycles: int) -> Columns:
         stride = int(rng.integers(1, 17))
         addr = self._rand_addr(rng)
         word = self._rand_data(rng)
@@ -174,29 +173,27 @@ class RandomTestGenerator:
         flipped = np.cumsum(flips) - flips
         writes = write_phase ^ (flipped % 2 == 1)
         addresses = (addr + stride * np.arange(cycles)) % (1 << self.addr_bits)
-        return [
-            TestVector(Operation.WRITE if write else Operation.READ,
-                       address, word)
-            for write, address in zip(writes.tolist(), addresses.tolist())
-        ]
+        return (
+            np.where(writes, WRITE_CODE, READ_CODE),
+            addresses,
+            np.full(cycles, word),
+        )
 
-    def _build_hammer(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_hammer(self, rng: np.random.Generator, cycles: int) -> Columns:
         hot = [self._rand_addr(rng) for _ in range(int(rng.integers(1, 4)))]
-        vectors: List[TestVector] = []
-        for i in range(cycles):
-            addr = hot[i % len(hot)]
+        ops: List[int] = []
+        data: List[int] = []
+        for _ in range(cycles):
             if rng.random() < 0.5:
-                vectors.append(TestVector(Operation.WRITE, addr,
-                                          self._rand_data(rng)))
+                ops.append(WRITE_CODE)
+                data.append(self._rand_data(rng))
             else:
-                vectors.append(TestVector(Operation.READ, addr, 0))
-        return vectors
+                ops.append(READ_CODE)
+                data.append(0)
+        addresses = np.resize(np.array(hot), cycles)
+        return ops, addresses, data
 
-    def _build_toggle(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_toggle(self, rng: np.random.Generator, cycles: int) -> Columns:
         mask = (1 << self.data_bits) - 1
         word = int(rng.integers(0, 1 << self.data_bits))
         addr = self._rand_addr(rng)
@@ -205,7 +202,6 @@ class RandomTestGenerator:
         steps = np.full(cycles, 1 << (self.addr_bits - 1), dtype=np.int64)
         steps[0::2] = rng.integers(0, 1 << self.addr_bits, size=(cycles + 1) // 2)
         addresses = addr ^ np.bitwise_xor.accumulate(steps)
-        return [
-            TestVector(Operation.WRITE, address, word ^ mask if i % 2 == 0 else word)
-            for i, address in enumerate(addresses.tolist())
-        ]
+        data = np.full(cycles, word)
+        data[0::2] ^= mask
+        return np.full(cycles, WRITE_CODE), addresses, data

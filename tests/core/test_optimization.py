@@ -12,8 +12,11 @@ from repro.core.wcr import WCRClass
 from repro.device.faults import StuckAtFault
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.parameters import T_DQ_PARAMETER
-from repro.ga.engine import GAConfig
+from repro.ga.chromosome import TestIndividual
+from repro.ga.engine import GAConfig, GAResult, MultiPopulationGA
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
+from repro.patterns.random_gen import RandomTestGenerator
+from repro.patterns.vectors import VectorSequence
 
 
 SMALL_GA = GAConfig(
@@ -96,6 +99,40 @@ class TestOptimizationScheme:
         result = scheme.run()
         if result.ga_result.stopped_by_wcr:
             assert result.ga_result.best.fitness >= 1.0
+
+    def test_colliding_finalists_both_remeasured(self, trained, monkeypatch):
+        """Finalists are deduplicated by sequence, not by its hash: two
+        different sequences whose hashes collide are both re-measured."""
+        scheme = self._scheme(trained)
+        space = scheme.condition_space
+        generator = RandomTestGenerator(seed=11, condition_space=space)
+        first, second = (
+            TestIndividual.from_test_case(test, space).with_fitness(fitness)
+            for test, fitness in zip(generator.batch(2), (0.9, 0.8))
+        )
+        duplicate = TestIndividual(
+            first.sequence, first.condition_genes
+        ).with_fitness(0.85)
+        monkeypatch.setattr(VectorSequence, "__hash__", lambda self: 7)
+        monkeypatch.setattr(
+            MultiPopulationGA,
+            "run",
+            lambda self, seeds, **kwargs: GAResult(
+                best=first,
+                best_per_population=[duplicate, second],
+                generations_run=0,
+            ),
+        )
+        measured = []
+        measure_one = scheme.runner.measure_one
+
+        def recording(test):
+            measured.append(test.sequence)
+            return measure_one(test)
+
+        monkeypatch.setattr(scheme.runner, "measure_one", recording)
+        scheme.run()
+        assert measured == [first.sequence, second.sequence]
 
 
 class TestFunctionalFailureRouting:

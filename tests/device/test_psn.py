@@ -110,3 +110,48 @@ class TestWorstCaseAlignment:
         ]
         worst = toggle_sequence(120)
         assert model.peak_droop_v(worst) >= np.percentile(random_droops, 90)
+
+
+def _reference_popcount(values):
+    counts = np.zeros_like(values)
+    work = values.copy()
+    while np.any(work):
+        counts += work & 1
+        work >>= 1
+    return counts
+
+
+def reference_currents(model, sequence):
+    """The per-vector current model as written before it read columns."""
+    cfg = model.config
+    n = len(sequence)
+    addresses = np.array(sequence.addresses(), dtype=np.int64)
+    raw_data = np.array(
+        [v.data if v.op is Operation.WRITE else -1 for v in sequence], dtype=np.int64
+    )
+    write_positions = np.where(raw_data >= 0, np.arange(n), -1)
+    last_write = np.maximum.accumulate(write_positions)
+    bus_data = np.where(last_write >= 0, raw_data[np.maximum(last_write, 0)], 0)
+    toggles = np.zeros(n, dtype=float)
+    if n >= 2:
+        toggles[1:] += _reference_popcount(addresses[1:] ^ addresses[:-1])
+        toggles[1:] += _reference_popcount(bus_data[1:] ^ bus_data[:-1])
+    active = np.array([v.op is not Operation.NOP for v in sequence], dtype=float)
+    currents = (
+        cfg.baseline_current_ma
+        + cfg.active_cycle_current_ma * active
+        + cfg.current_per_toggle_ma * toggles
+    )
+    return toggles, currents
+
+
+class TestColumnsMatchPerVectorReference:
+    def test_toggles_and_currents_bit_identical(self, model):
+        generator = RandomTestGenerator(seed=13)
+        sequences = [generator.generate().sequence for _ in range(40)]
+        sequences += [nop_sequence(7), toggle_sequence(9), nop_sequence(1)]
+        sequences.append(compile_march(get_march_test("march_c-")))
+        for sequence in sequences:
+            toggles, currents = reference_currents(model, sequence)
+            assert np.array_equal(model.cycle_toggles(sequence), toggles)
+            assert np.array_equal(model.cycle_currents_ma(sequence), currents)

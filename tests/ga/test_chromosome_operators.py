@@ -148,8 +148,7 @@ class TestMotifProfiles:
         from repro.ga import operators
 
         builder = operators._MOTIF_BUILDERS[name]
-        vectors = builder(rng, 200, 10, 8)
-        return VectorSequence(vectors)
+        return VectorSequence.from_columns(*builder(rng, 200, 10, 8))
 
     def test_all_motifs_registered(self):
         assert set(MOTIF_NAMES) == {"toggle_burst", "raw_pairs", "msb_hop"}

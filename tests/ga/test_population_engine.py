@@ -15,6 +15,7 @@ from repro.ga.population import Population
 from repro.patterns.conditions import ConditionSpace
 from repro.patterns.features import extract_features
 from repro.patterns.random_gen import RandomTestGenerator
+from repro.patterns.vectors import VectorSequence
 
 
 def synthetic_fitness(test):
@@ -121,6 +122,25 @@ class TestCachingFitness:
         b = cache.evaluate(other)
         assert a.fitness != b.fitness
         assert cache.cache_size == 2
+
+    def test_colliding_sequence_hashes_not_conflated(self, space, monkeypatch):
+        """The cache keys on the sequence, so a hash collision between two
+        different sequences costs a second measurement, not a shared
+        fitness."""
+        monkeypatch.setattr(VectorSequence, "__hash__", lambda self: 7)
+        values = iter([0.1, 0.9])
+        cache = CachingFitness(lambda t: next(values), space)
+        first, second = seed_individuals(space, 2)
+        second = TestIndividual(second.sequence, first.condition_genes)
+        assert first.sequence != second.sequence
+        assert hash(first.sequence) == hash(second.sequence)
+        a = cache.evaluate(first)
+        b = cache.evaluate(second)
+        assert cache.raw_evaluations == 2
+        assert (a.fitness, b.fitness) == (pytest.approx(0.1), pytest.approx(0.9))
+        again = cache.evaluate(TestIndividual(first.sequence, first.condition_genes))
+        assert again.fitness == pytest.approx(0.1)
+        assert cache.raw_evaluations == 2
 
 
 class TestGAConfig:

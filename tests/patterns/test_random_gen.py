@@ -9,6 +9,7 @@ from repro.patterns.random_gen import STYLES, RandomTestGenerator
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
+    OPS,
     Operation,
     TestVector,
 )
@@ -124,21 +125,56 @@ class TestStyleProfiles:
                 )
 
 
-class ScalarReferenceGenerator(RandomTestGenerator):
-    """The array-drawing builders as per-cycle scalar loops.
+def _columns(vectors):
+    """The ``(op codes, addresses, data)`` columns of a vector list."""
+    return (
+        [OPS.index(vector.op) for vector in vectors],
+        [vector.address for vector in vectors],
+        [vector.data for vector in vectors],
+    )
 
-    This is how the builders were written before they drew whole arrays.
-    The generator must emit the same tests and leave its RNG stream at the
-    same point, so every later test of a stream stays aligned.
+
+class ScalarReferenceGenerator(RandomTestGenerator):
+    """The builders as per-cycle scalar loops over :class:`TestVector`.
+
+    This is how the builders were written before they drew whole arrays
+    and returned columns; each loop's vector list is converted to columns
+    on return.  The generator must emit the same tests and leave its RNG
+    stream at the same point, so every later test of a stream stays
+    aligned.
     """
 
     def _build_uniform(self, rng, cycles):
         ops = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
                          size=cycles, p=[0.45, 0.45, 0.10])
-        return [
+        return _columns([
             TestVector(op, self._rand_addr(rng), self._rand_data(rng))
             for op in ops
-        ]
+        ])
+
+    def _build_burst(self, rng, cycles):
+        vectors = []
+        while len(vectors) < cycles:
+            base = self._rand_addr(rng)
+            burst = int(rng.integers(2, 9))
+            word = self._rand_data(rng)
+            for offset in range(burst):
+                addr = (base + offset) % (1 << self.addr_bits)
+                vectors.append(TestVector(Operation.WRITE, addr, word ^ offset))
+                vectors.append(TestVector(Operation.READ, addr, 0))
+        return _columns(vectors[:cycles])
+
+    def _build_hammer(self, rng, cycles):
+        hot = [self._rand_addr(rng) for _ in range(int(rng.integers(1, 4)))]
+        vectors = []
+        for i in range(cycles):
+            addr = hot[i % len(hot)]
+            if rng.random() < 0.5:
+                vectors.append(TestVector(Operation.WRITE, addr,
+                                          self._rand_data(rng)))
+            else:
+                vectors.append(TestVector(Operation.READ, addr, 0))
+        return _columns(vectors)
 
     def _build_sweep(self, rng, cycles):
         stride = int(rng.integers(1, 17))
@@ -152,7 +188,7 @@ class ScalarReferenceGenerator(RandomTestGenerator):
             addr = (addr + stride) % (1 << self.addr_bits)
             if rng.random() < 0.02:
                 write_phase = not write_phase
-        return vectors
+        return _columns(vectors)
 
     def _build_toggle(self, rng, cycles):
         mask = (1 << self.data_bits) - 1
@@ -165,7 +201,7 @@ class ScalarReferenceGenerator(RandomTestGenerator):
             addr ^= half if i % 2 else int(rng.integers(0, 1 << self.addr_bits))
             addr &= (1 << self.addr_bits) - 1
             vectors.append(TestVector(Operation.WRITE, addr, word))
-        return vectors
+        return _columns(vectors)
 
 
 class TestArrayBuildersMatchScalarReference:
@@ -175,7 +211,9 @@ class TestArrayBuildersMatchScalarReference:
     )
 
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["default", "12x16"])
-    @pytest.mark.parametrize("style", ["uniform", "sweep", "toggle"])
+    @pytest.mark.parametrize(
+        "style", ["uniform", "burst", "sweep", "hammer", "toggle"]
+    )
     def test_same_tests_and_stream_position(self, style, geometry):
         for seed in range(50):
             fast = RandomTestGenerator(seed=seed, **geometry)

@@ -1,10 +1,18 @@
 """Unit and property tests for the vector-sequence data model."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
+    OPS,
     Operation,
     TestVector,
     VectorSequence,
@@ -169,3 +177,158 @@ def test_spliced_length_property(n_a, n_b, data):
     child = a.spliced(b, cut_a, cut_b)
     expected = max(1, cut_a + (n_b - cut_b))
     assert len(child) == min(expected, MAX_SEQUENCE_CYCLES)
+
+
+# -- column storage --------------------------------------------------------------
+# A sequence built from columns and one built from the same cycles as
+# TestVectors are the same value: every view, the hash and the pickle agree.
+
+
+@st.composite
+def geometries_and_cycles(draw):
+    addr_bits = draw(st.integers(1, 16))
+    data_bits = draw(st.integers(1, 16))
+    cycles = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(0, (1 << addr_bits) - 1),
+                st.integers(0, (1 << data_bits) - 1),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return addr_bits, data_bits, cycles
+
+
+def _both(addr_bits, data_bits, cycles):
+    from_vectors = VectorSequence(
+        [TestVector(op, address, data) for op, address, data in cycles],
+        addr_bits, data_bits, name="v",
+    )
+    from_columns = VectorSequence.from_columns(
+        np.array([OPS.index(op) for op, _, _ in cycles]),
+        [address for _, address, _ in cycles],
+        np.array([data for _, _, data in cycles], dtype=np.int32),
+        addr_bits, data_bits, name="c",
+    )
+    return from_vectors, from_columns
+
+
+class TestColumnStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(case=geometries_and_cycles())
+    def test_column_and_vector_constructors_agree(self, case):
+        addr_bits, data_bits, cycles = case
+        a, b = _both(addr_bits, data_bits, cycles)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len(a) == len(b) == len(cycles)
+        assert list(a) == list(b) == [TestVector(*cycle) for cycle in cycles]
+        assert a.vectors == b.vectors
+        for index in (0, len(cycles) // 2, -1):
+            assert a[index] == b[index] == TestVector(*cycles[index])
+        assert a[1:3] == b[1:3]
+        assert a.addresses() == b.addresses()
+        assert a.data_words() == b.data_words()
+        assert a.operations() == b.operations() == [op for op, _, _ in cycles]
+        for op in OPS:
+            assert a.count(op) == b.count(op)
+            assert a.count(op) == sum(1 for cycle in cycles if cycle[0] is op)
+        for x, y in zip(a.columns, b.columns):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=geometries_and_cycles(), data=st.data())
+    def test_first_out_of_range_cycle_raises_its_vector_error(self, case, data):
+        addr_bits, data_bits, cycles = case
+        corrupt = data.draw(
+            st.lists(st.integers(0, len(cycles) - 1), min_size=1, max_size=3)
+        )
+        for index in corrupt:
+            op, address, word = cycles[index]
+            which = data.draw(st.sampled_from(["address", "data", "negative"]))
+            if which == "address":
+                address = data.draw(st.integers(1 << addr_bits, 1 << 40))
+            elif which == "data":
+                word = data.draw(st.integers(1 << data_bits, 1 << 40))
+            else:
+                address = data.draw(st.integers(-(1 << 40), -1))
+            cycles[index] = (op, address, word)
+        first = min(corrupt)
+        with pytest.raises(ValueError) as expected:
+            TestVector(*cycles[first]).validate(addr_bits, data_bits)
+        with pytest.raises(ValueError) as from_vectors:
+            VectorSequence([TestVector(*cycle) for cycle in cycles], addr_bits, data_bits)
+        with pytest.raises(ValueError) as from_columns:
+            VectorSequence.from_columns(
+                [OPS.index(op) for op, _, _ in cycles],
+                [address for _, address, _ in cycles],
+                [word for _, _, word in cycles],
+                addr_bits, data_bits,
+            )
+        assert str(from_vectors.value) == str(expected.value)
+        assert str(from_columns.value) == str(expected.value)
+
+    def test_value_beyond_int64_raises_its_vector_error(self):
+        cycles = [(Operation.READ, 1, 2), (Operation.WRITE, 3, 1 << 70)]
+        with pytest.raises(ValueError, match="data 0x4") as error:
+            VectorSequence([TestVector(*cycle) for cycle in cycles])
+        with pytest.raises(ValueError) as from_columns:
+            VectorSequence.from_columns([0, 1], [1, 3], [2, 1 << 70])
+        assert str(from_columns.value) == str(error.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=geometries_and_cycles())
+    def test_pickle_round_trip_is_equal(self, case):
+        sequence = _both(*case)[1]
+        restored = pickle.loads(pickle.dumps(sequence))
+        assert restored == sequence
+        assert hash(restored) == hash(sequence)
+        assert restored.name == sequence.name
+        assert list(restored) == list(sequence)
+        for column in restored.columns:
+            assert not column.flags.writeable
+
+    def test_pickle_ships_columns_not_vectors(self):
+        sequence = make_seq(200)
+        before = len(pickle.dumps(sequence))
+        sequence.vectors  # builds the per-cycle view
+        assert len(pickle.dumps(sequence)) == before
+        assert "TestVector" not in str(pickle.dumps(sequence))
+
+    def test_columns_reject_writes(self):
+        ops = np.array([0, 1, 2])
+        sequence = VectorSequence.from_columns(ops, [1, 2, 3], [4, 5, 6])
+        for column in sequence.columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        ops[0] = 2  # the caller's array is copied, not adopted
+        assert sequence[0].op is Operation.READ
+
+    def test_hash_is_stable_across_processes(self):
+        """The hash is a digest of the columns, not of salted strings."""
+        script = (
+            "from repro.patterns.vectors import sequence_from_ops;"
+            "print(hash(sequence_from_ops([('w', 1, 2), ('r', 1, 0)])))"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        seen = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(seen) == 1
+
+    def test_rejects_bad_op_codes_and_ragged_columns(self):
+        for codes in ([3], [-1], np.array([256]), np.array([1, 259])):
+            with pytest.raises(ValueError, match="op codes"):
+                VectorSequence.from_columns(codes, [0] * len(codes), [0] * len(codes))
+        with pytest.raises(ValueError, match="equally long"):
+            VectorSequence.from_columns([0, 1], [0], [0, 0])
+        with pytest.raises(ValueError, match="at least one cycle"):
+            VectorSequence.from_columns([], [], [])
