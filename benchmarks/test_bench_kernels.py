@@ -119,6 +119,21 @@ def test_kernel_single_measurement(benchmark, thousand_cycle_test):
 
 
 @pytest.mark.benchmark(group="kernels")
+def test_kernel_apply_batch_row(benchmark, thousand_cycle_test):
+    """One 601-strobe ATE.apply_batch row (a fig. 6 WCR screen row), warm caches."""
+    ate = fresh_ate(seed=67, noise_sigma=0.04)
+    strobes = np.linspace(15.0, 45.0, 601)
+    ate.apply_batch(thousand_cycle_test, strobes)  # warm feature + static caches
+
+    # The log is emptied between rounds, untimed, so it cannot grow unbounded.
+    result = benchmark.pedantic(
+        ate.apply_batch, args=(thousand_cycle_test, strobes),
+        setup=ate.datalog.clear, rounds=300, warmup_rounds=5,
+    )
+    assert result.shape == (601,) and len(ate.datalog) == 601
+
+
+@pytest.mark.benchmark(group="kernels")
 def test_kernel_nn_ensemble_inference(benchmark):
     """Batch severity scoring — the fig. 5 step-1 screening kernel."""
     network = MLP([21, 24, 12, 4], seed=67)

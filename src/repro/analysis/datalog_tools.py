@@ -13,7 +13,7 @@ the way a test engineer mines yesterday's datalog:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,19 +32,20 @@ def per_test_curves(
     levels ascending.  Repeated measurements of one level (noise studies,
     drift re-verification) aggregate into a pass *rate*.
     """
-    buckets: Dict[str, Dict[float, List[bool]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    for record in datalog:
-        buckets[record.test_name][record.strobe_ns].append(record.passed)
-    curves: Dict[str, List[Tuple[float, float, int]]] = {}
-    for name, levels in buckets.items():
-        curve = [
-            (level, float(np.mean(outcomes)), len(outcomes))
-            for level, outcomes in sorted(levels.items())
-        ]
-        curves[name] = curve
-    return curves
+    # test -> level -> [measurements, passes]
+    buckets: Dict[str, Dict[float, List[int]]] = defaultdict(dict)
+    for name, level, passed in zip(
+        datalog.column("test_name"),
+        datalog.column("strobe_ns").tolist(),
+        datalog.column("passed").tolist(),
+    ):
+        tally = buckets[name].setdefault(level, [0, 0])
+        tally[0] += 1
+        tally[1] += passed
+    return {
+        name: [(level, passes / n, n) for level, (n, passes) in sorted(levels.items())]
+        for name, levels in buckets.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,7 @@ def estimate_trip_points(
 
 def measurements_per_test(datalog: Datalog) -> Dict[str, int]:
     """Measurement-cost accounting per test name."""
-    costs: Dict[str, int] = defaultdict(int)
-    for record in datalog:
-        costs[record.test_name] += 1
-    return dict(costs)
+    return dict(Counter(datalog.column("test_name")))
 
 
 def reconstruct_shmoo_counts(
@@ -143,11 +141,23 @@ def reconstruct_shmoo_counts(
     vdds = np.asarray(list(vdd_values), dtype=float)
     levels = np.asarray(list(level_values), dtype=float)
     counts = np.zeros((len(vdds), len(levels)), dtype=int)
-    for record in datalog:
-        i_matches = np.flatnonzero(np.abs(vdds - record.vdd) <= vdd_tolerance)
-        j_matches = np.flatnonzero(
-            np.abs(levels - record.strobe_ns) <= level_tolerance
-        )
-        if i_matches.size and j_matches.size and record.passed:
-            counts[i_matches[0], j_matches[0]] += 1
+    if counts.size == 0:
+        return counts
+    passed = datalog.column("passed")
+    rows = _first_match(vdds, datalog.column("vdd")[passed], vdd_tolerance)
+    cols = _first_match(levels, datalog.column("strobe_ns")[passed], level_tolerance)
+    on_grid = (rows >= 0) & (cols >= 0)
+    np.add.at(counts, (rows[on_grid], cols[on_grid]), 1)
     return counts
+
+
+def _first_match(grid: np.ndarray, values: np.ndarray, tolerance: float) -> np.ndarray:
+    """Position of the first ``grid`` point within ``tolerance`` of each value.
+
+    ``-1`` where no grid point matches.  Each distinct value is compared
+    once, with the same ``abs(grid - value) <= tolerance`` test per point.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    matches = np.abs(grid[:, None] - distinct[None, :]) <= tolerance
+    first = np.where(matches.any(axis=0), matches.argmax(axis=0), -1)
+    return first[inverse.reshape(-1)]

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ate.datalog import Datalog, DatalogRecord
+from repro.ate.datalog import Datalog
 from repro.ate.measurement import MeasurementModel
 from repro.ate.pattern_memory import PatternMemory
 from repro.ate.timing_generator import TimingGenerator
@@ -132,16 +132,15 @@ class ATE:
         self._measurement_count += 1
         self._executed_cycles += len(test.sequence)
         test_name = test.name or test.sequence.name or "unnamed"
-        self.datalog.append(
-            DatalogRecord(
-                index=self._measurement_count,
-                test_name=test_name,
-                vdd=test.condition.vdd,
-                temperature=test.condition.temperature,
-                clock_period=test.condition.clock_period,
-                strobe_ns=strobe_q,
-                passed=passed,
-            )
+        condition = test.condition
+        self.datalog.log_measurement(
+            self._measurement_count,
+            test_name,
+            condition.vdd,
+            condition.temperature,
+            condition.clock_period,
+            strobe_q,
+            passed,
         )
         if OBS.enabled:
             OBS.metrics.counter("ate.measurements").inc(label=test_name)
@@ -193,30 +192,21 @@ class ATE:
         self._measurement_count += n
         self._executed_cycles += len(test.sequence) * n
         test_name = test.name or test.sequence.name or "unnamed"
-        # Bulk-convert once: per-element float(strobes_q[k]) / bool(passed[k])
-        # indexing costs more than the record construction itself.
-        strobe_list = strobes_q.tolist()
-        passed_list = passed.tolist()
         condition = test.condition
-        self.datalog.extend(
-            DatalogRecord(
-                index=base_index + k,
-                test_name=test_name,
-                vdd=condition.vdd,
-                temperature=condition.temperature,
-                clock_period=condition.clock_period,
-                strobe_ns=strobe,
-                passed=ok,
-            )
-            for k, (strobe, ok) in enumerate(
-                zip(strobe_list, passed_list), start=1
-            )
+        self.datalog.log_batch(
+            base_index + 1,
+            test_name,
+            condition.vdd,
+            condition.temperature,
+            condition.clock_period,
+            strobes_q,
+            passed,
         )
         if OBS.enabled:
             OBS.metrics.counter("ate.measurements").inc(n, label=test_name)
             OBS.metrics.counter("ate.executed_cycles").inc(len(test.sequence) * n)
             for k, (strobe, ok) in enumerate(
-                zip(strobe_list, passed_list), start=1
+                zip(strobes_q.tolist(), passed.tolist()), start=1
             ):
                 OBS.bus.emit(
                     MeasurementEvent(

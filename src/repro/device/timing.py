@@ -78,14 +78,19 @@ class SelfHeatingModel:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        deratings = np.empty(count, dtype=float)
         rise = self._rise_kelvin
+        cap = self.max_rise_kelvin
+        decay = self.decay
         heat = self.heating_per_application * activity
-        for k in range(count):
-            rise = min(self.max_rise_kelvin, rise * self.decay + heat)
-            deratings[k] = rise * self.derating_ns_per_kelvin
+        rises = []
+        append = rises.append
+        for _ in range(count):
+            rise = rise * decay + heat
+            if not rise < cap:  # min(cap, rise): cap on ties and NaN
+                rise = cap
+            append(rise)
         self._rise_kelvin = rise
-        return deratings
+        return np.array(rises, dtype=float) * self.derating_ns_per_kelvin
 
     def reset(self) -> None:
         """Cool the die back to ambient (device handler soak)."""

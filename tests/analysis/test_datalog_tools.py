@@ -130,3 +130,96 @@ class TestAccountingAndShmoo:
         log.append(record(1, "s", 29.5, True, vdd=1.7))
         counts = reconstruct_shmoo_counts(log, [1.8], [29.0])
         assert counts.sum() == 0
+
+
+# -- column readers against the record-per-row loops they replaced -------------------
+def loop_per_test_curves(datalog):
+    buckets = {}
+    for r in datalog:
+        buckets.setdefault(r.test_name, {}).setdefault(r.strobe_ns, []).append(r.passed)
+    return {
+        name: [(level, float(np.mean(outcomes)), len(outcomes))
+               for level, outcomes in sorted(levels.items())]
+        for name, levels in buckets.items()
+    }
+
+
+def loop_measurements_per_test(datalog):
+    costs = {}
+    for r in datalog:
+        costs[r.test_name] = costs.get(r.test_name, 0) + 1
+    return costs
+
+
+def loop_shmoo_counts(datalog, vdd_values, level_values, vdd_tolerance=1e-6,
+                      level_tolerance=1e-6):
+    vdds = np.asarray(list(vdd_values), dtype=float)
+    levels = np.asarray(list(level_values), dtype=float)
+    counts = np.zeros((len(vdds), len(levels)), dtype=int)
+    for r in datalog:
+        i = np.flatnonzero(np.abs(vdds - r.vdd) <= vdd_tolerance)
+        j = np.flatnonzero(np.abs(levels - r.strobe_ns) <= level_tolerance)
+        if i.size and j.size and r.passed:
+            counts[i[0], j[0]] += 1
+    return counts
+
+
+def _campaign_log(kind):
+    from repro.ate.measurement import MeasurementModel
+    from repro.ate.shmoo import ShmooPlotter
+    from repro.ate.tester import ATE
+    from repro.core.sutp import SearchUntilTripPoint
+    from repro.core.wcr import WCRScreen
+    from repro.device.memory_chip import MemoryTestChip
+    from repro.patterns.random_gen import RandomTestGenerator
+    from repro.search.oracles import make_ate_oracle
+
+    tests = RandomTestGenerator(seed=9).batch(5)
+    ate = ATE(MemoryTestChip(), measurement=MeasurementModel(0.04, seed=3))
+    if kind == "sutp":
+        sutp = SearchUntilTripPoint((15.0, 45.0), resolution=0.05)
+        for test in tests:
+            sutp.measure(make_ate_oracle(ate, test))
+    elif kind == "wcr":
+        WCRScreen(ate).run(tests, 15.0, 45.0, 0.25, engine="batched")
+    else:
+        plotter = ShmooPlotter(ate)
+        for test in tests[:2]:
+            plotter.sweep(test, SHMOO_VDDS, SHMOO_LEVELS, engine="batched")
+    return ate.datalog
+
+
+SHMOO_VDDS = [1.6, 1.7, 1.8, 2.0]
+SHMOO_LEVELS = np.linspace(15.0, 45.0, 61)
+
+
+class TestColumnReadersMatchRecordLoop:
+    @pytest.fixture(params=["sutp", "wcr", "shmoo", "noisy-synthetic", "evicted"])
+    def log(self, request):
+        if request.param == "noisy-synthetic":
+            log = synthetic_log(name="a", repeat=3)
+            log.append(record(99, "a", 27.0, False))
+            return log
+        if request.param == "evicted":
+            log = Datalog(capacity=500)
+            log.extend(_campaign_log("shmoo"))
+            return log
+        return _campaign_log(request.param)
+
+    def test_per_test_curves(self, log):
+        assert per_test_curves(log) == loop_per_test_curves(log)
+
+    def test_measurements_per_test(self, log):
+        costs = measurements_per_test(log)
+        assert costs == loop_measurements_per_test(log)
+        assert list(costs) == list(loop_measurements_per_test(log))
+        assert sum(costs.values()) == len(log)
+
+    def test_shmoo_counts(self, log):
+        levels = [float(level) for level in SHMOO_LEVELS]
+        for vdds, grid in ((SHMOO_VDDS, levels), ([1.8], [27.0, 30.0]), ([], levels),
+                           (SHMOO_VDDS[::-1], levels[::-1])):
+            counts = reconstruct_shmoo_counts(log, vdds, grid)
+            assert counts.tolist() == loop_shmoo_counts(log, vdds, grid).tolist()
+        wide = reconstruct_shmoo_counts(log, SHMOO_VDDS, levels, 0.2, 0.6)
+        assert wide.tolist() == loop_shmoo_counts(log, SHMOO_VDDS, levels, 0.2, 0.6).tolist()

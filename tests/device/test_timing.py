@@ -1,6 +1,8 @@
 """Tests for the timing model and self-heating drift."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device.process import ProcessCorner, ProcessInstance
 from repro.device.sensitivity import SensitivityModel
@@ -120,6 +122,36 @@ class TestSelfHeating:
             model.t_dq_ns(busy, NOMINAL_CONDITION)
         model.reset()
         assert model.heating.rise_kelvin == pytest.approx(0.0)
+
+
+CAP = 12.0
+START_RISES = st.one_of(
+    st.sampled_from([0.0, CAP, CAP - 1e-9, CAP - 0.15, CAP + 1.0]),
+    st.floats(0.0, 2 * CAP),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=START_RISES,
+    activity=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    count=st.integers(0, 700),
+    decay=st.sampled_from([0.98, 1.0, 0.5]),
+    heating=st.sampled_from([0.15, 1.0, 0.0]),
+)
+def test_derating_sequence_equals_apply_loop(start, activity, count, decay, heating):
+    """Each derating and the final state equal ``count`` scalar applies, bit for bit."""
+    kwargs = dict(heating_per_application=heating, decay=decay, max_rise_kelvin=CAP)
+    batched = SelfHeatingModel(**kwargs, _rise_kelvin=start)
+    scalar = SelfHeatingModel(**kwargs, _rise_kelvin=start)
+    expected = []
+    for _ in range(count):
+        scalar.apply(activity)
+        expected.append(scalar.derating_ns)
+    deratings = batched.derating_sequence(activity, count)
+    assert deratings.dtype == np.float64 and deratings.shape == (count,)
+    assert deratings.tolist() == expected
+    assert batched.rise_kelvin == scalar.rise_kelvin
 
 
 class TestCalibration:
