@@ -1,9 +1,10 @@
 """Substrate kernel micro-benchmarks.
 
 Not paper artifacts — these time the hot paths every experiment rides on
-(random test generation, feature extraction, functional simulation, NN
-inference, one tester measurement, a farm unit's deck pickle, one GA
-generation of variation) so performance regressions are visible in CI.
+(random test generation per style, feature extraction, functional
+simulation, NN inference, one tester measurement, a farm unit's deck
+pickle, one point mutation, one GA generation of variation) so
+performance regressions are visible in CI.
 """
 
 import pickle
@@ -16,11 +17,12 @@ from repro.device.faults import CouplingFault, StuckAtFault, TransitionFault
 from repro.device.memory_chip import MemoryTestChip
 from repro.ga.chromosome import TestIndividual
 from repro.ga.engine import GAConfig, MultiPopulationGA
+from repro.ga.operators import point_mutate_sequence
 from repro.ga.population import Population
 from repro.nn.mlp import MLP
 from repro.patterns.conditions import NOMINAL_CONDITION, ConditionSpace
 from repro.patterns.features import extract_features
-from repro.patterns.random_gen import RandomTestGenerator
+from repro.patterns.random_gen import STYLES, RandomTestGenerator
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +38,27 @@ def test_kernel_feature_extraction(benchmark, thousand_cycle_test):
 
 
 @pytest.mark.benchmark(group="kernels")
-def test_kernel_random_generation(benchmark):
-    """One fresh random test from the default style mix."""
+@pytest.mark.parametrize(
+    "style", [None] + [name for name, _ in STYLES], ids=lambda style: style or "mix"
+)
+def test_kernel_random_generation(benchmark, style):
+    """One fresh random test, of one style or (None) the default mix."""
     generator = RandomTestGenerator(seed=67)
 
-    result = benchmark(generator.generate)
+    result = benchmark(generator.generate, style)
     assert result.origin == "random"
+
+
+@pytest.mark.benchmark(group="kernels")
+def test_kernel_point_mutation(benchmark):
+    """Point mutation of one 550-cycle sequence at the default rate 0.02."""
+    sequence = RandomTestGenerator(
+        seed=67, min_cycles=550, max_cycles=550
+    ).generate("uniform").sequence
+    rng = np.random.default_rng(67)
+
+    result = benchmark(point_mutate_sequence, sequence, rng, 0.02)
+    assert len(result) == 550
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -29,16 +29,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.patterns.features import popcount
 from repro.patterns.vectors import NOP_CODE, WRITE_CODE, VectorSequence
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(values)
-    work = values.copy()
-    while np.any(work):
-        counts += work & 1
-        work >>= 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,12 @@ class SupplyNoiseModel:
 
         toggles = np.zeros(n, dtype=float)
         if n >= 2:
-            toggles[1:] += _popcount(addresses[1:] ^ addresses[:-1])
-            toggles[1:] += _popcount(bus_data[1:] ^ bus_data[:-1])
+            toggles[1:] += popcount(
+                addresses[1:] ^ addresses[:-1], sequence.addr_bits
+            )
+            toggles[1:] += popcount(
+                bus_data[1:] ^ bus_data[:-1], sequence.data_bits
+            )
         return toggles
 
     def cycle_currents_ma(self, sequence: VectorSequence) -> np.ndarray:

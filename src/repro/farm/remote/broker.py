@@ -678,11 +678,6 @@ class FarmBroker:
                 campaign.pending = deque(
                     key for key in order if key not in done
                 )
-        with self._lock:
-            self._campaign = campaign
-            self.stats["campaigns"] += 1
-            self.stats["units_restored"] += len(restored)
-            self.stats["spool_dropped"] += spool_dropped
         metrics = self.telemetry.metrics
         metrics.counter("farm.campaigns").inc()
         self.telemetry.emit(
@@ -711,24 +706,33 @@ class FarmBroker:
             "(%d spool line(s) dropped)",
             campaign_id, len(units), len(restored), spool_dropped,
         )
-        send_frame(conn, {
-            "type": "accepted",
-            "campaign": campaign_id,
-            "pending": len(campaign.pending),
-            "restored": len(restored),
-        })
-        for payload in restored:
-            campaign.push({
-                "type": "done",
-                "key": payload["key"],
-                "attempt": int(payload.get("attempt", 1)),
-                "worker": str(payload.get("worker", "spool")),
-                "elapsed_s": float(payload.get("elapsed_s", 0.0)),
-                "outcome": payload["outcome"],
-                "telemetry": None,
-                "restored": True,
-            })
+        # Publish the campaign, accept it and replay its restored results
+        # under one lock hold.  Workers lease (and their "leased", "done"
+        # and "campaign_done" frames reach the client) only afterwards, so
+        # the client reads "accepted" first and every restored result
+        # before "campaign_done".
         with self._lock:
+            self._campaign = campaign
+            self.stats["campaigns"] += 1
+            self.stats["units_restored"] += len(restored)
+            self.stats["spool_dropped"] += spool_dropped
+            send_frame(conn, {
+                "type": "accepted",
+                "campaign": campaign_id,
+                "pending": len(campaign.pending),
+                "restored": len(restored),
+            })
+            for payload in restored:
+                campaign.push({
+                    "type": "done",
+                    "key": payload["key"],
+                    "attempt": int(payload.get("attempt", 1)),
+                    "worker": str(payload.get("worker", "spool")),
+                    "elapsed_s": float(payload.get("elapsed_s", 0.0)),
+                    "outcome": payload["outcome"],
+                    "telemetry": None,
+                    "restored": True,
+                })
             self._maybe_finish(campaign)
         return campaign
 

@@ -19,15 +19,15 @@ characterization objective's worst case).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ga.chromosome import TestIndividual
+from repro.patterns._draws import WordBlock, bounded, choices, doubles, pcg64
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    OPS,
     Columns,
     READ_CODE,
     WRITE_CODE,
@@ -71,17 +71,29 @@ def crossover_sequences(
     return a.spliced(b, cut_a, cut_b), b.spliced(a, cut_b, cut_a)
 
 
-def _random_cycle(
-    rng: np.random.Generator, addr_bits: int, data_bits: int
-) -> Tuple[int, int, int]:
-    """One uniform random cycle as ``(op code, address, data)``."""
-    # Choosing among three codes consumes the same draws as choosing
-    # among the three operations.
-    op = int(rng.choice(len(OPS), p=[0.45, 0.45, 0.10]))
+#: Op-code weights of a uniform random cycle, indexed like ``OPS``.
+_OP_WEIGHTS = (0.45, 0.45, 0.10)
+
+
+def _random_cycles(
+    block: WordBlock,
+    at: np.ndarray,
+    consumed: int,
+    addr_bits: int,
+    data_bits: int,
+) -> Columns:
+    """Uniform random cycles decoded from ``block``, which is then committed
+    after ``consumed`` words.
+
+    Cycle k reads its op code, ``choice(3, p=_OP_WEIGHTS)``, from word
+    ``at[k]`` and its address and data from the halves of word ``at[k] + 1``.
+    """
+    halves = block.halves(at + 1)
+    block.commit(consumed, at + 1, 2 * len(at))
     return (
-        op,
-        int(rng.integers(0, 1 << addr_bits)),
-        int(rng.integers(0, 1 << data_bits)),
+        choices(doubles(block.words[at]), _OP_WEIGHTS),
+        bounded(halves[0 : 2 * len(at) : 2], addr_bits),
+        bounded(halves[1 : 2 * len(at) : 2], data_bits),
     )
 
 
@@ -93,17 +105,31 @@ def point_mutate_sequence(
     """Rewrite each cycle independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
-    columns: Optional[Tuple[np.ndarray, ...]] = None
-    for i in range(len(sequence)):
-        if rng.random() < rate:
-            if columns is None:
-                columns = tuple(column.copy() for column in sequence.columns)
-            ops, addresses, data = columns
-            ops[i], addresses[i], data[i] = _random_cycle(
-                rng, sequence.addr_bits, sequence.data_bits
-            )
-    if columns is None:
+    # Per cycle the scalar loop draws one random() and, when it hits, one
+    # more word for the op code and one for address and data: at most
+    # three words a cycle.  A hit's test double is followed by two words
+    # that are not test doubles.
+    n = len(sequence)
+    block = WordBlock(rng, 3 * n)
+    hits: List[int] = []
+    for position in np.flatnonzero(doubles(block.words) < rate).tolist():
+        if hits and position < hits[-1] + 3:
+            continue
+        if position - 2 * len(hits) >= n:
+            break
+        hits.append(position)
+    if not hits:
+        block.commit(n)
         return sequence
+    # Word ``hits[k]`` is the test double of cycle ``hits[k] - 2k``.
+    at = np.array(hits)
+    cycles = at - 2 * np.arange(len(hits))
+    rewritten = _random_cycles(
+        block, at + 1, n + 2 * len(hits), sequence.addr_bits, sequence.data_bits
+    )
+    columns = [column.copy() for column in sequence.columns]
+    for column, values in zip(columns, rewritten):
+        column[cycles] = values
     return VectorSequence.from_columns(
         *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
     )
@@ -202,19 +228,24 @@ def resize_mutate_sequence(
     max_change: int = 64,
 ) -> VectorSequence:
     """Grow or shrink the sequence within the paper's 100-1000 cycle bounds."""
+    pcg64(rng)
     change = int(rng.integers(-max_change, max_change + 1))
     target = int(
         np.clip(len(sequence) + change, MIN_SEQUENCE_CYCLES, MAX_SEQUENCE_CYCLES)
     )
-    grown = [
-        _random_cycle(rng, sequence.addr_bits, sequence.data_bits)
-        for _ in range(target - len(sequence))
-    ]
     columns = [column[:target] for column in sequence.columns]
-    if grown:
+    grow = target - len(sequence)
+    if grow > 0:
+        # Each grown cycle reads two words: its op-code double, then one
+        # word whose halves give address and data.
+        block = WordBlock(rng, 2 * grow)
+        grown = _random_cycles(
+            block, np.arange(0, 2 * grow, 2), 2 * grow,
+            sequence.addr_bits, sequence.data_bits,
+        )
         columns = [
             np.concatenate((column, added))
-            for column, added in zip(columns, zip(*grown))
+            for column, added in zip(columns, grown)
         ]
     return VectorSequence.from_columns(
         *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name

@@ -113,13 +113,13 @@ class PatternFeatures:
         return len(self.values)
 
 
-#: Set bits of every byte value; :func:`_popcount` looks words up a byte at
+#: Set bits of every byte value; :func:`popcount` looks words up a byte at
 #: a time (``np.bitwise_count`` needs numpy >= 2.0).
 _BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)],
                           dtype=np.int64)
 
 
-def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
+def popcount(values: np.ndarray, bits: int) -> np.ndarray:
     """Population count of non-negative integers narrower than ``bits``."""
     counts = _BYTE_POPCOUNT[values & 0xFF]
     for shift in range(8, bits, 8):
@@ -185,7 +185,7 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     index = _FEATURE_INDEX
 
     if n >= 2:
-        addr_hamming = _popcount(addresses[1:] ^ addresses[:-1], addr_bits)
+        addr_hamming = popcount(addresses[1:] ^ addresses[:-1], addr_bits)
         features[index["addr_transition_density"]] = (
             _mean_count(addr_hamming) / addr_bits
         )
@@ -199,7 +199,7 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
         features[index["addr_repeat_run"]] = min(
             1.0, _mean_run_length(repeat) / 8.0
         )
-        data_hamming = _popcount(bus_data[1:] ^ bus_data[:-1], data_bits)
+        data_hamming = popcount(bus_data[1:] ^ bus_data[:-1], data_bits)
         features[index["data_toggle_density"]] = (
             _mean_count(data_hamming) / data_bits
         )
@@ -214,12 +214,12 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     written = bus_data[is_write]
     if written.size:
         features[index["data_ones_density"]] = (
-            _mean_count(_popcount(written, data_bits)) / data_bits
+            _mean_count(popcount(written, data_bits)) / data_bits
         )
         # Every address's two checkerboard phases are the same pair of words,
         # a checkerboard word and its complement, so the distance to the
         # nearer one does not depend on the address.
-        dist0 = _popcount(written ^ checkerboard_word(0, data_bits), data_bits)
+        dist0 = popcount(written ^ checkerboard_word(0, data_bits), data_bits)
         checker = np.minimum(dist0, data_bits - dist0) / data_bits
         features[index["checkerboard_affinity"]] = float(1.0 - np.mean(checker))
 

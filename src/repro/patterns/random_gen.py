@@ -30,6 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.patterns._draws import WordBlock, bounded, doubles, pcg64
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
 from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
@@ -147,19 +148,33 @@ class RandomTestGenerator:
         return ops, draws[0::2], draws[1::2]
 
     def _build_burst(self, rng: np.random.Generator, cycles: int) -> Columns:
-        addresses: List[int] = []
-        data: List[int] = []
-        while len(addresses) < cycles:
-            base = self._rand_addr(rng)
-            burst = int(rng.integers(2, 9))
-            word = self._rand_data(rng)
-            for offset in range(burst):
-                addr = (base + offset) % (1 << self.addr_bits)
-                addresses += (addr, addr)
-                data += (word ^ offset, 0)
-        # Write, read, write, read, ...
-        ops = np.tile(np.array([WRITE_CODE, READ_CODE]), len(addresses) // 2)
-        return ops[:cycles], addresses[:cycles], data[:cycles]
+        # Burst k draws (base address, length in [2, 8], data word) and
+        # spans 2 * length cycles.  Draw enough triples for the shortest
+        # bursts, count how many the sequence needs, then rewind and draw
+        # exactly those: the stream moves as the per-burst scalar calls,
+        # rejected length draws included.
+        bit_generator = pcg64(rng)
+        start = bit_generator.state
+        most = -(-cycles // 4)
+        lows = np.tile([0, 2, 0], most)
+        highs = np.tile([1 << self.addr_bits, 9, 1 << self.data_bits], most)
+        lengths = rng.integers(lows, highs)[1::3]
+        bursts = int(np.searchsorted(np.cumsum(2 * lengths), cycles)) + 1
+        bit_generator.state = start
+        draws = rng.integers(lows[: 3 * bursts], highs[: 3 * bursts])
+        bases, lengths, words = draws[0::3], draws[1::3], draws[2::3]
+        # Write word ^ offset, masked to the data bus, to base + offset,
+        # then read it back.
+        offsets = np.arange(lengths.sum()) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        addresses = (np.repeat(bases, lengths) + offsets) % (1 << self.addr_bits)
+        data = np.zeros(2 * len(offsets), dtype=np.int64)
+        data[0::2] = (np.repeat(words, lengths) ^ offsets) & (
+            (1 << self.data_bits) - 1
+        )
+        ops = np.tile(np.array([WRITE_CODE, READ_CODE]), len(offsets))
+        return ops[:cycles], np.repeat(addresses, 2)[:cycles], data[:cycles]
 
     def _build_sweep(self, rng: np.random.Generator, cycles: int) -> Columns:
         stride = int(rng.integers(1, 17))
@@ -180,18 +195,33 @@ class RandomTestGenerator:
         )
 
     def _build_hammer(self, rng: np.random.Generator, cycles: int) -> Columns:
-        hot = [self._rand_addr(rng) for _ in range(int(rng.integers(1, 4)))]
-        ops: List[int] = []
-        data: List[int] = []
-        for _ in range(cycles):
-            if rng.random() < 0.5:
-                ops.append(WRITE_CODE)
-                data.append(self._rand_data(rng))
-            else:
-                ops.append(READ_CODE)
-                data.append(0)
-        addresses = np.resize(np.array(hot), cycles)
-        return ops, addresses, data
+        count = int(rng.integers(1, 4))
+        hot = rng.integers(0, 1 << self.addr_bits, size=count)
+        # Per cycle the scalar loop draws a random() (a write iff < 0.5)
+        # and, on a write, one 32-bit data draw: every second write takes a
+        # fresh word, whose cached high half feeds the write after it.
+        block = WordBlock(rng, 2 * cycles)
+        uniforms = doubles(block.words)
+        fresh: List[int] = []
+        cached = block.cached
+        for write in np.flatnonzero(uniforms < 0.5).tolist():
+            if fresh and write == fresh[-1]:
+                continue  # a data word, not a cycle's random()
+            if write - len(fresh) >= cycles:
+                break
+            if not cached:
+                fresh.append(write + 1)
+            cached = not cached
+        consumed = cycles + len(fresh)
+        tests = np.ones(consumed, dtype=bool)
+        tests[fresh] = False
+        writes = uniforms[:consumed][tests] < 0.5
+        used = int(np.count_nonzero(writes))
+        data = np.zeros(cycles, dtype=np.int64)
+        data[writes] = bounded(block.halves(fresh)[:used], self.data_bits)
+        block.commit(consumed, fresh, used)
+        ops = np.where(writes, WRITE_CODE, READ_CODE)
+        return ops, np.tile(hot, -(-cycles // count))[:cycles], data
 
     def _build_toggle(self, rng: np.random.Generator, cycles: int) -> Columns:
         mask = (1 << self.data_bits) - 1

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.device.psn import PSNConfig, SupplyNoiseModel
+from repro.patterns.features import popcount
 from repro.patterns.march import compile_march, get_march_test
 from repro.patterns.random_gen import RandomTestGenerator
 from repro.patterns.vectors import Operation, TestVector, VectorSequence
@@ -155,3 +157,33 @@ class TestColumnsMatchPerVectorReference:
             toggles, currents = reference_currents(model, sequence)
             assert np.array_equal(model.cycle_toggles(sequence), toggles)
             assert np.array_equal(model.cycle_currents_ma(sequence), currents)
+
+
+@st.composite
+def bus_columns(draw):
+    """Random columns on a 1- to 16-bit address and data bus."""
+    addr_bits = draw(st.integers(1, 16))
+    data_bits = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 40))
+    ops = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    addresses = draw(st.lists(st.integers(0, (1 << addr_bits) - 1), min_size=n, max_size=n))
+    data = draw(st.lists(st.integers(0, (1 << data_bits) - 1), min_size=n, max_size=n))
+    return VectorSequence.from_columns(ops, addresses, data, addr_bits, data_bits)
+
+
+class TestTablePopcountMatchesBitLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.integers(1, 16), data=st.data())
+    def test_popcount(self, bits, data):
+        values = np.array(
+            data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=50)),
+            dtype=np.int64,
+        )
+        assert np.array_equal(popcount(values, bits), _reference_popcount(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequence=bus_columns())
+    def test_cycle_toggles(self, sequence):
+        toggles, currents = reference_currents(SupplyNoiseModel(), sequence)
+        assert np.array_equal(SupplyNoiseModel().cycle_toggles(sequence), toggles)
+        assert np.array_equal(SupplyNoiseModel().cycle_currents_ma(sequence), currents)

@@ -7,9 +7,11 @@ restore — is observable frame by frame.
 """
 
 import socket
+import threading
 
 import pytest
 
+from repro.farm.remote import broker as broker_module
 from repro.farm.remote import (
     PROTOCOL_VERSION,
     FarmBroker,
@@ -265,6 +267,46 @@ class TestCampaignFlow:
         finally:
             client.close()
             second.close()
+
+
+class TestAcceptOrdering:
+    def test_worker_request_during_accept_cannot_overtake_it(
+        self, broker, monkeypatch
+    ):
+        """A worker asking for work while the broker is accepting a
+        campaign must not get a unit (and push "leased" to the client)
+        before the client has its "accepted" frame.
+
+        The broker's "accepted" send is held until the worker's request
+        has been served or one second has passed.  A broker that lets the
+        request through serves it at once, the client's first frame is
+        then "leased", and the test fails; a correct broker keeps the
+        request waiting until the accept is out.
+        """
+        worker = _connect(broker.address)
+        unit_sent = threading.Event()
+        real_send = broker_module.send_frame
+
+        def send(sock, frame):
+            if frame.get("type") == "unit":
+                unit_sent.set()
+            elif frame.get("type") == "accepted":
+                real_send(worker, {"type": "request"})
+                unit_sent.wait(1.0)
+            real_send(sock, frame)
+
+        monkeypatch.setattr(broker_module, "send_frame", send)
+        client = _connect(broker.address)
+        try:
+            assert _hello(worker, "worker", worker="w1")["type"] == "welcome"
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp-a", ["u/1"])["type"] == "accepted"
+            unit = recv_frame(worker)
+            assert unit["type"] == "unit"
+            assert recv_frame(client)["type"] == "leased"
+        finally:
+            client.close()
+            worker.close()
 
 
 class TestSpoolRestore:
