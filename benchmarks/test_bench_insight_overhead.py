@@ -52,17 +52,17 @@ def test_insight_overhead(report_sink, tmp_path):
     traced = insight_dsv.total_measurements
     overhead = traced / off - 1.0
 
-    records = obs.read_trace(trace_path)
-    decisions = obs.insight_events(records)
-    insight = obs.build_insight(decisions)
+    fold = obs.TraceFold.load(trace_path)
+    assert fold.dropped_lines == 0
+    insight = obs.build_insight(fold)
 
     report_sink.json(
         tests=N_TESTS,
         off_measurements=off,
         insight_measurements=traced,
         overhead_pct=round(100.0 * overhead, 3),
-        trace_events=len(records),
-        decision_events=len(decisions),
+        trace_events=fold.events,
+        decision_events=fold.decision_count,
     )
     report_sink(f"fig. 3 SUTP campaign, {N_TESTS} tests:")
     report_sink(f"  telemetry off:          {off:>6} measurements")
@@ -71,8 +71,8 @@ def test_insight_overhead(report_sink, tmp_path):
         f"({overhead:+.2%} — budget {OVERHEAD_BUDGET:.0%})"
     )
     report_sink(
-        f"  trace: {len(records)} event(s), "
-        f"{len(decisions)} decision-level"
+        f"  trace: {fold.events} event(s), "
+        f"{fold.decision_count} decision-level"
     )
 
     # Gate: within budget, and in fact bit-identical boundaries — the
@@ -83,8 +83,7 @@ def test_insight_overhead(report_sink, tmp_path):
 
     # The traced run must actually carry the decision story it paid
     # (nothing) for: one sutp_test_measured per test, a non-empty audit.
-    measured = [r for r in decisions if r["type"] == "sutp_test_measured"]
-    assert len(measured) == N_TESTS
+    assert len(fold.decisions["sutp_test_measured"]) == N_TESTS
     assert not insight.empty
     assert len(insight.sutp.rows) == N_TESTS
     report_sink(

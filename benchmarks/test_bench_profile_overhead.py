@@ -63,10 +63,9 @@ def test_profile_overhead(report_sink, tmp_path):
     profiled = profiled_dsv.total_measurements
     wall_overhead = profiled_wall / off_wall - 1.0
 
-    records = obs.read_trace(trace_path)
-    profile_events = [r for r in records if r["type"] == "profile"]
-    resource_events = [r for r in records if r["type"] == "resource_sample"]
-    summary = obs.build_profile_summary(profile_events)
+    fold = obs.TraceFold.load(trace_path)
+    assert fold.dropped_lines == 0
+    summary = obs.build_profile_summary(fold)
 
     report_sink.json(
         tests=N_TESTS,
@@ -76,7 +75,7 @@ def test_profile_overhead(report_sink, tmp_path):
         profiled_wall_s=round(profiled_wall, 6),
         wall_overhead_pct=round(100.0 * wall_overhead, 3),
         profile_samples=summary.total_weight,
-        resource_samples=len(resource_events),
+        resource_samples=fold.resource_samples,
     )
     report_sink(f"fig. 3 SUTP campaign, {N_TESTS} tests:")
     report_sink(f"  profiler off: {off:>6} measurements, {off_wall:.3f}s")
@@ -87,7 +86,7 @@ def test_profile_overhead(report_sink, tmp_path):
     report_sink(
         f"  recorded: {summary.total_weight} stack sample(s) across "
         f"{len(summary.phases)} phase(s), "
-        f"{len(resource_events)} resource sample(s)"
+        f"{fold.resource_samples} resource sample(s)"
     )
 
     # Hard gate: the profiler may not add a single tester strobe — trip
@@ -97,6 +96,6 @@ def test_profile_overhead(report_sink, tmp_path):
 
     # The profiled run must actually carry a profile: one session, some
     # samples, and at least one resource sample (final-sample guarantee).
-    assert len(profile_events) == 1
+    assert len(fold.profiles) == 1
     assert summary.total_weight >= 0
-    assert len(resource_events) >= 1
+    assert fold.resource_samples >= 1

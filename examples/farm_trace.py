@@ -71,17 +71,18 @@ def main() -> None:
     obs.reset()
 
     # --- 2. the summary: `repro obs summary lot.jsonl` ------------------
-    loaded = obs.load_trace(trace_path)
+    fold = obs.TraceFold()
+    records = list(fold.read(trace_path))
     print()
-    print(obs.render_trace_summary(loaded))
+    print(obs.render_trace_summary(fold))
 
     # --- 3. the slowest units: `repro obs slowest lot.jsonl -n 5` -------
     print()
-    print(obs.render_slowest(loaded, count=5))
+    print(obs.render_slowest(fold, count=5))
 
     # --- 4. the timeline: `repro obs timeline lot.jsonl` ----------------
-    timeline = obs.build_chrome_trace(loaded.records)
-    timeline_path = obs.write_chrome_trace(loaded.records, out / "timeline.json")
+    timeline = obs.build_chrome_trace(records)
+    timeline_path = obs.write_chrome_trace(records, out / "timeline.json")
     print()
     print(f"timeline: {len(timeline['traceEvents'])} trace event(s) in "
           f"{timeline_path} — open at ui.perfetto.dev")

@@ -67,18 +67,19 @@ def main() -> None:
 
     # 3. Flush the trace and mine it.
     obs.reset()
-    records = obs.read_trace(trace_path)
-    print(f"trace: {len(records)} events in {trace_path}")
+    fold = obs.TraceFold()
+    records = list(fold.read(trace_path))
+    print(f"trace: {fold.events} events in {trace_path}")
     print()
-    print(obs.render_trace_cost_profile(records, max_tests=15))
+    print(obs.render_trace_cost_profile(fold, max_tests=15))
     print()
 
     # Ad-hoc analysis straight off the events: the cost of full-range
     # searches (eq. 2 bootstraps + fallbacks) vs the whole campaign.
     searches = [r for r in records if r["type"] == "search_converged"]
     full_cost = sum(int(r["measurements"]) for r in searches)
-    total = sum(1 for r in records if r["type"] == "measurement")
-    walk_steps = sum(1 for r in records if r["type"] == "sutp_walk_step")
+    total = fold.counts.get("measurement", 0)
+    walk_steps = fold.counts.get("sutp_walk_step", 0)
     print(
         f"full-range searches: {len(searches)} costing {full_cost} "
         f"measurements; incremental walk steps: {walk_steps}; "

@@ -1166,8 +1166,12 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "alerts":
         return _cmd_obs_alerts(args)
 
+    # Only the timeline and the report's shmoo heatmap draw individual
+    # events; every other view reads the fold alone.
+    fold = obs.TraceFold()
+    draws_events = args.obs_command in ("timeline", "report")
     try:
-        loaded = obs.load_trace(args.trace_file)
+        records = [r for r in fold.read(args.trace_file) if draws_events]
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
@@ -1175,12 +1179,12 @@ def _cmd_obs(args) -> int:
         if args.json:
             import json
 
-            print(json.dumps(obs.trace_summary_data(loaded), indent=2,
+            print(json.dumps(obs.trace_summary_data(fold), indent=2,
                              sort_keys=True))
         else:
-            print(obs.render_trace_summary(loaded))
+            print(obs.render_trace_summary(fold))
     elif args.obs_command == "profile":
-        summary = obs.build_profile_summary(loaded.records, phase=args.phase)
+        summary = obs.build_profile_summary(fold, phase=args.phase)
         if args.json:
             import json
 
@@ -1188,16 +1192,14 @@ def _cmd_obs(args) -> int:
                              indent=2, sort_keys=True))
         else:
             print(obs.render_profile(summary, top=args.top))
-            rows = obs.worker_utilization(loaded.records)
+            rows = obs.worker_utilization(fold)
             if rows:
                 print("per-worker utilization:")
                 print(obs.render_worker_utilization(rows))
         if summary.empty and not args.json:
             return 1
     elif args.obs_command == "flame":
-        stacks = obs.write_folded(
-            loaded.records, args.output, phase=args.phase
-        )
+        stacks = obs.write_folded(fold, args.output, phase=args.phase)
         if stacks == 0:
             print(
                 "warning: no profile events in trace - record one with "
@@ -1209,19 +1211,19 @@ def _cmd_obs(args) -> int:
             f"load in speedscope.app or flamegraph.pl)"
         )
     elif args.obs_command == "slowest":
-        print(obs.render_slowest(loaded, count=args.count))
+        print(obs.render_slowest(fold, count=args.count))
     elif args.obs_command == "timeline":
         output = args.output or f"{args.trace_file}.timeline.json"
-        path = obs.write_chrome_trace(loaded.records, output)
+        path = obs.write_chrome_trace(records, output)
         spans = sum(
             1
-            for entry in obs.build_chrome_trace(loaded.records)["traceEvents"]
+            for entry in obs.build_chrome_trace(records)["traceEvents"]
             if entry.get("ph") == "X"
         )
         print(f"timeline written: {path} ({spans} span(s); "
               f"open at ui.perfetto.dev)")
     elif args.obs_command == "insight":
-        print(obs.render_insight(obs.build_insight(loaded.records)))
+        print(obs.render_insight(obs.build_insight(fold)))
     elif args.obs_command == "report":
         runs = None
         if args.runs and args.db:
@@ -1244,15 +1246,14 @@ def _cmd_obs(args) -> int:
                 )
                 return 2
         html = obs.build_html_report(
-            loaded.records, runs=runs, title=args.title
+            fold, records, runs=runs, title=args.title
         )
         output = Path(args.output or f"{args.trace_file}.html")
         output.write_text(html)
-        insight = obs.build_insight(loaded.records)
-        decisions = len(obs.insight_events(loaded.records))
-        note = " (no decision-level events)" if insight.empty else ""
+        decisions = fold.decision_count
+        note = "" if decisions else " (no decision-level events)"
         print(
-            f"report written: {output} ({len(loaded.records)} event(s), "
+            f"report written: {output} ({fold.events} event(s), "
             f"{decisions} decision event(s){note})"
         )
     return 0

@@ -108,19 +108,18 @@ def parse_rule(text: str, required: bool = True) -> AlertRule:
             "(expected METRIC[{label=\"v\"}] OP WARN[:CRIT])"
         )
     op = match.group("op")
-    warn = float(match.group("warn"))
     crit = match.group("crit")
-    labels = (
-        _parse_labels(match.group("labels")) if match.group("labels") else {}
-    )
-    rule = AlertRule(
-        metric=match.group("name"),
-        op=op,
-        warn=warn,
-        crit=float(crit) if crit is not None else None,
-        labels=labels,
-        required=required,
-    )
+    try:
+        rule = AlertRule(
+            metric=match.group("name"),
+            op=op,
+            warn=float(match.group("warn")),
+            crit=float(crit) if crit is not None else None,
+            labels=_parse_labels(match.group("labels") or ""),
+            required=required,
+        )
+    except ValueError as exc:  # ExpositionError included
+        raise AlertRuleError(f"invalid alert rule {text!r}: {exc}") from exc
     if rule.crit is not None and not _OPS[op](rule.crit, rule.warn):
         raise AlertRuleError(
             f"rule {text!r}: the critical threshold must be at least as "

@@ -735,7 +735,7 @@ class TraceWriter:
     worker ids) is stamped onto every line.  Each line is flushed as it
     is written — the buffer is always empty, so a forked worker process
     inheriting this sink can never replay buffered parent data.  Use
-    :func:`repro.obs.report.read_trace` to load the file back.
+    :meth:`repro.obs.report.TraceFold.read` to load the file back.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

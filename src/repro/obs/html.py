@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.insight import RunInsight, build_insight
 from repro.obs.profile import worker_utilization
-from repro.obs.report import per_test_measurement_counts
+from repro.obs.report import TraceFold
 
 # Sequential blue ramp (light -> dark) for the heatmap's pass fraction.
 _HEAT_RAMP = (
@@ -287,7 +287,7 @@ def _bar_chart(
 
 
 def _shmoo_heatmap(
-    records: Sequence[Dict[str, object]],
+    records: Iterable[Dict[str, object]],
     x_bins: int = 36,
     y_bins: int = 12,
     width: int = 720,
@@ -396,8 +396,8 @@ def _section(title: str, *body: str) -> str:
     ) + "</div>"
 
 
-def _cost_profile_section(records: Sequence[Dict[str, object]]) -> str:
-    groups = per_test_measurement_counts(records)
+def _cost_profile_section(fold: TraceFold) -> str:
+    groups = fold.groups
     if not groups:
         return _section(
             "Measurement-cost profile (fig. 3)",
@@ -684,30 +684,23 @@ _SERIES_CYCLE = (
 )
 
 
-def _resource_section(records: Sequence[Dict[str, object]]) -> str:
+def _resource_section(fold: TraceFold) -> str:
     """RSS / CPU% charts per process plus the worker-utilization table.
 
     ``resource_sample`` events only exist when the run was profiled
     (``--profile``); the section renders a note otherwise so the report
     layout is stable either way.
     """
-    by_worker: Dict[str, List[Dict[str, object]]] = {}
-    for record in records:
-        if record.get("type") != "resource_sample":
-            continue
-        if not isinstance(record.get("ts"), (int, float)):
-            continue
-        worker = str(record.get("worker", "") or "serial")
-        by_worker.setdefault(worker, []).append(record)
-    util_rows = worker_utilization(records)
-    if not by_worker:
+    if not fold.resource_series:
         return _section(
             "Resources & utilization",
             '<p class="note">(no resource_sample events in trace - '
             "record one with --profile)</p>",
         )
-    for samples in by_worker.values():
-        samples.sort(key=lambda r: float(r["ts"]))
+    by_worker = {
+        worker: sorted(samples, key=lambda s: s[0])
+        for worker, samples in fold.resource_series.items()
+    }
 
     def color(index: int) -> str:
         return _SERIES_CYCLE[index % len(_SERIES_CYCLE)]
@@ -718,24 +711,16 @@ def _resource_section(records: Sequence[Dict[str, object]]) -> str:
     for i, worker in enumerate(workers):
         samples = by_worker[worker]
         rss_series.append(
-            (
-                worker,
-                [float(s.get("rss_kb", 0) or 0) / 1024.0 for s in samples],
-                color(i),
-            )
+            (worker, [rss / 1024.0 for _, rss, _ in samples], color(i))
         )
         # CPU% from consecutive cumulative-CPU deltas (needs 2 samples).
         pct: List[float] = []
-        for prev, cur in zip(samples, samples[1:]):
-            dt = float(cur["ts"]) - float(prev["ts"])
+        for (ts_prev, _, cpu_prev), (ts_cur, _, cpu_cur) in zip(
+            samples, samples[1:]
+        ):
+            dt = ts_cur - ts_prev
             if dt <= 0:
                 continue
-            cpu_prev = float(prev.get("cpu_user_s", 0) or 0) + float(
-                prev.get("cpu_system_s", 0) or 0
-            )
-            cpu_cur = float(cur.get("cpu_user_s", 0) or 0) + float(
-                cur.get("cpu_system_s", 0) or 0
-            )
             pct.append(max(0.0, 100.0 * (cpu_cur - cpu_prev) / dt))
         if pct:
             cpu_series.append((worker, pct, color(i)))
@@ -760,6 +745,7 @@ def _resource_section(records: Sequence[Dict[str, object]]) -> str:
                 label="CPU utilization per process",
             )
         )
+    util_rows = worker_utilization(fold)
     if util_rows:
         rows = []
         for row in util_rows:
@@ -840,22 +826,20 @@ def _history_section(runs: Optional[Sequence[Dict[str, object]]]) -> str:
 
 
 def build_html_report(
-    records: Sequence[Dict[str, object]],
+    fold: TraceFold,
+    records: Iterable[Dict[str, object]],
     runs: Optional[Sequence[Dict[str, object]]] = None,
     title: str = "Characterization run report",
 ) -> str:
-    """Render one trace (+ optional run history) as a single HTML page.
+    """Render one folded trace (+ optional run history) as one HTML page.
 
-    The returned string is a complete document: no external stylesheets,
-    fonts, scripts or images, and XML-well-formed after the doctype line
+    ``records`` are the trace's events, which only the shmoo heatmap
+    draws one by one; every other section reads ``fold``.  The returned
+    string is a complete document: no external stylesheets, fonts,
+    scripts or images, and XML-well-formed after the doctype line
     (``xml.etree.ElementTree`` can parse it, which CI does).
     """
-    materialized = list(records)
-    insight = build_insight(materialized)
-    event_count = len(materialized)
-    measurement_count = sum(
-        1 for r in materialized if r.get("type") == "measurement"
-    )
+    insight = build_insight(fold)
     head = (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8"/>'
@@ -865,18 +849,18 @@ def build_html_report(
     body = [
         '<body class="viz-root">',
         f"<h1>{_esc(title)}</h1>",
-        f'<p class="sub">{event_count} trace event(s), '
-        f"{measurement_count} tester measurement(s).</p>",
+        f'<p class="sub">{fold.events} trace event(s), '
+        f"{fold.counts.get('measurement', 0)} tester measurement(s).</p>",
         _section(
             "Shmoo (pass fraction)",
-            _shmoo_heatmap(materialized),
+            _shmoo_heatmap(records),
         ),
-        _cost_profile_section(materialized),
+        _cost_profile_section(fold),
         _sutp_section(insight),
         _votes_section(insight),
         _ga_section(insight),
         _wcr_section(insight),
-        _resource_section(materialized),
+        _resource_section(fold),
         _history_section(runs),
         '<p class="note">Generated by repro obs report &#8212; '
         "self-contained, no external assets, no scripts.</p>",

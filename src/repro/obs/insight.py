@@ -18,19 +18,22 @@ decided what they decided* from the decision events the stack emits:
 * **WCR outcome** (:class:`WCRInsight`) — the fig. 6 classification of
   every worst-case-database record (``wcr_classified``).
 
-:func:`build_insight` assembles all four from a tolerantly loaded trace
-(:func:`repro.obs.report.load_trace`); :func:`render_insight` renders
-them as text for ``repro obs insight``; :mod:`repro.obs.html` renders
-the same structures as a self-contained HTML report.
+:func:`build_insight` assembles all four from the decision events a
+:class:`repro.obs.report.TraceFold` keeps; :func:`render_insight`
+renders them as text for ``repro obs insight``; :mod:`repro.obs.html`
+renders the same structures as a self-contained HTML report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.obs.report import TraceFold
 
 #: The decision-level event types this module consumes, in emission-layer
-#: order.  Used by tests to slice insight streams out of a merged trace.
+#: order; the trace fold keeps one list of each.
 INSIGHT_EVENT_TYPES: Tuple[str, ...] = (
     "sutp_window_escalated",
     "sutp_test_measured",
@@ -39,14 +42,6 @@ INSIGHT_EVENT_TYPES: Tuple[str, ...] = (
     "ga_generation",
     "wcr_classified",
 )
-
-
-def insight_events(
-    records: Iterable[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """The decision-level slice of a trace, in trace order."""
-    wanted = set(INSIGHT_EVENT_TYPES)
-    return [r for r in records if str(r.get("type")) in wanted]
 
 
 def _opt_float(value: object) -> Optional[float]:
@@ -95,18 +90,12 @@ class SUTPAudit:
     optimal_cost: Optional[int] = None
 
     @classmethod
-    def from_records(
-        cls, records: Iterable[Dict[str, object]]
+    def from_events(
+        cls,
+        measured: Sequence[Dict[str, object]],
+        escalations: Sequence[Dict[str, object]],
     ) -> "SUTPAudit":
-        """Build the audit from trace dictionaries."""
-        measured: List[Dict[str, object]] = []
-        escalations: List[Dict[str, object]] = []
-        for record in records:
-            kind = str(record.get("type"))
-            if kind == "sutp_test_measured":
-                measured.append(record)
-            elif kind == "sutp_window_escalated":
-                escalations.append(record)
+        """Build the audit from ``sutp_test_measured`` events."""
         incremental = [
             int(r.get("measurements", 0) or 0)
             for r in measured
@@ -137,7 +126,9 @@ class SUTPAudit:
                     wasted_probes=wasted,
                 )
             )
-        return cls(rows=rows, escalations=escalations, optimal_cost=optimal)
+        return cls(
+            rows=rows, escalations=list(escalations), optimal_cost=optimal
+        )
 
     @property
     def escalated_rows(self) -> List[SUTPAuditRow]:
@@ -232,31 +223,29 @@ class VoteInsight:
     calibration: Optional[Dict[str, object]] = None
 
     @classmethod
-    def from_records(
-        cls, records: Iterable[Dict[str, object]]
+    def from_events(
+        cls,
+        votes: Sequence[Dict[str, object]],
+        calibrations: Sequence[Dict[str, object]],
     ) -> "VoteInsight":
-        """Build from trace dictionaries (last calibration round wins)."""
-        votes: List[VoteRecord] = []
-        calibration: Optional[Dict[str, object]] = None
-        for record in records:
-            kind = str(record.get("type"))
-            if kind == "nn_vote":
-                votes.append(
-                    VoteRecord(
-                        sample=int(record.get("sample", 0) or 0),
-                        votes=tuple(
-                            int(v) for v in record.get("votes", ()) or ()
-                        ),
-                        predicted=int(record.get("predicted", 0) or 0),
-                        actual=int(record.get("actual", 0) or 0),
-                        entropy=float(record.get("entropy", 0.0) or 0.0),
-                        margin=float(record.get("margin", 0.0) or 0.0),
-                        agreement=float(record.get("agreement", 0.0) or 0.0),
-                    )
+        """Decode ``nn_vote`` events (the last calibration round wins)."""
+        return cls(
+            votes=[
+                VoteRecord(
+                    sample=int(record.get("sample", 0) or 0),
+                    votes=tuple(
+                        int(v) for v in record.get("votes", ()) or ()
+                    ),
+                    predicted=int(record.get("predicted", 0) or 0),
+                    actual=int(record.get("actual", 0) or 0),
+                    entropy=float(record.get("entropy", 0.0) or 0.0),
+                    margin=float(record.get("margin", 0.0) or 0.0),
+                    agreement=float(record.get("agreement", 0.0) or 0.0),
                 )
-            elif kind == "nn_calibration":
-                calibration = record
-        return cls(votes=votes, calibration=calibration)
+                for record in votes
+            ],
+            calibration=calibrations[-1] if calibrations else None,
+        )
 
     @property
     def mean_entropy(self) -> float:
@@ -333,18 +322,8 @@ class VoteInsight:
 class GAInsight:
     """Per-generation convergence record of the fig. 5 GA."""
 
+    #: The ``ga_generation`` events, in trace order.
     generations: List[Dict[str, object]] = field(default_factory=list)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[Dict[str, object]]
-    ) -> "GAInsight":
-        """All ``ga_generation`` events, in trace order."""
-        return cls(
-            generations=[
-                r for r in records if str(r.get("type")) == "ga_generation"
-            ]
-        )
 
     def series(self, key: str) -> List[float]:
         """One numeric column over the generations (``nan`` if absent)."""
@@ -398,18 +377,8 @@ class GAInsight:
 class WCRInsight:
     """Fig. 6 classification of the worst-case database records."""
 
+    #: The ``wcr_classified`` events, in trace order.
     records: List[Dict[str, object]] = field(default_factory=list)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[Dict[str, object]]
-    ) -> "WCRInsight":
-        """All ``wcr_classified`` events, in trace order."""
-        return cls(
-            records=[
-                r for r in records if str(r.get("type")) == "wcr_classified"
-            ]
-        )
 
     def class_counts(self) -> Dict[str, int]:
         """Record count per WCR class."""
@@ -453,14 +422,18 @@ class RunInsight:
         )
 
 
-def build_insight(records: Iterable[Dict[str, object]]) -> RunInsight:
-    """Reconstruct the decision-level story of one trace."""
-    materialized = list(records)
+def build_insight(fold: "TraceFold") -> RunInsight:
+    """Reconstruct the decision-level story of one folded trace."""
+    events = fold.decisions
     return RunInsight(
-        sutp=SUTPAudit.from_records(materialized),
-        votes=VoteInsight.from_records(materialized),
-        ga=GAInsight.from_records(materialized),
-        wcr=WCRInsight.from_records(materialized),
+        sutp=SUTPAudit.from_events(
+            events["sutp_test_measured"], events["sutp_window_escalated"]
+        ),
+        votes=VoteInsight.from_events(
+            events["nn_vote"], events["nn_calibration"]
+        ),
+        ga=GAInsight(generations=list(events["ga_generation"])),
+        wcr=WCRInsight(records=list(events["wcr_classified"])),
     )
 
 

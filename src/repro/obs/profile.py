@@ -28,11 +28,12 @@ their own pair inside the worker capture, so profiles and resource
 series ship back inside ``WorkerTelemetry`` and merge deterministically
 like every other event.
 
-The second half of the module is the read side: aggregate the
-``profile`` events of a loaded trace into per-phase hot-path tables
-(``repro obs profile``), export flamegraph.pl / speedscope-compatible
-folded stacks (``repro obs flame``), and derive per-worker busy/idle
-utilization from the unit spans and resource series.
+The second half of the module is the read side, over a
+:class:`repro.obs.report.TraceFold`: aggregate its profiles into
+per-phase hot-path tables (``repro obs profile``), export flamegraph.pl /
+speedscope-compatible folded stacks (``repro obs flame``), and derive
+per-worker busy/idle utilization from the unit spans and resource
+series.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import timing
 from repro.obs.events import EventBus, ProfileRecorded, ResourceSample
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import TraceFold
 from repro.obs.runtime import OBS
 
 #: Default sampling cadence: ~100 Hz keeps per-sample cost invisible
@@ -505,15 +507,8 @@ def stop_profiling(emit: bool = True) -> Optional[ProfileRecorded]:
 # -- trace analysis ------------------------------------------------------------------
 
 
-def profile_events(
-    records: Iterable[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """The ``profile`` events of a loaded trace, in trace order."""
-    return [r for r in records if r.get("type") == "profile"]
-
-
 def merged_folded(
-    records: Iterable[Dict[str, object]],
+    fold: TraceFold,
     phase: Optional[str] = None,
 ) -> Dict[Tuple[str, str], int]:
     """Summed folded-stack weights across every profile in the trace.
@@ -523,15 +518,11 @@ def merged_folded(
     counts and milliseconds both accumulate meaningfully per mode.
     """
     totals: Dict[Tuple[str, str], int] = {}
-    for event in profile_events(records):
-        for entry in event.get("folded") or ():
-            try:
-                entry_phase, stack, weight = entry[0], entry[1], int(entry[2])
-            except (IndexError, TypeError, ValueError):
-                continue
+    for profile in fold.profiles:
+        for entry_phase, stack, weight in profile.stacks:
             if phase is not None and entry_phase != phase:
                 continue
-            key = (str(entry_phase), str(stack))
+            key = (entry_phase, stack)
             totals[key] = totals.get(key, 0) + weight
     return totals
 
@@ -562,7 +553,7 @@ class ProfileSummary:
 
 
 def build_profile_summary(
-    records: Iterable[Dict[str, object]],
+    fold: TraceFold,
     phase: Optional[str] = None,
 ) -> ProfileSummary:
     """Aggregate a trace's profile events into per-phase hot paths.
@@ -571,17 +562,15 @@ def build_profile_summary(
     cumulative weight counts stacks containing it anywhere — the usual
     flame-graph semantics, computed from the folded table.
     """
-    records = list(records)
     summary = ProfileSummary()
-    for event in profile_events(records):
-        mode = str(event.get("mode", "sampling"))
-        if mode not in summary.modes:
-            summary.modes.append(mode)
-        summary.unit = str(event.get("unit", summary.unit))
-        summary.truncated += int(event.get("truncated", 0) or 0)
+    for profile in fold.profiles:
+        if profile.mode not in summary.modes:
+            summary.modes.append(profile.mode)
+        summary.unit = profile.unit
+        summary.truncated += profile.truncated
     table: Dict[Tuple[str, str], HotPath] = {}
     for (entry_phase, stack), weight in merged_folded(
-        records, phase=phase
+        fold, phase=phase
     ).items():
         summary.total_weight += weight
         frames = stack.split(";")
@@ -672,7 +661,7 @@ def profile_summary_data(
 
 
 def write_folded(
-    records: Iterable[Dict[str, object]],
+    fold: TraceFold,
     path: Union[str, Path],
     phase: Optional[str] = None,
 ) -> int:
@@ -683,7 +672,7 @@ def write_folded(
     directly.  The phase rides as the root frame so per-phase flames
     separate visually.
     """
-    totals = merged_folded(records, phase=phase)
+    totals = merged_folded(fold, phase=phase)
     ordered = sorted(totals.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1]))
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
@@ -714,9 +703,7 @@ class WorkerUtilization:
         return min(1.0, self.busy_s / self.span_s)
 
 
-def worker_utilization(
-    records: Iterable[Dict[str, object]],
-) -> List[WorkerUtilization]:
+def worker_utilization(fold: TraceFold) -> List[WorkerUtilization]:
     """Per-worker busy/idle utilization derived from unit spans.
 
     Busy time sums each worker's ``farm_unit_completed`` durations; the
@@ -725,56 +712,23 @@ def worker_utilization(
     tail imbalance.  CPU seconds and peak RSS come from each worker's
     ``resource_sample`` series when profiling was on.
     """
-    rows: Dict[str, WorkerUtilization] = {}
-    run_start: Optional[float] = None
-    run_end: Optional[float] = None
-    cpu_bounds: Dict[str, Tuple[float, float]] = {}
-    for record in records:
-        kind = record.get("type")
-        if kind == "farm_run_started":
-            ts = record.get("ts")
-            if isinstance(ts, (int, float)):
-                run_start = float(ts) if run_start is None else min(
-                    run_start, float(ts)
-                )
-        elif kind == "farm_unit_completed":
-            worker = str(record.get("worker", "") or "serial")
-            row = rows.get(worker)
-            if row is None:
-                row = rows[worker] = WorkerUtilization(worker=worker)
-            elapsed = float(record.get("elapsed_s", 0.0) or 0.0)
-            row.units += 1
-            row.busy_s += elapsed
-            ts = record.get("ts")
-            if isinstance(ts, (int, float)):
-                end = float(ts)
-                run_end = end if run_end is None else max(run_end, end)
-                start = end - elapsed
-                run_start = start if run_start is None else min(
-                    run_start, start
-                )
-        elif kind == "resource_sample":
-            worker = str(record.get("worker", "") or "serial")
-            cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-                record.get("cpu_system_s", 0.0) or 0.0
-            )
-            low, high = cpu_bounds.get(worker, (cpu, cpu))
-            cpu_bounds[worker] = (min(low, cpu), max(high, cpu))
-            row = rows.get(worker)
-            if row is not None:
-                row.peak_rss_kb = max(
-                    row.peak_rss_kb, int(record.get("max_rss_kb", 0) or 0)
-                )
     span = 0.0
-    if run_start is not None and run_end is not None:
-        span = max(0.0, run_end - run_start)
-    for worker, row in rows.items():
-        row.span_s = round(span, 6)
-        row.busy_s = round(row.busy_s, 6)
-        bounds = cpu_bounds.get(worker)
-        if bounds is not None:
-            row.cpu_s = round(bounds[1] - bounds[0], 6)
-    return sorted(rows.values(), key=lambda r: r.worker)
+    if fold.run_start is not None and fold.run_end is not None:
+        span = max(0.0, fold.run_end - fold.run_start)
+    rows: List[WorkerUtilization] = []
+    for worker, (units, busy_s) in sorted(fold.busy.items()):
+        low, high = fold.cpu_bounds.get(worker, (0.0, 0.0))
+        rows.append(
+            WorkerUtilization(
+                worker=worker,
+                units=units,
+                busy_s=round(busy_s, 6),
+                span_s=round(span, 6),
+                cpu_s=round(high - low, 6),
+                peak_rss_kb=fold.peak_rss_kb.get(worker, 0),
+            )
+        )
+    return rows
 
 
 def render_worker_utilization(rows: Sequence[WorkerUtilization]) -> str:
@@ -810,7 +764,6 @@ __all__ = [
     "build_profile_summary",
     "merged_folded",
     "process_cpu_seconds",
-    "profile_events",
     "profile_summary_data",
     "read_resource_sample",
     "render_profile",

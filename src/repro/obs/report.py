@@ -1,77 +1,284 @@
-"""Render telemetry into human-readable cost summaries.
+"""Fold a telemetry trace once and render it as cost summaries.
 
-Two views of one campaign:
-
+* :class:`TraceFold` — one tolerant pass over a JSONL trace that keeps
+  everything the ``repro obs`` views, job progress and the SSE stream
+  read: event counts, per-test measurement groups (the fig. 3 cost
+  axis), farm unit rows, per-worker resource series, the open campaign
+  phase, and the decision and profile events.  It keeps no
+  ``measurement`` or ``sutp_walk_step`` record, so its memory grows
+  with tests and units, never with probes.
 * :func:`render_metrics_summary` — the registry as an aligned text table:
   every counter (with its top label breakdown — e.g. measurements per
   test), every gauge, every histogram with count/p50/p95/max.  This is what
   the CLI's ``--metrics`` flag prints at exit.
-* :func:`render_trace_cost_profile` — the fig. 3 per-test measurement-cost
-  profile rebuilt from a live JSONL trace: consecutive
-  ``measurement`` events are grouped per test and drawn as a bar per test,
-  reproducing the "number of search steps" axis of the paper's figure from
-  observed data instead of a bespoke benchmark.
+* :func:`render_trace_cost_profile`, :func:`render_trace_summary` and
+  :func:`render_slowest` — text views of a fold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.ioutil import iter_jsonl
 from repro.obs.events import known_event_types
+from repro.obs.insight import INSIGHT_EVENT_TYPES
 from repro.obs.metrics import MetricsRegistry
 
+#: What a field that fails to coerce raises (``int("4x")``,
+#: ``int(float("inf"))``, ``entry[2]`` of a short list, ...).
+_COERCE_ERRORS = (TypeError, ValueError, OverflowError, LookupError)
 
-def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Load a :class:`~repro.obs.events.TraceWriter` JSONL file.
 
-    Raises
-    ------
-    ValueError
-        On a line that is not a JSON object with a ``type`` field
-        (line-numbered, so a truncated trace is easy to diagnose).
+class UnitRow(NamedTuple):
+    """One completed farm unit (``farm_unit_completed``)."""
+
+    key: str
+    attempt: int
+    elapsed_s: float
+    measurements: int
+    worker: str
+
+
+class FoldedProfile(NamedTuple):
+    """One ``profile`` event: its folded ``(phase, stack, weight)`` rows."""
+
+    mode: str
+    unit: str
+    truncated: int
+    stacks: Tuple[Tuple[str, str, int], ...]
+
+
+def _worker(record: Dict[str, object]) -> str:
+    return str(record.get("worker", "") or "serial")
+
+
+def _ts(record: Dict[str, object]) -> Optional[float]:
+    ts = record.get("ts")
+    return float(ts) if isinstance(ts, (int, float)) else None
+
+
+class TraceFold:
+    """Everything the trace views read, folded in one pass.
+
+    Feed it parsed trace lines with :meth:`add` (``None`` stands for an
+    unparseable line), or build it from a file with :meth:`load` or
+    :meth:`read`.  Each field a view needs is coerced exactly once, here:
+    a line that is not an event object, or a known event whose fields do
+    not coerce, is skipped and counted in :attr:`dropped_lines`.  Events
+    of a type this build does not know are kept and tallied in
+    :attr:`unknown_types`, so traces written by older or newer schema
+    versions stay readable.
     """
-    records: List[Dict[str, object]] = []
-    for line_number, record in iter_jsonl(path):
+
+    def __init__(self) -> None:
+        self._known = known_event_types()
+        self.events = 0
+        self.dropped_lines = 0
+        self.unknown_types: Dict[str, int] = {}
+        self.counts: Dict[str, int] = {}
+        #: Consecutive measurements of one test form a group, in campaign
+        #: order; a test re-measured later (the Table-1 final
+        #: re-measurement) starts a new group, as on the real tester.
+        self.groups: List[Tuple[str, int]] = []
+        #: Completed units by key; the last completion wins on retry.
+        self.units: Dict[str, UnitRow] = {}
+        #: Per worker ``(completions, busy seconds)`` over every
+        #: completion event, retries included.
+        self.busy: Dict[str, Tuple[int, float]] = {}
+        self.run_start: Optional[float] = None
+        self.run_end: Optional[float] = None
+        self.units_total = 0
+        self.dropped_events = 0
+        self.checkpoint_dropped = 0
+        self.resource_samples = 0
+        #: Per worker ``(min, max)`` cumulative CPU seconds.
+        self.cpu_bounds: Dict[str, Tuple[float, float]] = {}
+        self.peak_rss_kb: Dict[str, int] = {}
+        #: Per worker ``(ts, rss_kb, cpu_s)`` of every timestamped sample.
+        self.resource_series: Dict[str, List[Tuple[float, float, float]]] = {}
+        self.profiles: List[FoldedProfile] = []
+        #: The decision-level events insight reads, by type, in trace order.
+        self.decisions: Dict[str, List[Dict[str, object]]] = {
+            kind: [] for kind in INSIGHT_EVENT_TYPES
+        }
+        self._phases: List[str] = []
+
+    @classmethod
+    def of(
+        cls, records: Iterable[Optional[Dict[str, object]]]
+    ) -> "TraceFold":
+        """The fold of in-memory records."""
+        fold = cls()
+        for record in records:
+            fold.add(record)
+        return fold
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "TraceFold":
+        """The fold of a trace file (tolerant: torn lines are counted)."""
+        return cls.of(record for _, record in iter_jsonl(path))
+
+    def read(self, path: Union[str, Path]) -> Iterator[Dict[str, object]]:
+        """Fold every line of ``path``, yielding each record it keeps.
+
+        For the views that draw individual events (the timeline and the
+        shmoo heatmap); everything else reads the fold.
+        """
+        for _, record in iter_jsonl(path):
+            if self.add(record):
+                yield record
+
+    def add(self, record: Optional[Dict[str, object]]) -> bool:
+        """Fold one parsed trace line; ``False`` when it was dropped."""
         if record is None or "type" not in record:
-            raise ValueError(
-                f"trace line {line_number}: not a JSON event object"
-            )
-        records.append(record)
-    return records
-
-
-@dataclass
-class TraceLoadResult:
-    """A tolerantly-loaded trace plus what had to be forgiven."""
-
-    records: List[Dict[str, object]] = field(default_factory=list)
-    dropped_lines: int = 0
-    unknown_types: Dict[str, int] = field(default_factory=dict)
-
-
-def load_trace(path: Union[str, Path]) -> TraceLoadResult:
-    """Load a trace *tolerantly* (the ``repro obs`` commands use this).
-
-    Unlike :func:`read_trace`, a malformed line is counted and skipped
-    rather than fatal, and records whose ``type`` is not one of this
-    build's event classes are *kept* (and tallied in
-    :attr:`TraceLoadResult.unknown_types`) — so traces and ``runs.jsonl``
-    baselines written by older or newer schema versions stay loadable.
-    """
-    known = known_event_types()
-    loaded = TraceLoadResult()
-    for _, record in iter_jsonl(path):
-        if record is None or "type" not in record:
-            loaded.dropped_lines += 1
-            continue
+            self.dropped_lines += 1
+            return False
         kind = str(record["type"])
-        if kind not in known:
-            loaded.unknown_types[kind] = loaded.unknown_types.get(kind, 0) + 1
-        loaded.records.append(record)
-    return loaded
+        fold_fields = _FIELD_FOLDS.get(kind)
+        if fold_fields is not None:
+            try:
+                fold_fields(self, record)
+            except _COERCE_ERRORS:
+                self.dropped_lines += 1
+                return False
+        self.events += 1
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if kind not in self._known:
+            self.unknown_types[kind] = self.unknown_types.get(kind, 0) + 1
+        elif kind in self.decisions:
+            self.decisions[kind].append(record)
+        return True
+
+    # Each field fold coerces every value first and mutates only after,
+    # so a record that fails to coerce leaves the fold untouched.
+
+    def _measurement(self, record: Dict[str, object]) -> None:
+        name = str(record.get("test_name", "unnamed"))
+        if self.groups and self.groups[-1][0] == name:
+            self.groups[-1] = (name, self.groups[-1][1] + 1)
+        else:
+            self.groups.append((name, 1))
+
+    def _unit_completed(self, record: Dict[str, object]) -> None:
+        row = UnitRow(
+            key=str(record.get("key")),
+            attempt=int(record.get("attempt", 1) or 1),
+            elapsed_s=float(record.get("elapsed_s", 0.0) or 0.0),
+            measurements=int(record.get("measurements", 0) or 0),
+            worker=_worker(record),
+        )
+        end = _ts(record)
+        self.units[row.key] = row
+        count, busy_s = self.busy.get(row.worker, (0, 0.0))
+        self.busy[row.worker] = (count + 1, busy_s + row.elapsed_s)
+        if end is not None:
+            self._extend_run(end - row.elapsed_s, end)
+
+    def _run_started(self, record: Dict[str, object]) -> None:
+        units = int(record.get("units", 0) or 0)
+        start = _ts(record)
+        self.units_total += units
+        if start is not None:
+            self._extend_run(start, None)
+
+    def _extend_run(self, start: float, end: Optional[float]) -> None:
+        if self.run_start is None or start < self.run_start:
+            self.run_start = start
+        if end is not None and (self.run_end is None or end > self.run_end):
+            self.run_end = end
+
+    def _unit_merged(self, record: Dict[str, object]) -> None:
+        self.dropped_events += int(record.get("dropped_events", 0) or 0)
+
+    def _checkpoint_dropped(self, record: Dict[str, object]) -> None:
+        self.checkpoint_dropped += int(record.get("lines", 0) or 0)
+
+    def _resource_sample(self, record: Dict[str, object]) -> None:
+        worker = _worker(record)
+        cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
+            record.get("cpu_system_s", 0.0) or 0.0
+        )
+        peak = int(record.get("max_rss_kb", 0) or 0)
+        rss = float(record.get("rss_kb", 0) or 0)
+        ts = _ts(record)
+        self.resource_samples += 1
+        low, high = self.cpu_bounds.get(worker, (cpu, cpu))
+        self.cpu_bounds[worker] = (min(low, cpu), max(high, cpu))
+        self.peak_rss_kb[worker] = max(self.peak_rss_kb.get(worker, 0), peak)
+        if ts is not None:
+            self.resource_series.setdefault(worker, []).append((ts, rss, cpu))
+
+    def _campaign_phase(self, record: Dict[str, object]) -> None:
+        phase = str(record.get("phase", "") or "")
+        if record.get("status") == "start":
+            self._phases.append(phase)
+        elif self._phases and self._phases[-1] == phase:
+            self._phases.pop()
+
+    def _profile(self, record: Dict[str, object]) -> None:
+        profile = FoldedProfile(
+            mode=str(record.get("mode", "sampling")),
+            unit=str(record.get("unit", "samples")),
+            truncated=int(record.get("truncated", 0) or 0),
+            stacks=tuple(
+                (str(entry[0]), str(entry[1]), int(entry[2]))  # type: ignore[index]
+                for entry in record.get("folded") or ()  # type: ignore[union-attr]
+            ),
+        )
+        self.profiles.append(profile)
+
+    # -- derived views -------------------------------------------------------
+
+    @property
+    def decision_count(self) -> int:
+        """Decision-level events (every type insight reads) in the trace."""
+        return sum(len(records) for records in self.decisions.values())
+
+    def per_test_totals(self) -> Dict[str, int]:
+        """Measurements per test name, summed over its groups."""
+        totals: Dict[str, int] = {}
+        for name, count in self.groups:
+            totals[name] = totals.get(name, 0) + count
+        return totals
+
+    def progress(self) -> Dict[str, object]:
+        """The job progress dict (``GET /jobs/{id}``, SSE ``progress``).
+
+        ``events`` counts the event lines folded, ``units_total`` /
+        ``units_done`` / ``units_skipped`` the farm work units (skipped =
+        restored from checkpoint), and ``phase`` is the innermost
+        campaign phase still open (``None`` outside every phase).
+        """
+        return {
+            "events": self.events,
+            "measurements": self.counts.get("measurement", 0),
+            "units_total": self.units_total,
+            "units_done": self.counts.get("farm_unit_completed", 0),
+            "units_skipped": self.counts.get("farm_unit_skipped", 0),
+            "phase": self._phases[-1] if self._phases else None,
+        }
+
+
+_FIELD_FOLDS = {
+    "measurement": TraceFold._measurement,
+    "farm_unit_completed": TraceFold._unit_completed,
+    "farm_run_started": TraceFold._run_started,
+    "farm_unit_merged": TraceFold._unit_merged,
+    "farm_checkpoint_dropped": TraceFold._checkpoint_dropped,
+    "resource_sample": TraceFold._resource_sample,
+    "campaign_phase": TraceFold._campaign_phase,
+    "profile": TraceFold._profile,
+}
 
 
 def render_metrics_summary(
@@ -117,34 +324,13 @@ def render_metrics_summary(
     return "\n".join(lines)
 
 
-def per_test_measurement_counts(
-    records: Iterable[Dict[str, object]],
-) -> List[Tuple[str, int]]:
-    """Measurement cost per test from a trace, in campaign order.
-
-    Consecutive ``measurement`` events with the same test name form one
-    per-test group (the same test re-measured later — e.g. the Table-1
-    final re-measurement — starts a new group, as on the real tester).
-    """
-    groups: List[Tuple[str, int]] = []
-    for record in records:
-        if record.get("type") != "measurement":
-            continue
-        name = str(record.get("test_name", "unnamed"))
-        if groups and groups[-1][0] == name:
-            groups[-1] = (name, groups[-1][1] + 1)
-        else:
-            groups.append((name, 1))
-    return groups
-
-
 def render_trace_cost_profile(
-    records: Iterable[Dict[str, object]],
+    fold: TraceFold,
     max_tests: Optional[int] = 60,
     bar_width: int = 40,
 ) -> str:
     """Fig. 3-style per-test measurement-cost bars from a trace."""
-    groups = per_test_measurement_counts(records)
+    groups = fold.groups
     if not groups:
         return "(no measurement events in trace)"
     lines = ["per-test measurement cost (from trace):"]
@@ -167,92 +353,42 @@ def render_trace_cost_profile(
     return "\n".join(lines)
 
 
-def _farm_unit_rows(
-    records: Iterable[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """One row per completed unit (last completion wins on retry)."""
-    rows: Dict[str, Dict[str, object]] = {}
-    for record in records:
-        if record.get("type") != "farm_unit_completed":
-            continue
-        rows[str(record.get("key"))] = {
-            "key": str(record.get("key")),
-            "kind": record.get("kind", ""),
-            "attempt": int(record.get("attempt", 1) or 1),
-            "elapsed_s": float(record.get("elapsed_s", 0.0) or 0.0),
-            "measurements": int(record.get("measurements", 0) or 0),
-            "worker": str(record.get("worker", "") or "serial"),
-        }
-    return list(rows.values())
+def _ranked(counts: Dict[str, int], count: int) -> List[Tuple[str, int]]:
+    """The ``count`` largest entries, ties broken by name."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:count]
 
 
-def _resource_rollup(
-    records: Iterable[Dict[str, object]],
-) -> Optional[Dict[str, object]]:
-    """Totals over the trace's ``resource_sample`` events (None if none).
-
-    CPU seconds are summed per process (the samples carry *cumulative*
-    ``getrusage`` values, so each process contributes max - min); peak
-    RSS is the maximum across processes.
-    """
-    bounds: Dict[str, Tuple[float, float]] = {}
-    peak_rss = 0
-    samples = 0
-    for record in records:
-        if record.get("type") != "resource_sample":
-            continue
-        samples += 1
-        worker = str(record.get("worker", "") or "serial")
-        cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-            record.get("cpu_system_s", 0.0) or 0.0
-        )
-        low, high = bounds.get(worker, (cpu, cpu))
-        bounds[worker] = (min(low, cpu), max(high, cpu))
-        peak_rss = max(peak_rss, int(record.get("max_rss_kb", 0) or 0))
-    if not samples:
-        return None
-    return {
-        "samples": samples,
-        "workers": len(bounds),
-        "cpu_s": round(sum(high - low for low, high in bounds.values()), 6),
-        "peak_rss_kb": peak_rss,
-    }
-
-
-def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
+def trace_summary_data(fold: TraceFold) -> Dict[str, object]:
     """``repro obs summary --json``: the summary as plain data.
 
     :func:`render_trace_summary` renders this same data as text, so CI
     can assert on fields instead of scraping the text table.
     """
-    records = loaded.records
-    counts: Dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("type"))
-        counts[kind] = counts.get(kind, 0) + 1
-    units = _farm_unit_rows(records)
     by_worker: Dict[str, Dict[str, object]] = {}
-    for row in units:
-        worker = str(row["worker"])
+    for row in fold.units.values():
         agg = by_worker.setdefault(
-            worker, {"units": 0, "busy_s": 0.0, "measurements": 0}
+            row.worker, {"units": 0, "busy_s": 0.0, "measurements": 0}
         )
         agg["units"] = int(agg["units"]) + 1
-        agg["busy_s"] = round(
-            float(agg["busy_s"]) + float(row["elapsed_s"]), 6
-        )
-        agg["measurements"] = int(agg["measurements"]) + int(
-            row["measurements"]
-        )
-    groups = per_test_measurement_counts(records)
-    per_test: Dict[str, int] = {}
-    for name, count in groups:
-        per_test[name] = per_test.get(name, 0) + count
+        agg["busy_s"] = round(float(agg["busy_s"]) + row.elapsed_s, 6)
+        agg["measurements"] = int(agg["measurements"]) + row.measurements
+    per_test = fold.per_test_totals()
+    resources = None
+    if fold.resource_samples:
+        resources = {
+            "samples": fold.resource_samples,
+            "workers": len(fold.cpu_bounds),
+            "cpu_s": round(
+                sum(high - low for low, high in fold.cpu_bounds.values()), 6
+            ),
+            "peak_rss_kb": max([0, *fold.peak_rss_kb.values()]),
+        }
+    counts = fold.counts
     return {
-        "events": len(records),
-        "events_by_type": counts,
+        "events": fold.events,
+        "events_by_type": dict(counts),
         "farm": {
-            "units": len(units),
+            "units": len(fold.units),
             "workers": by_worker,
             "retries": counts.get("farm_unit_retried", 0),
             "skipped": counts.get("farm_unit_skipped", 0),
@@ -260,25 +396,24 @@ def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
         },
         "measurements": {
             "total": sum(per_test.values()),
-            "groups": len(groups),
+            "groups": len(fold.groups),
             "per_test": per_test,
         },
-        "resources": _resource_rollup(records),
+        "resources": resources,
         "profile_sessions": counts.get("profile", 0),
-        "dropped_lines": loaded.dropped_lines,
-        "unknown_types": dict(loaded.unknown_types),
+        "dropped_lines": fold.dropped_lines,
+        "unknown_types": dict(fold.unknown_types),
     }
 
 
-def render_trace_summary(loaded: TraceLoadResult) -> str:
+def render_trace_summary(fold: TraceFold) -> str:
     """``repro obs summary``: one screen describing a merged trace.
 
     Event counts by type, the farm section (units, workers, retries,
     merge bookkeeping), measurement totals with the costliest tests, and
     an honesty footer for anything the tolerant loader had to forgive.
     """
-    records = loaded.records
-    data = trace_summary_data(loaded)
+    data = trace_summary_data(fold)
     counts: Dict[str, int] = data["events_by_type"]
     lines = [f"== trace summary: {data['events']} event(s) =="]
     lines.append("events by type:")
@@ -300,36 +435,24 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
                 f"  {worker:<24} {row['units']:>4} unit(s)"
                 f" {row['busy_s']:>9.3f}s busy {row['measurements']:>9} meas"
             )
-        dropped_events = sum(
-            int(r.get("dropped_events", 0) or 0)
-            for r in records
-            if r.get("type") == "farm_unit_merged"
-        )
-        if dropped_events:
+        if fold.dropped_events:
             lines.append(
-                f"  warning: {dropped_events} worker event(s) dropped "
+                f"  warning: {fold.dropped_events} worker event(s) dropped "
                 f"(spool capacity)"
             )
-    checkpoint_dropped = sum(
-        int(r.get("lines", 0) or 0)
-        for r in records
-        if r.get("type") == "farm_checkpoint_dropped"
-    )
-    if checkpoint_dropped:
+    if fold.checkpoint_dropped:
         lines.append(
-            f"  warning: {checkpoint_dropped} corrupt checkpoint "
+            f"  warning: {fold.checkpoint_dropped} corrupt checkpoint "
             f"line(s) dropped"
         )
 
     measurements: Dict[str, object] = data["measurements"]
-    totals: Dict[str, int] = measurements["per_test"]
     if measurements["groups"]:
         lines.append(
             f"measurements: {measurements['total']} over "
             f"{measurements['groups']} test group(s); costliest:"
         )
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        for name, count in ranked:
+        for name, count in _ranked(measurements["per_test"], 10):
             lines.append(f"  {name[:40]:<40} {count:>8}")
 
     resources = data["resources"]
@@ -340,62 +463,49 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
             f"peak rss {resources['peak_rss_kb'] / 1024.0:.1f} MB "
             f"across {resources['workers']} process(es)"
         )
-    profiles = [r for r in records if r.get("type") == "profile"]
-    if profiles:
+    if fold.profiles:
         weight = sum(
-            sum(int(entry[2]) for entry in (p.get("folded") or ()))
-            for p in profiles
+            weight
+            for profile in fold.profiles
+            for _, _, weight in profile.stacks
         )
-        unit = str(profiles[0].get("unit", "samples"))
         lines.append(
-            f"profile: {len(profiles)} session(s), {weight} {unit} "
-            f"recorded (see `repro obs profile`)"
+            f"profile: {len(fold.profiles)} session(s), {weight} "
+            f"{fold.profiles[0].unit} recorded (see `repro obs profile`)"
         )
 
-    if loaded.dropped_lines:
-        lines.append(f"({loaded.dropped_lines} malformed line(s) skipped)")
-    if loaded.unknown_types:
+    if fold.dropped_lines:
+        lines.append(f"({fold.dropped_lines} malformed line(s) skipped)")
+    if fold.unknown_types:
         # Name the drifted schemas, most frequent first, so "what wrote
         # this trace?" is answerable from the summary alone.
-        ranked_unknown = sorted(
-            loaded.unknown_types.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        shown_unknown = ranked_unknown[:5]
+        ranked_unknown = _ranked(fold.unknown_types, len(fold.unknown_types))
         detail = ", ".join(
-            f"{kind} x{count}" for kind, count in shown_unknown
+            f"{kind} x{count}" for kind, count in ranked_unknown[:5]
         )
-        hidden = len(ranked_unknown) - len(shown_unknown)
+        hidden = len(ranked_unknown) - 5
         if hidden > 0:
             detail += f", ... {hidden} more type(s)"
-        lines.append(f"({sum(loaded.unknown_types.values())} event(s) of "
+        lines.append(f"({sum(fold.unknown_types.values())} event(s) of "
                      f"unknown type kept: {detail})")
     return "\n".join(lines)
 
 
-def render_slowest(loaded: TraceLoadResult, count: int = 10) -> str:
+def render_slowest(fold: TraceFold, count: int = 10) -> str:
     """``repro obs slowest``: the wall-clock and cost hot spots."""
-    records = loaded.records
     lines: List[str] = []
     units = sorted(
-        _farm_unit_rows(records),
-        key=lambda r: (-float(r["elapsed_s"]), str(r["key"])),
+        fold.units.values(), key=lambda r: (-r.elapsed_s, r.key)
     )[:count]
     if units:
         lines.append(f"slowest {len(units)} unit(s):")
         for row in units:
-            attempt = (
-                f" (attempt {row['attempt']})" if int(row["attempt"]) > 1
-                else ""
-            )
+            attempt = f" (attempt {row.attempt})" if row.attempt > 1 else ""
             lines.append(
-                f"  {str(row['key'])[:32]:<32} {float(row['elapsed_s']):>9.3f}s"
-                f" {int(row['measurements']):>8} meas on {row['worker']}"
-                f"{attempt}"
+                f"  {row.key[:32]:<32} {row.elapsed_s:>9.3f}s"
+                f" {row.measurements:>8} meas on {row.worker}{attempt}"
             )
-    totals: Dict[str, int] = {}
-    for name, meas in per_test_measurement_counts(records):
-        totals[name] = totals.get(name, 0) + meas
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:count]
+    ranked = _ranked(fold.per_test_totals(), count)
     if ranked:
         lines.append(f"costliest {len(ranked)} test(s):")
         for name, meas in ranked:

@@ -71,9 +71,9 @@ def build_chrome_trace(
 ) -> Dict[str, object]:
     """The Chrome-trace dict for a list of trace records.
 
-    ``records`` is what :func:`repro.obs.report.read_trace` /
-    :func:`~repro.obs.report.load_trace` return.  Unknown event types
-    are ignored, so traces from newer schemas still render.
+    ``records`` is what :meth:`repro.obs.report.TraceFold.read` yields.
+    Unknown event types are ignored, so traces from newer schemas still
+    render.
     """
     records = [r for r in records if isinstance(r.get("ts"), (int, float))]
     if not records:

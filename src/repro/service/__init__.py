@@ -35,11 +35,7 @@ from repro.service.manager import (
     JobOutcome,
     SubprocessJobRunner,
 )
-from repro.service.progress import (
-    ProgressTally,
-    job_progress,
-    read_events_page,
-)
+from repro.service.progress import job_progress, read_events_page
 from repro.service.server import (
     DEFAULT_READY_QUEUE_LIMIT,
     CharacterizationServer,
@@ -62,7 +58,6 @@ __all__ = [
     "JobManager",
     "JobOutcome",
     "JobSpec",
-    "ProgressTally",
     "ServiceClient",
     "ServiceError",
     "SpecError",

@@ -2,11 +2,10 @@
 
 Every job runs with ``--trace`` pointing into its job directory, and the
 :class:`~repro.obs.events.TraceWriter` flushes each event line as it is
-emitted — so the trace file *is* the live progress stream.  This module
-reads it tolerantly through :func:`repro.ioutil.iter_jsonl` (a torn
-final line is simply the event in flight) and rolls the per-unit farm
-events, measurement events and campaign phases up into the small
-progress dict ``GET /jobs/{id}`` returns.
+emitted — so the trace file *is* the live progress stream.  Progress is
+the :meth:`~repro.obs.report.TraceFold.progress` of that trace, read
+tolerantly (a torn final line is simply the event in flight), and the
+SSE handler keeps its own fold while it tails the file.
 """
 
 from __future__ import annotations
@@ -15,55 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.ioutil import iter_jsonl
-
-
-class ProgressTally:
-    """Incremental form of :func:`job_progress`.
-
-    Feed it parsed trace records one at a time (:meth:`add`) and read the
-    same progress dict at any point (:meth:`as_dict`).  The SSE stream
-    handler uses this to keep live progress while *tailing* a trace —
-    one pass over each line ever, instead of re-scanning the whole file
-    per poll.
-    """
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.measurements = 0
-        self.units_total = 0
-        self.units_done = 0
-        self.units_skipped = 0
-        self._phase_stack: List[str] = []
-
-    def add(self, record: Dict[str, object]) -> None:
-        """Fold one parsed trace record into the tally."""
-        self.events += 1
-        kind = record.get("type")
-        if kind == "measurement":
-            self.measurements += 1
-        elif kind == "farm_run_started":
-            self.units_total += int(record.get("units", 0) or 0)
-        elif kind == "farm_unit_completed":
-            self.units_done += 1
-        elif kind == "farm_unit_skipped":
-            self.units_skipped += 1
-        elif kind == "campaign_phase":
-            phase = str(record.get("phase", "") or "")
-            if record.get("status") == "start":
-                self._phase_stack.append(phase)
-            elif self._phase_stack and self._phase_stack[-1] == phase:
-                self._phase_stack.pop()
-
-    def as_dict(self) -> Dict[str, object]:
-        """The progress dict ``GET /jobs/{id}`` returns."""
-        return {
-            "events": self.events,
-            "measurements": self.measurements,
-            "units_total": self.units_total,
-            "units_done": self.units_done,
-            "units_skipped": self.units_skipped,
-            "phase": self._phase_stack[-1] if self._phase_stack else None,
-        }
+from repro.obs.report import TraceFold
 
 
 def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
@@ -76,12 +27,8 @@ def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
     after the last one closes).
     """
     path = Path(trace_path)
-    tally = ProgressTally()
-    if path.exists():
-        for _, record in iter_jsonl(path):
-            if record is not None and "type" in record:
-                tally.add(record)
-    return tally.as_dict()
+    fold = TraceFold.load(path) if path.exists() else TraceFold()
+    return fold.progress()
 
 
 def read_events_page(

@@ -48,8 +48,9 @@ from urllib.parse import parse_qs, urlparse
 from repro.ioutil import durable_append_line
 from repro.obs.exposition import render_exposition
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import TraceFold
 from repro.service.manager import JobManager
-from repro.service.progress import ProgressTally, read_events_page
+from repro.service.progress import read_events_page
 from repro.service.spec import (
     JobSpec,
     LOG_FILENAME,
@@ -496,10 +497,10 @@ class JobAPIHandler(BaseHTTPRequestHandler):
         self.close_connection = True
 
         trace = job_dir / TRACE_FILENAME
-        # Replaying from an offset: the tally only covers what this
+        # Replaying from an offset: the fold only covers what this
         # stream sees, so resumed streams report incremental progress
         # counts.  Fresh streams (offset 0) see the full history.
-        tally = ProgressTally()
+        fold = TraceFold()
         last_state = ""
         last_write = time.monotonic()
         while True:
@@ -517,10 +518,10 @@ class JobAPIHandler(BaseHTTPRequestHandler):
             advanced = next_offset != offset
             offset = next_offset
             for line_no, record in numbered:
-                tally.add(record)
+                fold.add(record)
                 self._sse_frame("trace", record, event_id=line_no)
             if advanced or state != last_state:
-                progress = dict(tally.as_dict())
+                progress = fold.progress()
                 progress["state"] = state
                 self._sse_frame("progress", progress, event_id=offset)
                 last_state = state
@@ -588,9 +589,10 @@ def _job_report(job: Dict[str, object], job_dir: Path) -> Optional[str]:
     terminal = job["state"] in ("completed", "failed")
     if terminal and cache.exists():
         return cache.read_text()
-    records = obs.load_trace(trace).records
+    fold = obs.TraceFold()
+    records = list(fold.read(trace))
     html = obs.build_html_report(
-        records, title=f"Characterization job {job['job_id']}"
+        fold, records, title=f"Characterization job {job['job_id']}"
     )
     if terminal:
         from repro.ioutil import atomic_write_text

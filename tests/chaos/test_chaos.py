@@ -349,7 +349,7 @@ class TestFarmObservabilityEndToEnd:
 
         from repro import obs
         from repro.obs.exposition import find_sample, parse_exposition
-        from repro.obs.report import read_trace
+        from repro.obs.report import TraceFold
         from repro.obs.timeline import build_chrome_trace
 
         units = _units(6, sleep_s=0.5)
@@ -423,8 +423,10 @@ class TestFarmObservabilityEndToEnd:
         # 3) The shipped broker story renders as a timeline: broker
         # track plus one track per worker, lease spans never negative
         # after skew correction.
-        records = read_trace(trace)
-        types = {r["type"] for r in records}
+        fold = TraceFold()
+        records = list(fold.read(trace))
+        assert fold.dropped_lines == 0
+        types = set(fold.counts)
         assert "broker_clock_sync" in types
         assert {"lease_issued", "lease_reissued", "worker_joined"} <= types
         events = build_chrome_trace(records)["traceEvents"]

@@ -277,8 +277,10 @@ class TestRemoteTelemetryIdentity:
         for proc in procs:
             proc.wait(timeout=10.0)
 
-        serial = obs.read_trace(serial_trace)
-        remote = obs.read_trace(remote_trace)
+        serial_fold, remote_fold = obs.TraceFold(), obs.TraceFold()
+        serial = list(serial_fold.read(serial_trace))
+        remote = list(remote_fold.read(remote_trace))
+        assert serial_fold.dropped_lines == remote_fold.dropped_lines == 0
         assert self._comparable(remote) == self._comparable(serial)
         # The non-deterministic half is attributed to the real workers.
         workers = {

@@ -36,7 +36,7 @@ from repro.farm.remote.worker import _HeartbeatPump
 from repro.obs.events import LeaseIssued, WorkerJoined
 from repro.obs.exposition import find_sample, parse_exposition
 from repro.obs.farm import render_farm_top
-from repro.obs.report import read_trace
+from repro.obs.report import TraceFold
 
 from tests.farm.test_remote_broker import (
     _connect,
@@ -160,7 +160,9 @@ class TestBrokerTelemetry:
             LeaseIssued(key="u/1", attempt=1, worker="w1"), campaign="camp"
         )
         obs.reset()
-        records = read_trace(trace)
+        fold = TraceFold()
+        records = list(fold.read(trace))
+        assert fold.dropped_lines == 0
         assert len(records) == 1
         # The pre-stamped fields survive the sink's setdefault pass.
         assert records[0]["ts"] == payload["ts"]

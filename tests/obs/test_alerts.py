@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.alerts import (
     DEFAULT_RULES,
@@ -13,7 +14,7 @@ from repro.obs.alerts import (
     store_samples,
     worst_level,
 )
-from repro.obs.exposition import Sample, parse_exposition
+from repro.obs.exposition import ExpositionError, Sample, parse_exposition
 
 
 class TestParseRule:
@@ -229,3 +230,60 @@ class TestFarmDefaultRules:
         samples = parse_exposition("repro_farm_queue_stall_seconds 90\n")
         results = evaluate_rules(samples, DEFAULT_RULES)
         assert worst_level(results) == 1
+
+
+#: Rule and exposition grammar fragments, so generated text reaches the
+#: label and value parsers instead of failing the first regex.
+_FRAGMENTS = st.sampled_from(
+    ["a", "x_y", "{", "}", "=", '"', "\\", ",", " ", ">=", "<", ":", "1",
+     "-2.5e3", "e", ".", "NaN", "+Inf", "\n", "# TYPE ", "# HELP ", "gauge"]
+)
+_JUMBLE = st.lists(_FRAGMENTS, max_size=14).map("".join)
+_NUMBERS = st.lists(st.sampled_from("0123456789+-.eE:"), min_size=1).map(
+    "".join
+)
+#: ``METRIC{labels} OP VALUE`` with a jumbled label body and value: the
+#: shape of both a rule and an exposition sample line.
+_SHAPED = st.builds(
+    "{}{{{}}} {} {}".format,
+    st.sampled_from(["a", "x_y"]),
+    _JUMBLE,
+    st.sampled_from([">=", "<=", ">", "<", ""]),
+    _NUMBERS,
+)
+TEXTS = st.text() | _JUMBLE | _SHAPED
+
+
+class TestParserErrors:
+    @settings(max_examples=500, deadline=None)
+    @given(TEXTS)
+    def test_parse_rule_raises_only_alert_rule_error(self, text):
+        try:
+            parse_rule(text)
+        except AlertRuleError:
+            pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(TEXTS)
+    def test_parse_exposition_raises_only_exposition_error(self, text):
+        try:
+            parse_exposition(text)
+        except ExpositionError:
+            pass
+
+    def test_malformed_label_is_a_rule_error(self):
+        with pytest.raises(AlertRuleError, match="malformed label pair"):
+            parse_rule("a{b} >= 1")
+
+    def test_cli_reports_a_bad_rule_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        metrics = tmp_path / "m.txt"
+        metrics.write_text("x 1\n")
+        assert main(
+            ["obs", "alerts", "--metrics-file", str(metrics),
+             "--rule", "a{b} >= 1"]
+        ) == 3
+        assert "error: invalid alert rule" in capsys.readouterr().err

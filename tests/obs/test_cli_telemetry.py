@@ -4,7 +4,7 @@ import logging
 
 from repro import obs
 from repro.cli import main
-from repro.obs.report import per_test_measurement_counts, read_trace
+from repro.obs.report import TraceFold
 
 
 class TestCLITelemetry:
@@ -28,12 +28,11 @@ class TestCLITelemetry:
         assert "ate.measurements" in out
         assert f"telemetry trace written: {trace}" in out
 
-        records = read_trace(trace)
-        assert records, "trace should not be empty"
-        types = {r["type"] for r in records}
-        assert "measurement" in types
-        groups = per_test_measurement_counts(records)
-        assert len(groups) == 8  # one group per random test
+        fold = TraceFold.load(trace)
+        assert fold.events, "trace should not be empty"
+        assert fold.dropped_lines == 0
+        assert "measurement" in fold.counts
+        assert len(fold.groups) == 8  # one group per random test
 
     def test_flags_accepted_after_subcommand(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

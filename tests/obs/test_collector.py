@@ -164,7 +164,10 @@ class TestSerialParallelIdentity:
             executor.run(_units(4), emitting_runner, campaign="identity")
         finally:
             obs.reset()
-        return obs.read_trace(trace)
+        fold = obs.TraceFold()
+        records = list(fold.read(trace))
+        assert fold.dropped_lines == 0
+        return records
 
     @staticmethod
     def _comparable(records):

@@ -16,7 +16,7 @@ from repro.obs.events import (
     SUTPWalkStep,
     TraceWriter,
 )
-from repro.obs.report import read_trace
+from repro.obs.report import TraceFold
 
 
 def measurement(index=1, name="t0", strobe=20.0, passed=True):
@@ -115,7 +115,9 @@ class TestTraceRoundTrip:
         writer.close()
         writer.close()  # idempotent
 
-        records = read_trace(path)
+        fold = TraceFold()
+        records = list(fold.read(path))
+        assert fold.dropped_lines == 0
         assert [r["type"] for r in records] == [
             "measurement",
             "sutp_walk_step",
@@ -135,23 +137,26 @@ class TestTraceRoundTrip:
         (line,) = path.read_text().strip().splitlines()
         assert json.loads(line)["type"] == "measurement"
 
-    def test_read_trace_reports_bad_line_number(self, tmp_path):
+    def test_read_trace_counts_bad_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         good = json.dumps(measurement().to_dict())
         path.write_text(good + "\nnot json\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_trace(path)
+        fold = TraceFold()
+        assert [r["type"] for r in fold.read(path)] == ["measurement"]
+        assert (fold.events, fold.dropped_lines) == (1, 1)
 
     def test_read_trace_rejects_non_event_object(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"no_type": 1}\n')
-        with pytest.raises(ValueError, match="line 1"):
-            read_trace(path)
+        fold = TraceFold()
+        assert list(fold.read(path)) == []
+        assert (fold.events, fold.dropped_lines) == (0, 1)
 
     def test_read_trace_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("\n" + json.dumps(measurement().to_dict()) + "\n\n")
-        assert len(read_trace(path)) == 1
+        fold = TraceFold.load(path)
+        assert (fold.events, fold.dropped_lines) == (1, 0)
 
 
 class TestLoggingSink:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs.report import per_test_measurement_counts, read_trace
+from repro.obs.report import TraceFold
 
 
 def _run_lot(tmp_path, capsys, name, extra):
@@ -17,7 +17,10 @@ def _run_lot(tmp_path, capsys, name, extra):
          "lot", "--dies", "3", "--tests", "2"]
     )
     assert code == 0
-    return read_trace(trace), capsys.readouterr().out
+    fold = TraceFold()
+    records = list(fold.read(trace))
+    assert fold.dropped_lines == 0
+    return records, capsys.readouterr().out
 
 
 def _metrics_block(out):
@@ -55,9 +58,9 @@ class TestCLIFarmTelemetry:
             tmp_path, capsys, "par", ["--workers", "2"]
         )
         # identical per-test measurement counts, in identical order
-        assert per_test_measurement_counts(
-            par_records
-        ) == per_test_measurement_counts(serial_records)
+        assert TraceFold.of(par_records).groups == (
+            TraceFold.of(serial_records).groups
+        )
         # identical metric totals (wall-clock histograms excluded)
         assert _metrics_block(par_out) == _metrics_block(serial_out)
 

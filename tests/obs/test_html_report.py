@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.html import build_html_report
-from repro.obs.report import read_trace
+from repro.obs.report import TraceFold
 
 GA_RECORDS = [
     {"type": "ga_generation", "generation": g, "best_fitness": 0.5 + 0.05 * g,
@@ -35,6 +35,11 @@ MEASUREMENTS = [
 ]
 
 
+def report(records, **kwargs):
+    """The HTML report of in-memory trace records."""
+    return build_html_report(TraceFold.of(records), records, **kwargs)
+
+
 def parse_report(text):
     """ElementTree parse after stripping the doctype line."""
     assert text.startswith("<!DOCTYPE html>\n")
@@ -43,7 +48,7 @@ def parse_report(text):
 
 class TestBuildHtmlReport:
     def test_empty_trace_is_still_a_complete_document(self):
-        text = build_html_report([])
+        text = report([])
         root = parse_report(text)
         assert root.tag == "html"
         assert "Characterization run report" in text
@@ -54,7 +59,7 @@ class TestBuildHtmlReport:
             {"run": "r1", "campaign": "lot", "wall_s": 1.5, "workers": 1,
              "measurements": 60, "farm_units": 0, "farm_retries": 0},
         ]
-        text = build_html_report(records, runs=runs, title="Smoke")
+        text = report(records, runs=runs, title="Smoke")
         parse_report(text)
         assert "<title>Smoke</title>" in text
         assert "Shmoo (pass fraction)" in text
@@ -67,7 +72,7 @@ class TestBuildHtmlReport:
         assert "aria-label=" in text
 
     def test_self_contained_no_scripts_no_external_assets(self):
-        text = build_html_report(MEASUREMENTS + GA_RECORDS)
+        text = report(MEASUREMENTS + GA_RECORDS)
         lowered = text.lower()
         assert "<script" not in lowered
         assert "<link" not in lowered
@@ -81,12 +86,12 @@ class TestBuildHtmlReport:
         assert "https://" not in lowered
 
     def test_dark_mode_and_tooltips_present(self):
-        text = build_html_report(MEASUREMENTS + GA_RECORDS)
+        text = report(MEASUREMENTS + GA_RECORDS)
         assert "prefers-color-scheme: dark" in text
         assert "<title>" in text.split("</head>")[1]  # SVG tooltips
 
     def test_title_is_escaped(self):
-        text = build_html_report([], title='<b>&"x"')
+        text = report([], title='<b>&"x"')
         parse_report(text)
         assert "&lt;b&gt;&amp;&quot;x&quot;" in text
 
@@ -120,8 +125,9 @@ class TestObsReportCLI:
         # Lot runs carry SUTP decision events into the audit section.
         assert "SUTP search audit (eqs. 3/4)" in text
         assert "Run history" in text
-        records = read_trace(trace)
-        assert f"{len(records)} trace event(s)" in text
+        fold = TraceFold.load(trace)
+        assert fold.dropped_lines == 0
+        assert f"{fold.events} trace event(s)" in text
 
     def test_default_output_path_appends_html(self, lot_trace, capsys):
         trace, _ = lot_trace

@@ -19,15 +19,11 @@ from repro.nn.ensemble import VotingEnsemble
 from repro.nn.mlp import MLP
 from repro.obs.events import RingBufferSink
 from repro.obs.insight import (
-    GAInsight,
-    SUTPAudit,
-    VoteInsight,
-    WCRInsight,
+    INSIGHT_EVENT_TYPES,
     build_insight,
-    insight_events,
     render_insight,
 )
-from repro.obs.report import read_trace
+from repro.obs.report import TraceFold
 from repro.patterns.conditions import ConditionSpace
 from repro.patterns.features import extract_features
 from repro.patterns.random_gen import RandomTestGenerator
@@ -107,7 +103,7 @@ class TestSUTPInsightEvents:
 
     def test_audit_reconstruction(self, quiet_ate, random_tests):
         records = self._measure(quiet_ate, random_tests, count=8)
-        audit = SUTPAudit.from_records(records)
+        audit = build_insight(TraceFold.of(records)).sutp
         assert len(audit.rows) == 8
         assert audit.rows[0].is_bootstrap
         # Bootstrap has no incremental baseline, so no waste charge.
@@ -197,7 +193,7 @@ class TestVoteIntrospection:
                 "mean_margin": 0.4,
             }
         )
-        insight = VoteInsight.from_records(records)
+        insight = build_insight(TraceFold.of(records)).votes
         assert len(insight.votes) == 3
         assert insight.accuracy == pytest.approx(2 / 3)
         assert insight.mean_entropy == pytest.approx(0.971 / 3)
@@ -209,7 +205,7 @@ class TestVoteIntrospection:
         assert "a" in text
 
     def test_empty_votes_render(self):
-        insight = VoteInsight.from_records([])
+        insight = build_insight(TraceFold()).votes
         assert "no nn_vote events" in insight.render()
         assert insight.accuracy != insight.accuracy  # nan
 
@@ -258,7 +254,7 @@ class TestGAInsightEvents:
 
     def test_insight_reconstruction(self):
         events = self._run_ga()
-        insight = GAInsight.from_records(events)
+        insight = build_insight(TraceFold.of(events)).ga
         assert len(insight.generations) == 6
         assert sum(insight.operator_counts().values()) == 6
         best = insight.series("best_fitness")
@@ -302,7 +298,7 @@ class TestWCRInsight:
     ]
 
     def test_class_counts_and_render(self):
-        insight = WCRInsight.from_records(self.RECORDS)
+        insight = build_insight(TraceFold.of(self.RECORDS)).wcr
         assert insight.class_counts() == {
             "weakness": 1, "pass": 1, "fail": 1
         }
@@ -313,7 +309,7 @@ class TestWCRInsight:
 
 class TestBuildInsight:
     def test_empty_trace(self):
-        insight = build_insight([])
+        insight = build_insight(TraceFold())
         assert insight.empty
         assert "no decision-level events" in render_insight(insight)
 
@@ -325,29 +321,33 @@ class TestBuildInsight:
              "std_fitness": 0.05, "sequence_diversity": 0.8,
              "condition_diversity": 0.2, "best_operator": "crossover"}
         )
-        insight = build_insight(records)
+        insight = build_insight(TraceFold.of(records))
         assert not insight.empty
         text = render_insight(insight)
         assert "decision-level insight" in text
         assert "GA: 1 generation(s)" in text
         assert "WCR: 3 record(s)" in text
 
-    def test_insight_events_slice_preserves_order(self):
+    def test_fold_keeps_decisions_in_order(self):
         records = [
             {"type": "measurement", "index": 0},
             {"type": "ga_generation", "generation": 1},
             {"type": "farm_unit_completed", "key": "x"},
             {"type": "nn_vote", "sample": 0},
+            {"type": "ga_generation", "generation": 2},
         ]
-        sliced = insight_events(records)
-        assert [r["type"] for r in sliced] == ["ga_generation", "nn_vote"]
+        fold = TraceFold.of(records)
+        assert fold.decision_count == 3
+        assert fold.decisions["ga_generation"] == [records[1], records[4]]
+        assert fold.decisions["nn_vote"] == [records[3]]
 
 
 def _insight_stream(records):
     """Insight events with the merge-variant fields removed."""
     return [
         {k: v for k, v in record.items() if k not in ("ts", "worker")}
-        for record in insight_events(records)
+        for record in records
+        if record["type"] in INSIGHT_EVENT_TYPES
     ]
 
 
@@ -359,7 +359,10 @@ class TestFarmInsightIdentity:
              "lot", "--dies", "3", "--tests", "2"]
         ) == 0
         capsys.readouterr()
-        return read_trace(trace)
+        fold = TraceFold()
+        records = list(fold.read(trace))
+        assert fold.dropped_lines == 0
+        return records
 
     def test_serial_and_two_worker_streams_identical(
         self, tmp_path, capsys

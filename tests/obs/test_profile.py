@@ -31,7 +31,7 @@ from repro.device.memory_chip import MemoryTestChip
 from repro.obs import profile as prof
 from repro.obs.history import RunComparison, build_run_record
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import per_test_measurement_counts, read_trace
+from repro.obs.report import TraceFold
 from repro.obs.timing import span
 
 SEARCH_RANGE = (15.0, 45.0)
@@ -112,7 +112,10 @@ def _run_lot_profiled(tmp_path, name, extra):
          *extra, "lot", "--dies", "3", "--tests", "2"]
     )
     assert code == 0
-    return read_trace(trace)
+    fold = TraceFold()
+    records = list(fold.read(trace))
+    assert fold.dropped_lines == 0
+    return records
 
 
 def _unit_profile_keys(records):
@@ -140,9 +143,7 @@ class TestFarmProfileTelemetry:
         capsys.readouterr()
 
         # the measured campaign itself is identical (existing contract)
-        assert per_test_measurement_counts(
-            parallel
-        ) == per_test_measurement_counts(serial)
+        assert TraceFold.of(parallel).groups == TraceFold.of(serial).groups
 
         # exactly one profile event per unit, merged in submission order,
         # identical for any worker count
@@ -171,7 +172,7 @@ class TestFarmProfileTelemetry:
     def test_worker_utilization_from_profiled_trace(self, tmp_path, capsys):
         records = _run_lot_profiled(tmp_path, "util", ["--workers", "2"])
         capsys.readouterr()
-        rows = prof.worker_utilization(records)
+        rows = prof.worker_utilization(TraceFold.of(records))
         assert rows and sum(r.units for r in rows) == 3
         for row in rows:
             assert row.worker != "serial"
@@ -303,10 +304,10 @@ class TestAnalysis:
             _profile_record([("lot", "a:f;b:g", 3)]),
             _profile_record([("lot", "a:f;b:g", 2), ("sweep", "a:f", 4)]),
         ]
-        merged = prof.merged_folded(records)
+        merged = prof.merged_folded(TraceFold.of(records))
         assert merged[("lot", "a:f;b:g")] == 5
         assert merged[("sweep", "a:f")] == 4
-        only = prof.merged_folded(records, phase="sweep")
+        only = prof.merged_folded(TraceFold.of(records), phase="sweep")
         assert list(only) == [("sweep", "a:f")]
 
     def test_hot_path_self_vs_cumulative(self):
@@ -315,7 +316,7 @@ class TestAnalysis:
                 [("lot", "m:outer;m:inner", 6), ("lot", "m:outer", 4)]
             )
         ]
-        summary = prof.build_profile_summary(records)
+        summary = prof.build_profile_summary(TraceFold.of(records))
         rows = {r.function: r for r in summary.phases["lot"]}
         assert rows["m:inner"].self_weight == 6
         assert rows["m:inner"].cum_weight == 6
@@ -330,7 +331,7 @@ class TestAnalysis:
 
     def test_recursive_stack_counts_cumulative_once(self):
         records = [_profile_record([("lot", "m:f;m:f;m:f", 5)])]
-        summary = prof.build_profile_summary(records)
+        summary = prof.build_profile_summary(TraceFold.of(records))
         row = summary.phases["lot"][0]
         assert row.function == "m:f"
         assert row.self_weight == 5 and row.cum_weight == 5
@@ -340,7 +341,7 @@ class TestAnalysis:
             _profile_record([("lot", "a:f;b:g", 3), ("sweep", "c:h", 1)])
         ]
         out = tmp_path / "out.folded"
-        assert prof.write_folded(records, out) == 2
+        assert prof.write_folded(TraceFold.of(records), out) == 2
         lines = out.read_text().splitlines()
         # flamegraph.pl collapsed format: frames ';'-joined, weight last
         assert lines[0] == "lot;a:f;b:g 3"
@@ -349,7 +350,7 @@ class TestAnalysis:
             assert re.match(r"^\S.* \d+$", line)
 
     def test_empty_trace_renders_hint(self):
-        summary = prof.build_profile_summary([])
+        summary = prof.build_profile_summary(TraceFold())
         assert summary.empty
         assert "--profile" in prof.render_profile(summary)
 
@@ -375,7 +376,9 @@ class TestAnalysis:
                 "max_rss_kb": 4096,
             },
         ]
-        rows = {r.worker: r for r in prof.worker_utilization(records)}
+        rows = {
+            r.worker: r for r in prof.worker_utilization(TraceFold.of(records))
+        }
         assert rows["w1"].busy_s == 3.0
         assert rows["w1"].span_s == 10.0  # run start 100 -> last end 110
         assert rows["w1"].utilization == pytest.approx(0.3)

@@ -106,10 +106,12 @@ class TestParity:
         html = service_artifacts["report"]
         # the same well-formedness gate CI applies to obs reports
         ET.fromstring(html)
-        records = obs.load_trace(
-            Path(service_artifacts["job_dir"]) / "trace.jsonl"
-        ).records
+        fold = obs.TraceFold()
+        records = list(
+            fold.read(Path(service_artifacts["job_dir"]) / "trace.jsonl")
+        )
         rebuilt = obs.build_html_report(
+            fold,
             records,
             title=f"Characterization job {service_artifacts['job_id']}",
         )

@@ -188,3 +188,21 @@ class TestStreamResume:
             ]
             expected = [(i, d) for i, d in full if i > cursor]
             assert resumed == expected, cursor
+
+
+class TestWrongTypedFields:
+    def test_bad_field_is_skipped_not_a_server_error(self, serve):
+        bad = {"type": "farm_run_started", "units": "4x"}
+        client = serve(FixedTraceRunner(_lines(EVENTS[:2] + [bad])))
+        job_id = _finished_job(client)
+
+        expected = {
+            "events": 2, "measurements": 1, "units_total": 0,
+            "units_done": 0, "units_skipped": 0, "phase": "probe",
+        }
+        assert client.job(job_id)["progress"] == expected
+        progress = [
+            data for name, _, data in client.stream(job_id)
+            if name == "progress"
+        ]
+        assert progress == [dict(expected, state="completed")]

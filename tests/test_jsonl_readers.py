@@ -21,7 +21,7 @@ from repro.farm.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.farm.remote.broker import ResultSpool
 from repro.ioutil import iter_jsonl
 from repro.obs.history import RUN_KIND, RUN_SCHEMA, RunHistory
-from repro.obs.report import load_trace, read_trace
+from repro.obs.report import TraceFold
 from repro.service.progress import job_progress, read_events_page
 
 #: ``None`` marks a slot for a valid record; bytes are written verbatim.
@@ -112,24 +112,20 @@ class TestTraceReaders:
     @example(TORN)
     def test_load_trace_recovers_and_counts(self, scratch, parts):
         data, valid = _file_bytes(parts, _event)
-        loaded = load_trace(scratch(data))
-        assert _is_subsequence(valid, loaded.records)
-        assert len(loaded.records) + loaded.dropped_lines == (
-            _nonblank_lines(data)
-        )
+        loaded = TraceFold.load(scratch(data))
+        assert loaded.events >= len(valid)
+        assert loaded.events + loaded.dropped_lines == _nonblank_lines(data)
 
     @settings(max_examples=150, deadline=None)
     @given(PARTS)
     @example(TORN)
-    def test_read_trace_returns_or_raises_value_error(self, scratch, parts):
+    def test_read_trace_yields_what_the_fold_keeps(self, scratch, parts):
         data, valid = _file_bytes(parts, _event)
-        try:
-            records = read_trace(scratch(data))
-        except ValueError as exc:
-            assert not isinstance(exc, UnicodeDecodeError)
-            assert str(exc).startswith("trace line ")
-        else:
-            assert _is_subsequence(valid, records)
+        fold = TraceFold()
+        records = list(fold.read(scratch(data)))
+        assert _is_subsequence(valid, records)
+        assert len(records) == fold.events
+        if fold.dropped_lines == 0:
             assert len(records) == _nonblank_lines(data)
 
     @settings(max_examples=150, deadline=None)
