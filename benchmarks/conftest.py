@@ -29,6 +29,7 @@ from repro.core.characterizer import DeviceCharacterizer
 from repro.core.learning import LearningConfig, LearningScheme
 from repro.core.trip_point import MultipleTripPointRunner
 from repro.device.memory_chip import MemoryTestChip
+from repro.farm.executor import available_cpus as host_cpus
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -46,14 +47,6 @@ def fresh_ate(seed: int = 0, noise_sigma: float = 0.0) -> ATE:
 def fresh_characterizer(seed: int = 0) -> DeviceCharacterizer:
     """A fresh default characterizer."""
     return DeviceCharacterizer(fresh_ate(seed), seed=seed)
-
-
-def host_cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.fixture

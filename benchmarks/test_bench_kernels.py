@@ -1,13 +1,15 @@
 """Substrate kernel micro-benchmarks.
 
 Not paper artifacts — these time the hot paths every experiment rides on
-(random test generation per style, feature extraction, functional
-simulation, NN inference, one tester measurement, a farm unit's deck
-pickle, one point mutation, one GA generation of variation) so
-performance regressions are visible in CI.
+(random test generation per style, feature extraction one test and a deck
+at a time, functional simulation, NN inference, one tester measurement, a
+farm unit's deck pickle, one point mutation, one GA generation of
+variation) so performance regressions are visible in CI.
 """
 
 import pickle
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from repro.ga.operators import point_mutate_sequence
 from repro.ga.population import Population
 from repro.nn.mlp import MLP
 from repro.patterns.conditions import NOMINAL_CONDITION, ConditionSpace
-from repro.patterns.features import extract_features
+from repro.patterns.features import FEATURE_NAMES, extract_features_batch
 from repro.patterns.random_gen import STYLES, RandomTestGenerator
+from tests.patterns.features_reference import per_sequence_features
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +34,76 @@ def thousand_cycle_test():
     return generator.generate().with_condition(NOMINAL_CONDITION)
 
 
+@pytest.fixture(scope="module")
+def feature_deck():
+    """100 generated tests of 100 to 1000 cycles: one lot deck."""
+    return [test.sequence for test in RandomTestGenerator(seed=67).batch(100)]
+
+
+def _features_per_call(per_call):
+    def run(deck):
+        for lo in range(0, len(deck), per_call):
+            extract_features_batch(deck[lo:lo + per_call])
+
+    return run
+
+
+def _reference_features(deck):
+    for sequence in deck:
+        per_sequence_features(sequence)
+
+
+def _us_per_test(run, reference, deck, rounds=7):
+    """Median µs per test of ``run`` and ``reference`` over ``deck``, timed
+    alternately so host drift hits both alike."""
+    times = {run: [], reference: []}
+    for _ in range(rounds):
+        for fn, samples in times.items():
+            start = time.perf_counter()
+            fn(deck)
+            samples.append(time.perf_counter() - start)
+    return [statistics.median(times[fn]) / len(deck) * 1e6 for fn in (run, reference)]
+
+
+def _report_against_reference(report_sink, label, us, reference_us, **extra):
+    report_sink.json(
+        us_per_test=round(us, 2),
+        reference_us_per_test=round(reference_us, 2),
+        ratio=round(us / reference_us, 4),
+        **extra,
+    )
+    report_sink(
+        f"{label}: {us:.1f} µs/test; the per-sequence kernel it replaced "
+        f"{reference_us:.1f} µs/test ({us / reference_us:.2f}x)"
+    )
+
+
 @pytest.mark.benchmark(group="kernels")
-def test_kernel_feature_extraction(benchmark, thousand_cycle_test):
-    result = benchmark(extract_features, thousand_cycle_test.sequence)
-    assert len(result.values) > 0
+def test_kernel_feature_extraction(benchmark, report_sink, thousand_cycle_test):
+    """One 1000-cycle test through the batch kernel (a batch of one, no memo)."""
+    batch = [thousand_cycle_test.sequence]
+    result = benchmark(extract_features_batch, batch)
+    assert result.shape == (1, len(FEATURE_NAMES))
+    us, reference_us = _us_per_test(
+        extract_features_batch, _reference_features, batch, rounds=25
+    )
+    _report_against_reference(
+        report_sink, "feature kernel, one 1000-cycle test", us, reference_us
+    )
+
+
+@pytest.mark.benchmark(group="kernels")
+@pytest.mark.parametrize("per_call", [1, 16, 100])
+def test_kernel_feature_batch(benchmark, report_sink, feature_deck, per_call):
+    """A 100-test deck through the feature kernel, ``per_call`` tests a call
+    (one kernel call takes at most ``FEATURE_BATCH_CAP`` of them)."""
+    run = _features_per_call(per_call)
+    benchmark(run, feature_deck)
+    us, reference_us = _us_per_test(run, _reference_features, feature_deck)
+    _report_against_reference(
+        report_sink, f"feature kernel, {per_call} tests per call", us, reference_us,
+        per_call=per_call,
+    )
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -25,6 +25,7 @@ from repro.core.sutp import SearchUntilTripPoint, SUTPResult
 from repro.obs.events import SUTPTestMeasured
 from repro.obs.runtime import OBS
 from repro.device.parameters import DeviceParameter, SpecDirection
+from repro.patterns.features import fill_features
 from repro.patterns.testcase import TestCase
 from repro.search.base import PassRegion, TripPointSearcher
 from repro.search.oracles import make_ate_oracle
@@ -218,6 +219,7 @@ class MultipleTripPointRunner:
         """
         if not tests:
             raise ValueError("need at least one test")
+        fill_features(test.sequence for test in tests)
         entries: List[TripPointValue] = []
         for index, test in enumerate(tests):
             entry = self.measure_one(test)

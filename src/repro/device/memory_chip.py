@@ -148,9 +148,8 @@ class MemoryTestChip:
         self.parameter = parameter
         self._array = _MemoryArray(1 << addr_bits, data_bits, faults)
         self._golden = _MemoryArray(1 << addr_bits, data_bits, ())
-        # Feature and functional caches keyed by sequence identity; the
-        # sequence object is pinned in the value so ids cannot be recycled.
-        self._feature_cache: Dict[int, Tuple[VectorSequence, PatternFeatures]] = {}
+        # Functional results keyed by sequence identity; the sequence object
+        # is pinned in the value so ids cannot be recycled.
         self._functional_cache: Dict[int, Tuple[VectorSequence, FunctionalResult]] = {}
         # Heating-independent parametric values memoized per (sequence,
         # condition) — a small LRU, since a characterization campaign probes
@@ -204,13 +203,8 @@ class MemoryTestChip:
 
     # -- parametric face ---------------------------------------------------------
     def features_of(self, sequence: VectorSequence) -> PatternFeatures:
-        """Cached activity features of a sequence."""
-        cached = self._feature_cache.get(id(sequence))
-        if cached is not None and cached[0] is sequence:
-            return cached[1]
-        features = extract_features(sequence)
-        self._feature_cache[id(sequence)] = (sequence, features)
-        return features
+        """Activity features of a sequence (memoized on the sequence)."""
+        return extract_features(sequence)
 
     #: Entries kept in the per-(sequence, condition) static-value LRU.
     _STATIC_CACHE_SIZE = 128
@@ -334,7 +328,6 @@ class MemoryTestChip:
         # survive a pickle round-trip; ship the chip without them so farm
         # workers start from a clean, small state.
         state = self.__dict__.copy()
-        state["_feature_cache"] = {}
         state["_functional_cache"] = {}
         state["_static_cache"] = OrderedDict()
         return state

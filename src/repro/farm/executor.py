@@ -45,6 +45,7 @@ progress reporting and the Perfetto timeline.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from typing import (
     Callable,
@@ -73,6 +74,7 @@ from repro.obs.events import (
     FarmUnitRetried,
     FarmUnitSkipped,
     FarmWorkerPool,
+    FarmWorkersClamped,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
@@ -508,6 +510,25 @@ class ParallelExecutor(_ExecutorBase):
             raise FarmExecutionError(failures)
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int) -> int:
+    """``workers`` clamped to :func:`available_cpus`: more pool processes
+    than CPUs only timeshare them and pay the unit pickling on top."""
+    cpus = available_cpus()
+    if workers <= cpus:
+        return workers
+    if OBS.enabled:
+        OBS.bus.emit(FarmWorkersClamped(requested=workers, workers=cpus))
+    return cpus
+
+
 def make_executor(
     workers: Optional[int] = None,
     executor: Optional[ExecutorBackend] = None,
@@ -524,6 +545,10 @@ def make_executor(
        ``"remote"`` (the latter requires ``broker="host:port"``).
     3. Otherwise ``workers`` > 1 builds a :class:`ParallelExecutor` and
        anything else a :class:`SerialExecutor` — the historical default.
+
+    A process pool gets at most :func:`available_cpus` workers; a smaller
+    pool than asked for emits a ``farm_workers_clamped`` event.  Build a
+    :class:`ParallelExecutor` directly to choose the size regardless.
     """
     if executor is not None:
         return executor
@@ -538,7 +563,7 @@ def make_executor(
                 )
             return RemoteExecutor(broker=broker, **kwargs)
         if backend == "process":
-            return ParallelExecutor(workers=workers or 2, **kwargs)
+            return ParallelExecutor(workers=_pool_size(workers or 2), **kwargs)
         if backend == "serial":
             return SerialExecutor(**kwargs)
         raise ValueError(
@@ -546,5 +571,5 @@ def make_executor(
             f"expected serial, process or remote"
         )
     if workers is not None and workers > 1:
-        return ParallelExecutor(workers=workers, **kwargs)
+        return ParallelExecutor(workers=_pool_size(workers), **kwargs)
     return SerialExecutor(**kwargs)

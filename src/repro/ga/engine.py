@@ -11,7 +11,7 @@ as the worst case is detected by the worst-case-ratio stop rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.ga.operators import (
 )
 from repro.ga.population import Population
 from repro.patterns.conditions import ConditionSpace
+from repro.patterns.features import fill_features
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,11 @@ class MultiPopulationGA:
         next_gen: List[TestIndividual] = list(population.elite(cfg.elite_count))
         for elite in next_gen:
             self._operator_log[id(elite)] = "elite"
-        while len(next_gen) < cfg.population_size:
+        # Build every child first, then evaluate them in the same order: the
+        # fitness never draws from the GA stream, so the draws are unchanged,
+        # and the children's features are extracted in one batch.
+        children: List[Tuple[TestIndividual, str]] = []
+        while len(next_gen) + len(children) < cfg.population_size:
             parent_a = tournament_select(
                 population.individuals, self._rng, cfg.tournament_k
             )
@@ -173,7 +178,7 @@ class MultiPopulationGA:
                 )
                 base_op = "clone"
             for sequence, genes in ((seq_a, genes_a), (seq_b, genes_b)):
-                if len(next_gen) >= cfg.population_size:
+                if len(next_gen) + len(children) >= cfg.population_size:
                     break
                 ops = base_op
                 sequence = point_mutate_sequence(
@@ -189,10 +194,14 @@ class MultiPopulationGA:
                     genes = mutate_conditions(
                         genes, self._rng, cfg.condition_sigma
                     )
-                child = TestIndividual(sequence=sequence, condition_genes=genes)
-                evaluated = self.fitness.evaluate(child)
-                self._operator_log[id(evaluated)] = ops
-                next_gen.append(evaluated)
+                children.append(
+                    (TestIndividual(sequence=sequence, condition_genes=genes), ops)
+                )
+        fill_features(child.sequence for child, _ in children)
+        for child, ops in children:
+            evaluated = self.fitness.evaluate(child)
+            self._operator_log[id(evaluated)] = ops
+            next_gen.append(evaluated)
         return next_gen
 
     def _migrate(self, populations: List[Population]) -> None:

@@ -484,6 +484,17 @@ class FarmWorkerPool(Event):
     workers: int
 
 
+@dataclass(frozen=True)
+class FarmWorkersClamped(Event):
+    """``make_executor`` was asked for more pool workers than this process
+    has CPUs, and sized the pool to the CPUs instead."""
+
+    type: ClassVar[str] = "farm_workers_clamped"
+
+    requested: int
+    workers: int
+
+
 # -- farm-broker control-plane events -----------------------------------------
 #
 # Emitted by :class:`repro.farm.remote.telemetry.BrokerTelemetry` on the
@@ -772,6 +783,7 @@ _INFO_EVENT_TYPES = frozenset(
         "farm_unit_retried",
         "farm_unit_skipped",
         "farm_worker_pool",
+        "farm_workers_clamped",
         "farm_checkpoint_dropped",
         "broker_campaign_started",
         "worker_joined",

@@ -208,7 +208,9 @@ class TraceFold:
         cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
             record.get("cpu_system_s", 0.0) or 0.0
         )
-        peak = int(record.get("max_rss_kb", 0) or 0)
+        # Through float: views divide the peak, so one beyond float range
+        # does not coerce and the record is dropped.
+        peak = int(float(record.get("max_rss_kb", 0) or 0))
         rss = float(record.get("rss_kb", 0) or 0)
         ts = _ts(record)
         self.resource_samples += 1

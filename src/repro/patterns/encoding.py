@@ -14,7 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.patterns.conditions import ConditionSpace
-from repro.patterns.features import FEATURE_NAMES, extract_features
+from repro.patterns.features import FEATURE_NAMES, extract_features, fill_features
 from repro.patterns.testcase import TestCase
 
 #: Names of the condition inputs appended after the pattern features.
@@ -67,4 +67,5 @@ class TestEncoder:
         """Encode a batch of tests as a ``(len(tests), input_dim)`` matrix."""
         if not tests:
             return np.zeros((0, self.input_dim), dtype=float)
+        fill_features(test.sequence for test in tests)
         return np.stack([self.encode(test) for test in tests])

@@ -17,12 +17,19 @@ features serve two independent consumers:
 The feature set is deliberately richer than what the device model uses, so
 the learning task is a genuine variable-selection problem rather than an
 identity mapping.
+
+One kernel, :func:`extract_features_batch`, scores many sequences per call;
+:func:`extract_features` is its one-row call.  A sequence is immutable, so
+its features are memoized on it: code that holds a batch of tests (a deck,
+an encoder batch, a GA generation's offspring) fills the memos with
+:func:`fill_features` in one batch before it measures, and every later
+:func:`extract_features` call returns the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from repro.patterns.vectors import (
     READ_CODE,
     WRITE_CODE,
     VectorSequence,
-    checkerboard_word,
 )
 
 #: Canonical feature order.  Extend only by appending — NN weight files
@@ -83,8 +89,6 @@ FEATURE_DESCRIPTIONS = {
 #: the supply-decoupling time constant of the simulated chip.
 PEAK_WINDOW_CYCLES = 16
 
-_FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-
 
 @dataclass(frozen=True)
 class PatternFeatures:
@@ -113,131 +117,311 @@ class PatternFeatures:
         return len(self.values)
 
 
-#: Set bits of every byte value; :func:`popcount` looks words up a byte at
-#: a time (``np.bitwise_count`` needs numpy >= 2.0).
-_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)],
-                          dtype=np.int64)
+#: Set bits of every 16-bit value; :func:`popcount` looks words up 16 bits
+#: at a time (``np.bitwise_count`` needs numpy >= 2.0).
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+_WORD_POPCOUNT = (_BYTE_POPCOUNT[:, None] + _BYTE_POPCOUNT[None, :]).ravel()
 
 
 def popcount(values: np.ndarray, bits: int) -> np.ndarray:
     """Population count of non-negative integers narrower than ``bits``."""
-    counts = _BYTE_POPCOUNT[values & 0xFF]
-    for shift in range(8, bits, 8):
-        counts += _BYTE_POPCOUNT[(values >> shift) & 0xFF]
+    if bits <= 16:
+        return _WORD_POPCOUNT[values]
+    counts = _WORD_POPCOUNT[values & 0xFFFF].astype(np.int64)
+    for shift in range(16, bits, 16):
+        counts += _WORD_POPCOUNT[(values >> shift) & 0xFFFF]
     return counts
 
 
-def _mean_count(values: np.ndarray) -> float:
-    """Mean of an integer or boolean array.
+#: Most sequences one kernel call concatenates.  The kernel's working set
+#: is some 400 bytes per cycle held (1.7 MB for 8 generated tests); more
+#: tests per call make a test barely cheaper but raise peak memory.
+FEATURE_BATCH_CAP = 8
 
-    The integer sum divided once: bit-identical to ``np.mean``, whose
-    float64 sum of integers below 2**53 is exact, at a fraction of its
-    call overhead.
-    """
-    return int(values.sum()) / values.size
+#: Bits 1, 3, 5, ...: masked to a bus, ``checkerboard_word(0, data_bits)``.
+_ODD_BITS = 0x2AAAAAAAAAAAAAAA
+
+_PEAK_KERNEL = np.ones(PEAK_WINDOW_CYCLES) / PEAK_WINDOW_CYCLES
+
+#: ``ops == _OP_ROWS`` is the (read, write, idle) mask of every cycle.
+_OP_ROWS = np.array([[READ_CODE], [WRITE_CODE], [NOP_CODE]], dtype=np.int8)
+
+# Rows of the kernel's integer table, one column per cycle.  A pair row
+# holds the pair (cycle, next cycle) and is zero where the next cycle
+# starts another sequence; the cycle rows count the cycle itself.
+(_ADDR_HAMMING, _MSB_TOGGLE, _JUMP, _REPEAT, _REPEAT_START, _DATA_HAMMING,
+ _NEW_ADDRESS, _RW_FLIP, _RAW, _WAKE, _TURNAROUND,
+ _PAIR_ROWS) = range(12)
+_READ, _WRITE, _IDLE, _WRITTEN_ONES, _CHECKER, _TABLE_ROWS = range(_PAIR_ROWS, 17)
 
 
-def _mean_run_length(mask: np.ndarray) -> float:
-    """Average length of maximal runs of True in ``mask`` (0.0 if none)."""
-    if not mask.any():
-        return 0.0
-    padded = np.concatenate(([False], mask, [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = changes[::2], changes[1::2]
-    return _mean_count(ends - starts)
+def _op_pair_flags() -> np.ndarray:
+    """(rw flip, write then read, idle then active) of each op-code pair,
+    indexed by ``3 * first + second``."""
+    flags = np.zeros((3, 9), dtype=np.int64)
+    for first in (READ_CODE, WRITE_CODE, NOP_CODE):
+        for second in (READ_CODE, WRITE_CODE, NOP_CODE):
+            code = 3 * first + second
+            flags[0, code] = {first, second} == {READ_CODE, WRITE_CODE}
+            flags[1, code] = (first, second) == (WRITE_CODE, READ_CODE)
+            flags[2, code] = first == NOP_CODE and second != NOP_CODE
+    return flags
 
 
-def _max_run_length(mask: np.ndarray) -> int:
-    """Longest maximal run of True in ``mask``."""
-    if not mask.any():
-        return 0
-    padded = np.concatenate(([False], mask, [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = changes[::2], changes[1::2]
-    return int(np.max(ends - starts))
+_OP_PAIR_FLAGS = _op_pair_flags()
 
 
 def extract_features(sequence: VectorSequence) -> PatternFeatures:
-    """Extract the canonical activity features of a vector sequence.
+    """The canonical activity features of a vector sequence.
 
-    Every feature is normalized to ``[0, 1]``.  Extraction is deterministic
-    and linear in the sequence length.
+    Every feature is normalized to ``[0, 1]``.  The result is memoized on
+    the (immutable) sequence: the first call runs the batch kernel on this
+    one sequence, later calls return the same object.
     """
-    ops, addresses, data = sequence.columns
-    n = len(ops)
-    addr_bits = sequence.addr_bits
-    data_bits = sequence.data_bits
-    is_read = ops == READ_CODE
-    is_write = ops == WRITE_CODE
-    is_active = ops != NOP_CODE
+    features = sequence.features_memo
+    if features is None:
+        features = PatternFeatures(extract_features_batch([sequence])[0])
+        sequence._features = features
+    return features
 
-    # Written data stream (holds the last written word through reads/NOPs so
-    # bus toggle reflects what actually switches on the data bus).
-    write_positions = np.where(is_write, np.arange(n), -1)
-    last_write_index = np.maximum.accumulate(write_positions)
-    bus_data = np.where(
-        last_write_index >= 0,
-        data[np.maximum(last_write_index, 0)],
-        0,
+
+def fill_features(sequences: Iterable[VectorSequence]) -> None:
+    """Memoize the features of every sequence that has none yet.
+
+    Batch owners (a deck about to be measured, an encoder batch, a GA
+    generation's offspring) call this once, so the kernel scores them
+    together instead of one :func:`extract_features` call per test.
+    """
+    todo = [sequence for sequence in sequences if sequence.features_memo is None]
+    for sequence, row in zip(todo, extract_features_batch(todo)):
+        sequence._features = PatternFeatures(row)
+
+
+def extract_features_batch(sequences: Sequence[VectorSequence]) -> np.ndarray:
+    """Features of many sequences: row ``i`` belongs to ``sequences[i]``.
+
+    A row equals the one-sequence extraction bit for bit, whatever the
+    other sequences in the call.  Sequences may differ in length and bus
+    geometry.  One kernel call takes at most :data:`FEATURE_BATCH_CAP`
+    sequences.  The rows are read-only.
+    """
+    rows = np.array(
+        [
+            row
+            for lo in range(0, len(sequences), FEATURE_BATCH_CAP)
+            for row in _segment_features(sequences[lo:lo + FEATURE_BATCH_CAP])
+        ],
+        dtype=float,
+    ).reshape(len(sequences), len(FEATURE_NAMES))
+    np.clip(rows, 0.0, 1.0, out=rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
+    """The batch kernel: one feature list per sequence.
+
+    The sequences' columns are concatenated into one cycle axis cut into
+    segments, and every per-sequence count is one ``np.add.reduceat`` over
+    the segment starts of a stacked integer table.  An integer count
+    divided once is the float ``np.mean`` of its 0/1 or integer terms bit
+    for bit, since every partial sum is exactly represented.
+    """
+    k = len(sequences)
+    lengths = [len(sequence) for sequence in sequences]
+    addr_bits = [sequence.addr_bits for sequence in sequences]
+    data_bits = [sequence.data_bits for sequence in sequences]
+    starts = np.zeros(k, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    total = sum(lengths)
+    index = np.arange(total)
+    if k == 1:
+        ops, addresses, data = sequences[0].columns
+    else:
+        ops, addresses, data = (
+            np.concatenate(column)
+            for column in zip(*(sequence.columns for sequence in sequences))
+        )
+    # Each cycle's segment start and bus widths (ints when all share one).
+    segment_start = _per_cycle(starts.tolist(), lengths)
+    cycle_addr_bits = _per_cycle(addr_bits, lengths)
+    cycle_data_bits = _per_cycle(data_bits, lengths)
+    wide_addr, wide_data = max(addr_bits), max(data_bits)
+    cross = starts[1:] - 1  # pairs whose second cycle starts the next segment
+
+    table = np.empty((_TABLE_ROWS, total), dtype=np.int64)
+    pairs = table[:_PAIR_ROWS, :-1]
+    table[:_PAIR_ROWS, -1] = 0
+    is_op = ops == _OP_ROWS
+    is_write = is_op[1]
+    table[_READ:_IDLE + 1] = is_op
+
+    address_flips = addresses[1:] ^ addresses[:-1]
+    addr_hamming = popcount(address_flips, wide_addr)
+    pairs[_ADDR_HAMMING] = addr_hamming
+    # A flip word is narrower than its bus: its top bit is the msb toggle.
+    np.right_shift(
+        address_flips, _pairwise(cycle_addr_bits) - 1, out=pairs[_MSB_TOGGLE]
     )
+    np.subtract(addresses[1:], addresses[:-1], out=pairs[_JUMP])
+    np.abs(pairs[_JUMP], out=pairs[_JUMP])
+    repeat = address_flips == 0
+    repeat[cross] = False
+    pairs[_REPEAT] = repeat
+    pairs[_REPEAT_START, :1] = repeat[:1]
+    np.greater(repeat[1:], repeat[:-1], out=pairs[_REPEAT_START, 1:])
+    # In (segment, address) order every new value is a new distinct address.
+    segment_addresses = (
+        addresses if k == 1
+        else addresses + (np.repeat(np.arange(k), lengths) << wide_addr)
+    )
+    ordered = np.sort(segment_addresses)
+    np.not_equal(ordered[1:], ordered[:-1], out=pairs[_NEW_ADDRESS])
+    pairs[_RW_FLIP:_WAKE + 1] = _OP_PAIR_FLAGS[:, 3 * ops[:-1] + ops[1:]]
+    pairs[_RAW] &= repeat
+    np.logical_and(repeat, pairs[_RW_FLIP], out=pairs[_TURNAROUND])
 
-    features = np.zeros(len(FEATURE_NAMES), dtype=float)
-    index = _FEATURE_INDEX
+    # The data bus holds the last written word through reads and NOPs; a
+    # write in an earlier segment does not reach this one.
+    last_write = np.maximum.accumulate(np.where(is_write, index + 1, 0))
+    last_write[last_write <= segment_start] = 0
+    bus_data = np.concatenate(([0], data))[last_write]
+    data_hamming = popcount(bus_data[1:] ^ bus_data[:-1], wide_data)
+    pairs[_DATA_HAMMING] = data_hamming
 
-    if n >= 2:
-        addr_hamming = popcount(addresses[1:] ^ addresses[:-1], addr_bits)
-        features[index["addr_transition_density"]] = (
-            _mean_count(addr_hamming) / addr_bits
-        )
-        msb = (addresses >> (addr_bits - 1)) & 1
-        features[index["addr_msb_toggle_rate"]] = _mean_count(msb[1:] != msb[:-1])
-        jumps = np.abs(np.diff(addresses))
-        features[index["addr_jump_distance"]] = (
-            _mean_count(jumps) / max(1, (1 << addr_bits) - 1)
-        )
-        repeat = addresses[1:] == addresses[:-1]
-        features[index["addr_repeat_run"]] = min(
-            1.0, _mean_run_length(repeat) / 8.0
-        )
-        data_hamming = popcount(bus_data[1:] ^ bus_data[:-1], data_bits)
-        features[index["data_toggle_density"]] = (
-            _mean_count(data_hamming) / data_bits
-        )
-        op_flip = (is_read[1:] & is_write[:-1]) | (is_write[1:] & is_read[:-1])
-        features[index["rw_alternation_rate"]] = _mean_count(op_flip)
-        raw = is_read[1:] & is_write[:-1] & repeat
-        features[index["read_after_write_rate"]] = _mean_count(raw)
-        features[index["same_addr_turnaround_rate"]] = _mean_count(repeat & op_flip)
-        idle_to_active = is_active[1:] & ~is_active[:-1]
-        features[index["idle_to_active_rate"]] = _mean_count(idle_to_active)
+    # Every address's two checkerboard phases are the same pair of words,
+    # a checkerboard word and its complement, so the distance to the
+    # nearer one does not depend on the address.  Only writes count: the
+    # zero word a non-write gets has no ones and no distance.
+    table[_WRITTEN_ONES] = popcount(np.where(is_write, data, 0), wide_data)
+    checker_flips = np.where(
+        is_write, data ^ (_ODD_BITS & ((1 << cycle_data_bits) - 1)), 0
+    )
+    dist0 = popcount(checker_flips, wide_data)
+    np.minimum(dist0, cycle_data_bits - dist0, out=table[_CHECKER])
+    table[:_PAIR_ROWS, cross] = 0
+    sums = np.add.reduceat(table, starts, axis=1).T.tolist()
 
-    written = bus_data[is_write]
-    if written.size:
-        features[index["data_ones_density"]] = (
-            _mean_count(popcount(written, data_bits)) / data_bits
-        )
-        # Every address's two checkerboard phases are the same pair of words,
-        # a checkerboard word and its complement, so the distance to the
-        # nearer one does not depend on the address.
-        dist0 = popcount(written ^ checkerboard_word(0, data_bits), data_bits)
-        checker = np.minimum(dist0, data_bits - dist0) / data_bits
-        features[index["checkerboard_affinity"]] = float(1.0 - np.mean(checker))
+    # Longest read and write runs: a cycle's run so far reaches back to the
+    # last cycle outside the run, or to the cycle before its segment.
+    runs = np.where(is_op[:2], segment_start - 1, index)
+    np.maximum.accumulate(runs, axis=1, out=runs)
+    np.subtract(index, runs, out=runs)
+    longest = np.maximum.reduceat(runs, starts, axis=1).T.tolist()
 
-    features[index["write_fraction"]] = _mean_count(is_write)
-    features[index["read_fraction"]] = _mean_count(is_read)
-    features[index["nop_fraction"]] = _mean_count(~is_active)
-    features[index["burst_read_run"]] = min(1.0, _max_run_length(is_read) / 64.0)
-    features[index["burst_write_run"]] = min(1.0, _max_run_length(is_write) / 64.0)
-    ordered = np.sort(addresses)
-    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-    features[index["addr_coverage"]] = distinct / (1 << addr_bits)
+    activity = (addr_hamming / _pairwise(cycle_addr_bits)
+                + data_hamming / _pairwise(cycle_data_bits)) / 2.0
+    peaks = _peak_window_activity(activity, lengths, starts)
+    checkers = _odd_bus_checker(table[_CHECKER], is_write, lengths, data_bits, starts)
+    return [
+        _feature_row(*row)
+        for row in zip(lengths, addr_bits, data_bits, sums, longest, peaks, checkers)
+    ]
 
-    if n >= 2:
-        activity = (addr_hamming / addr_bits + data_hamming / data_bits) / 2.0
-        window = min(PEAK_WINDOW_CYCLES, activity.size)
-        kernel = np.ones(window) / window
-        rolling = np.convolve(activity, kernel, mode="valid")
-        features[index["peak_window_activity"]] = float(np.max(rolling))
 
-    np.clip(features, 0.0, 1.0, out=features)
-    return PatternFeatures(features)
+def _feature_row(
+    n: int,
+    addr_bits: int,
+    data_bits: int,
+    counts: List[int],
+    runs: List[int],
+    peak: float,
+    checker: Optional[float],
+) -> List[float]:
+    """One sequence's features, in :data:`FEATURE_NAMES` order, from its
+    table sums, longest (read, write) runs and peak window activity."""
+    pairs = max(n - 1, 1)  # a one-cycle sequence's pair counts are all 0
+    writes = counts[_WRITE]
+    repeat_runs = counts[_REPEAT_START]
+    if checker is None:  # a power-of-two bus: the quotients sum exactly
+        checker = 1.0 - counts[_CHECKER] / data_bits / writes if writes else 0.0
+    return [
+        counts[_ADDR_HAMMING] / pairs / addr_bits,
+        counts[_MSB_TOGGLE] / pairs,
+        counts[_JUMP] / pairs / max(1, (1 << addr_bits) - 1),
+        min(1.0, counts[_REPEAT] / repeat_runs / 8.0) if repeat_runs else 0.0,
+        counts[_DATA_HAMMING] / pairs / data_bits,
+        counts[_WRITTEN_ONES] / writes / data_bits if writes else 0.0,
+        checker,
+        writes / n,
+        counts[_READ] / n,
+        counts[_IDLE] / n,
+        counts[_RAW] / pairs,
+        counts[_TURNAROUND] / pairs,
+        counts[_RW_FLIP] / pairs,
+        min(1.0, runs[0] / 64.0),
+        min(1.0, runs[1] / 64.0),
+        peak,
+        counts[_WAKE] / pairs,
+        (1 + counts[_NEW_ADDRESS]) / (1 << addr_bits),
+    ]
+
+
+def _per_cycle(values: List[int], lengths: List[int]) -> Union[int, np.ndarray]:
+    """A per-sequence value for every cycle: one int when all are equal."""
+    if len(set(values)) == 1:
+        return values[0]
+    return np.repeat(np.array(values), lengths)
+
+
+def _pairwise(per_cycle: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
+    """A per-cycle value for every pair: the pair's first cycle's."""
+    return per_cycle if isinstance(per_cycle, int) else per_cycle[:-1]
+
+
+def _odd_bus_checker(
+    checker: np.ndarray,
+    is_write: np.ndarray,
+    lengths: List[int],
+    data_bits: List[int],
+    starts: np.ndarray,
+) -> List[Optional[float]]:
+    """``checkerboard_affinity`` of each sequence whose data bus is not a
+    power of two (``None`` for the others).
+
+    The feature is one minus the float mean of the per-write quotients
+    ``distance / data_bits``.  On a power-of-two bus every quotient and
+    every partial sum is exact, so the integer sum divided once is the
+    same float.  On any other bus the quotients round and their mean
+    depends on numpy's summation order, so it is taken as numpy takes it,
+    one sequence at a time.
+    """
+    affinity: List[Optional[float]] = [None] * len(lengths)
+    for i, (n, bits) in enumerate(zip(lengths, data_bits)):
+        if bits & (bits - 1):
+            cycles = slice(starts[i], starts[i] + n)
+            quotients = checker[cycles][is_write[cycles]] / bits
+            affinity[i] = float(1.0 - np.mean(quotients)) if quotients.size else 0.0
+    return affinity
+
+
+def _peak_window_activity(
+    activity: np.ndarray, lengths: List[int], starts: np.ndarray
+) -> List[float]:
+    """Max of each sequence's sliding-window mean of its pair ``activity``.
+
+    A window spans :data:`PEAK_WINDOW_CYCLES` pairs, or all pairs of a
+    shorter sequence.  Full windows come from one ``np.convolve`` over the
+    concatenated pairs: each output is the same 16-term dot product as in
+    a one-sequence call.  Windows that reach into the next sequence are
+    masked before each sequence's maximum.
+    """
+    peaks = [0.0] * len(lengths)
+    full = [n > PEAK_WINDOW_CYCLES for n in lengths]
+    if any(full):
+        rolling = np.convolve(activity, _PEAK_KERNEL, mode="valid")
+        if len(lengths) == 1:
+            peaks[0] = float(np.max(rolling))
+        else:
+            last_start = np.repeat(starts + lengths - PEAK_WINDOW_CYCLES - 1, lengths)
+            rolling[np.arange(rolling.size) > last_start[:rolling.size]] = -1.0
+            rolling = np.concatenate((rolling, np.full(PEAK_WINDOW_CYCLES, -1.0)))
+            maxima = np.maximum.reduceat(rolling, starts).tolist()
+            peaks = [peak if is_full else 0.0 for peak, is_full in zip(maxima, full)]
+    for i, n in enumerate(lengths):
+        if 2 <= n <= PEAK_WINDOW_CYCLES:
+            window = n - 1
+            segment = activity[starts[i]:starts[i] + window]
+            rolling = np.convolve(segment, np.ones(window) / window, mode="valid")
+            peaks[i] = float(np.max(rolling))
+    return peaks

@@ -13,10 +13,13 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from repro.patterns.features import PatternFeatures
 
 #: Default address width of the simulated memory test chip (1024 words).
 DEFAULT_ADDR_BITS = 10
@@ -99,7 +102,7 @@ class VectorSequence:
     """
 
     __slots__ = (
-        "_ops", "_addresses", "_data", "_vectors", "_hash",
+        "_ops", "_addresses", "_data", "_vectors", "_hash", "_features",
         "addr_bits", "data_bits", "name",
     )
 
@@ -157,6 +160,8 @@ class VectorSequence:
         self._data = data
         self._vectors: Optional[Tuple[TestVector, ...]] = None
         self._hash: Optional[int] = None
+        # Filled by repro.patterns.features; never pickled, compared or hashed.
+        self._features: Optional["PatternFeatures"] = None
         self.addr_bits = addr_bits
         self.data_bits = data_bits
         self.name = name
@@ -229,6 +234,15 @@ class VectorSequence:
         )
 
     # -- derived views ------------------------------------------------------
+    @property
+    def features_memo(self) -> Optional["PatternFeatures"]:
+        """The activity features if already extracted, else ``None``.
+
+        :func:`repro.patterns.features.extract_features` fills the memo on
+        first use; a pickled copy or a derived sequence starts without it.
+        """
+        return self._features
+
     @property
     def vectors(self) -> Tuple[TestVector, ...]:
         """The per-cycle vectors (built on first use, then cached)."""

@@ -1,5 +1,7 @@
 """Tests for the Worst-Case Ratio (eqs. 5/6) and fig. 6 classification."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,60 @@ class TestClassifier:
         strict = WCRClassifier(weakness_threshold=0.6, fail_threshold=0.9)
         assert strict.classify(0.7) is WCRClass.WEAKNESS
         assert strict.classify(0.95) is WCRClass.FAIL
+
+
+_REGION_ORDER = {WCRClass.PASS: 0, WCRClass.WEAKNESS: 1, WCRClass.FAIL: 2}
+_WCR = st.floats(0.0, 10.0, allow_nan=False)
+
+
+class TestClassificationProperties:
+    """Eqs. 5/6 feed fig. 6: the 0.8 and 1.0 edges are exact, and a larger
+    WCR never lands in a milder region."""
+
+    @pytest.mark.parametrize(
+        "boundary, below, above",
+        [(0.8, WCRClass.PASS, WCRClass.WEAKNESS), (1.0, WCRClass.WEAKNESS, WCRClass.FAIL)],
+    )
+    def test_paper_boundaries_are_exact(self, boundary, below, above):
+        classifier = WCRClassifier()
+        assert classifier.classify(math.nextafter(boundary, 0.0)) is below
+        assert classifier.classify(boundary) is below
+        assert classifier.classify(math.nextafter(boundary, math.inf)) is above
+
+    @given(
+        edges=st.lists(
+            st.floats(1e-6, 100.0, allow_nan=False), min_size=2, max_size=2, unique=True
+        )
+    )
+    def test_any_boundaries_are_exact(self, edges):
+        weakness, fail = sorted(edges)
+        classifier = WCRClassifier(weakness_threshold=weakness, fail_threshold=fail)
+        for edge, below, above in (
+            (weakness, WCRClass.PASS, WCRClass.WEAKNESS),
+            (fail, WCRClass.WEAKNESS, WCRClass.FAIL),
+        ):
+            assert classifier.classify(math.nextafter(edge, 0.0)) is below
+            assert classifier.classify(edge) is below
+            assert classifier.classify(math.nextafter(edge, math.inf)) is above
+
+    @given(a=_WCR, b=_WCR)
+    def test_classification_is_monotone_in_wcr(self, a, b):
+        classifier = WCRClassifier()
+        low, high = sorted((a, b))
+        assert (
+            _REGION_ORDER[classifier.classify(low)]
+            <= _REGION_ORDER[classifier.classify(high)]
+        )
+
+    @given(value=st.floats(0.1, 1000.0, allow_nan=False))
+    def test_measured_values_classify_monotonically(self, value):
+        """Through eq. 6 a smaller T_DQ (and through eq. 5 a larger I_DD)
+        is never in a milder region."""
+        classifier = WCRClassifier()
+        for parameter, worse in ((T_DQ_PARAMETER, value * 0.9), (IDD_PEAK_PARAMETER, value * 1.1)):
+            region = classifier.classify_value(value, parameter)[1]
+            worse_region = classifier.classify_value(worse, parameter)[1]
+            assert _REGION_ORDER[region] <= _REGION_ORDER[worse_region]
 
 
 class TestBatchHelpers:

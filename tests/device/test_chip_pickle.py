@@ -51,8 +51,11 @@ class TestChipPickle:
         clone = pickle.loads(pickle.dumps(chip))
         # The clone starts with empty caches and re-derives identical
         # results (id()-keyed entries must not survive the round trip).
-        assert clone._feature_cache == {}
+        # Features are memoized on the sequence, not on the chip.
         assert clone._functional_cache == {}
+        assert clone.features_of(test_case.sequence) is chip.features_of(
+            test_case.sequence
+        )
         assert clone.run_functional(test_case.sequence) == chip.run_functional(
             test_case.sequence
         )

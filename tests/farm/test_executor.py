@@ -1,9 +1,11 @@
 """Tests for the serial and parallel farm executors."""
 
 import multiprocessing
+import os
 
 import pytest
 
+from repro.farm import executor as executor_module
 from repro.farm.checkpoint import CheckpointStore
 from repro.farm.executor import (
     FarmExecutionError,
@@ -14,6 +16,7 @@ from repro.farm.executor import (
 from repro.farm.scheduler import CostModel, Scheduler
 from repro.farm.workunit import WorkUnit
 from repro.obs import FarmUnitCompleted, FarmUnitSkipped, OBS, RingBufferSink
+from repro.obs.events import FarmWorkersClamped
 from repro.obs.metrics import MetricsRegistry
 
 from tests.farm.runners import (
@@ -37,15 +40,57 @@ def _units(count, **payload):
     ]
 
 
+@pytest.fixture
+def host_cpus(monkeypatch):
+    """Pin the CPU count ``make_executor`` sizes process pools against."""
+
+    def pin(cpus):
+        monkeypatch.setattr(executor_module, "available_cpus", lambda: cpus)
+
+    return pin
+
+
 class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(), SerialExecutor)
         assert isinstance(make_executor(workers=1), SerialExecutor)
 
-    def test_workers_beyond_one_is_parallel(self):
+    def test_workers_beyond_one_is_parallel(self, host_cpus):
+        host_cpus(4)
         executor = make_executor(workers=3)
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 3
+
+    def test_pool_clamped_to_available_cpus_with_an_event(self, host_cpus):
+        host_cpus(2)
+        sink = RingBufferSink()
+        OBS.reset()
+        OBS.enable(sink)
+        try:
+            assert make_executor(workers=8).workers == 2
+            assert make_executor(backend="process", workers=5).workers == 2
+            assert make_executor(workers=2).workers == 2
+        finally:
+            OBS.reset()
+        assert [e for e in sink.events if isinstance(e, FarmWorkersClamped)] == [
+            FarmWorkersClamped(requested=8, workers=2),
+            FarmWorkersClamped(requested=5, workers=2),
+        ]
+
+    def test_single_cpu_keeps_a_one_worker_pool(self, host_cpus):
+        host_cpus(1)
+        executor = make_executor(workers=4)
+        assert isinstance(executor, ParallelExecutor)
+        assert executor.workers == 1
+
+    def test_explicit_pool_size_is_not_clamped(self, host_cpus):
+        host_cpus(1)
+        assert ParallelExecutor(workers=8).workers == 8
+
+    def test_available_cpus_is_the_affinity_set(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert executor_module.available_cpus() == len(os.sched_getaffinity(0))
+        assert executor_module.available_cpus() >= 1
 
     def test_explicit_executor_wins(self):
         executor = SerialExecutor()

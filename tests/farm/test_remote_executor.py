@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.farm import executor as executor_module
 from repro.farm.checkpoint import CheckpointStore
 from repro.farm.executor import (
     ExecutorBackend,
@@ -204,7 +205,8 @@ class TestMakeExecutorRemote:
         with pytest.raises(ValueError):
             make_executor(backend="remote")
 
-    def test_named_backends(self):
+    def test_named_backends(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "available_cpus", lambda: 4)
         assert isinstance(make_executor(backend="serial"), SerialExecutor)
         process = make_executor(backend="process", workers=3)
         assert isinstance(process, ParallelExecutor)

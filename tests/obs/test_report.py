@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
@@ -172,6 +172,7 @@ class TestTraceFold:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(EVENTS, min_size=1, max_size=6))
+    @example([{"type": "resource_sample", "max_rss_kb": 10**400}])
     def test_wrong_typed_fields_never_raise(self, events):
         """Every fold-backed view survives arbitrary field values."""
         lines = [json.dumps(event) for event in events]
