@@ -2,9 +2,9 @@
 
 Not paper artifacts — these time the hot paths every experiment rides on
 (random test generation per style, feature extraction one test and a deck
-at a time, functional simulation, NN inference, one tester measurement, a
-farm unit's deck pickle, one point mutation, one GA generation of
-variation) so performance regressions are visible in CI.
+at a time, functional simulation, NN inference, one tester measurement and
+its memo lookups, a farm unit's deck pickle, one point mutation, one GA
+generation of variation) so performance regressions are visible in CI.
 """
 
 import pickle
@@ -202,6 +202,46 @@ def test_kernel_single_measurement(benchmark, thousand_cycle_test):
 
     result = benchmark(ate.apply, thousand_cycle_test, 25.0)
     assert isinstance(result, bool)
+
+
+@pytest.mark.benchmark(group="kernels")
+def test_kernel_apply_warm(benchmark, report_sink, thousand_cycle_test):
+    """ATE.apply on an already-memoized test, and apart from it the three
+    content-keyed memo lookups it makes (pattern memory, functional result,
+    static value): the lookup layer of the warm measurement path."""
+    ate = fresh_ate(seed=67)
+    ate.apply(thousand_cycle_test, 25.0)  # fill every memo
+    chip, memory = ate.chip, ate.pattern_memory
+    sequence = thousand_cycle_test.sequence
+
+    def lookups():
+        memory.load(sequence)
+        chip.run_functional(sequence)
+        chip._parametric_static(thousand_cycle_test)
+
+    def us_per_call(fn, calls=2000):
+        ate.datalog.clear()  # so the log cannot grow unbounded
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - start) / calls * 1e6
+
+    benchmark(lookups)
+    # Alternate the two, so host drift hits both alike.
+    samples = [
+        (us_per_call(lambda: ate.apply(thousand_cycle_test, 25.0)), us_per_call(lookups))
+        for _ in range(9)
+    ]
+    apply_us, lookup_us = (statistics.median(column) for column in zip(*samples))
+    assert memory.load_count == 1
+    report_sink.json(
+        apply_us=round(apply_us, 3), lookup_us=round(lookup_us, 3),
+        lookup_share=round(lookup_us / apply_us, 4),
+    )
+    report_sink(
+        f"warm ATE.apply: {apply_us:.2f} µs; its three memo lookups "
+        f"{lookup_us:.2f} µs ({lookup_us / apply_us:.0%})"
+    )
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -17,6 +17,10 @@ from repro.patterns.vectors import VectorSequence
 class PatternMemory:
     """Finite LRU vector memory.
 
+    Residency is by content: tester vector memory holds vectors, not
+    Python objects, so loading a sequence equal to a resident one (a
+    renamed copy, a pickle round-trip, a regenerated test) is a hit.
+
     Parameters
     ----------
     capacity_cycles:
@@ -29,7 +33,8 @@ class PatternMemory:
         if capacity_cycles < 1:
             raise ValueError("capacity must be positive")
         self.capacity_cycles = capacity_cycles
-        self._resident: "OrderedDict[int, VectorSequence]" = OrderedDict()
+        # Resident sequences and their cycle counts, oldest first.
+        self._resident: "OrderedDict[VectorSequence, int]" = OrderedDict()
         self._used_cycles = 0
         self.load_count = 0
         self.loaded_cycles_total = 0
@@ -46,9 +51,8 @@ class PatternMemory:
         return len(self._resident)
 
     def is_resident(self, sequence: VectorSequence) -> bool:
-        """True if the sequence is already loaded."""
-        entry = self._resident.get(id(sequence))
-        return entry is sequence
+        """True if the sequence's vectors are already loaded."""
+        return sequence in self._resident
 
     def load(self, sequence: VectorSequence) -> bool:
         """Ensure ``sequence`` is resident.
@@ -65,18 +69,19 @@ class PatternMemory:
                 f"sequence of {len(sequence)} cycles exceeds pattern memory "
                 f"capacity of {self.capacity_cycles}"
             )
-        key = id(sequence)
-        if self._resident.get(key) is sequence:
-            self._resident.move_to_end(key)
+        cycles = self._resident.pop(sequence, None)
+        if cycles is not None:
+            # Back in as the newest entry, keyed by the object that asked.
+            self._resident[sequence] = cycles
             self.hit_count += 1
             return False
-        while self._used_cycles + len(sequence) > self.capacity_cycles:
-            _, evicted = self._resident.popitem(last=False)
-            self._used_cycles -= len(evicted)
-        self._resident[key] = sequence
-        self._used_cycles += len(sequence)
+        cycles = len(sequence)
+        while self._used_cycles + cycles > self.capacity_cycles:
+            self._used_cycles -= self._resident.popitem(last=False)[1]
+        self._resident[sequence] = cycles
+        self._used_cycles += cycles
         self.load_count += 1
-        self.loaded_cycles_total += len(sequence)
+        self.loaded_cycles_total += cycles
         return True
 
     def clear(self) -> None:

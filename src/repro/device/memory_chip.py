@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.device.parameters import T_DQ_PARAMETER, DeviceParameter, SpecDirecti
 from repro.device.process import NOMINAL_DIE, ProcessInstance
 from repro.device.sensitivity import SensitivityModel
 from repro.device.timing import TimingModel
+from repro.patterns.conditions import TestCondition
 from repro.patterns.features import PatternFeatures, extract_features
 from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
@@ -115,6 +116,16 @@ class _MemoryArray:
         return observed
 
 
+def _remember(memo: OrderedDict, key, value) -> None:
+    """Insert ``value`` as the newest entry of an LRU ``memo``, evicting the
+    oldest.  A hit pops its entry and comes back here, so the entry is
+    re-keyed by the object that asked last: a distinct object with equal
+    content pays one column comparison, not one per lookup."""
+    memo[key] = value
+    if len(memo) > MemoryTestChip._MEMO_SIZE:
+        memo.popitem(last=False)
+
+
 class MemoryTestChip:
     """One die of the simulated memory test chip.
 
@@ -132,6 +143,9 @@ class MemoryTestChip:
         The AC parameter this chip is characterized for (``T_DQ`` default).
     """
 
+    #: Entries kept in each per-test memo (functional, static value).
+    _MEMO_SIZE = 128
+
     def __init__(
         self,
         die: ProcessInstance = NOMINAL_DIE,
@@ -148,13 +162,11 @@ class MemoryTestChip:
         self.parameter = parameter
         self._array = _MemoryArray(1 << addr_bits, data_bits, faults)
         self._golden = _MemoryArray(1 << addr_bits, data_bits, ())
-        # Functional results keyed by sequence identity; the sequence object
-        # is pinned in the value so ids cannot be recycled.
-        self._functional_cache: Dict[int, Tuple[VectorSequence, FunctionalResult]] = {}
-        # Heating-independent parametric values memoized per (sequence,
-        # condition) — a small LRU, since a characterization campaign probes
-        # the same few (die, test) pairs thousands of times.
-        self._static_cache: "OrderedDict[Tuple[int, object], Tuple[VectorSequence, float, float]]" = (
+        # Per-test results memoized by sequence content in small LRUs, since
+        # a characterization campaign probes the same few (die, test) pairs
+        # thousands of times.
+        self._functional_cache: "OrderedDict[VectorSequence, FunctionalResult]" = OrderedDict()
+        self._static_cache: "OrderedDict[Tuple[VectorSequence, TestCondition], Tuple[float, float]]" = (
             OrderedDict()
         )
 
@@ -164,20 +176,19 @@ class MemoryTestChip:
 
         Both the faulty and the golden array start from the all-zero reset
         state, so the comparison isolates injected faults from data-history
-        effects.  Results are cached per sequence.
+        effects.  Results are memoized per sequence content.
         """
-        cached = self._functional_cache.get(id(sequence))
-        if cached is not None and cached[0] is sequence:
-            return cached[1]
-        if self._array.faults:
-            result = self._simulate(sequence)
-        else:
-            # A fault-free array is the golden model: every read matches.
-            result = FunctionalResult(
-                cycles=len(sequence), reads=sequence.count(Operation.READ),
-                mismatches=(),
-            )
-        self._functional_cache[id(sequence)] = (sequence, result)
+        result = self._functional_cache.pop(sequence, None)
+        if result is None:
+            if self._array.faults:
+                result = self._simulate(sequence)
+            else:
+                # A fault-free array is the golden model: every read matches.
+                result = FunctionalResult(
+                    cycles=len(sequence), reads=sequence.count(Operation.READ),
+                    mismatches=(),
+                )
+        _remember(self._functional_cache, sequence, result)
         return result
 
     def _simulate(self, sequence: VectorSequence) -> FunctionalResult:
@@ -206,38 +217,29 @@ class MemoryTestChip:
         """Activity features of a sequence (memoized on the sequence)."""
         return extract_features(sequence)
 
-    #: Entries kept in the per-(sequence, condition) static-value LRU.
-    _STATIC_CACHE_SIZE = 128
-
     def _parametric_static(self, test: TestCase) -> Tuple[float, float]:
         """Memoized ``(static value, peak activity)`` for one test.
 
         The static value is the heating-independent part of the chip's
         parameter for ``test`` (``static_t_dq_ns`` for timing parameters,
         the full value for ``idd_peak``, which has no thermal term).  Keyed
-        by ``(id(sequence), condition)`` with the sequence object pinned in
-        the value so a recycled ``id`` can never alias a stale entry; the
-        :class:`~repro.patterns.conditions.TestCondition` is a frozen,
-        hashable dataclass.
+        by ``(sequence, condition)``: both are immutable and hash by value.
         """
-        key = (id(test.sequence), test.condition)
-        cached = self._static_cache.get(key)
-        if cached is not None and cached[0] is test.sequence:
-            self._static_cache.move_to_end(key)
-            return cached[1], cached[2]
-        features = self.features_of(test.sequence)
-        if self.parameter.name == "idd_peak":
-            static = self.timing.idd_peak_ma(features, test.condition)
-            activity = 0.0
-        else:
-            static = self.timing.static_t_dq_ns(
-                features, test.condition, self.die
-            )
-            activity = features["peak_window_activity"]
-        self._static_cache[key] = (test.sequence, static, activity)
-        if len(self._static_cache) > self._STATIC_CACHE_SIZE:
-            self._static_cache.popitem(last=False)
-        return static, activity
+        key = (test.sequence, test.condition)
+        cached = self._static_cache.pop(key, None)
+        if cached is None:
+            features = self.features_of(test.sequence)
+            if self.parameter.name == "idd_peak":
+                static = self.timing.idd_peak_ma(features, test.condition)
+                activity = 0.0
+            else:
+                static = self.timing.static_t_dq_ns(
+                    features, test.condition, self.die
+                )
+                activity = features["peak_window_activity"]
+            cached = (static, activity)
+        _remember(self._static_cache, key, cached)
+        return cached
 
     def true_parameter_value(
         self, test: TestCase, account_heating: bool = True
@@ -324,10 +326,10 @@ class MemoryTestChip:
 
     # -- multiprocessing support ---------------------------------------------------
     def __getstate__(self):
-        # The caches are keyed by object identity (id()), which does not
-        # survive a pickle round-trip; ship the chip without them so farm
-        # workers start from a clean, small state.
+        # Ship (and deep-copy) the chip without its memos: each holds up to
+        # ``_MEMO_SIZE`` sequences, which a farm worker or a correctness
+        # snapshot would otherwise carry along and never use.
         state = self.__dict__.copy()
-        state["_functional_cache"] = {}
+        state["_functional_cache"] = OrderedDict()
         state["_static_cache"] = OrderedDict()
         return state

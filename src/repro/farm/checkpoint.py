@@ -26,28 +26,23 @@ everything else is kept.
 from __future__ import annotations
 
 import base64
-import json
 import logging
 import pickle
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from repro.ioutil import durable_append_line, iter_jsonl
+from repro.ioutil import JsonlLog
 from repro.farm.workunit import WorkResult
 from repro.obs.events import FarmCheckpointDropped
 from repro.obs.runtime import OBS
 
 logger = logging.getLogger("repro.farm")
 
-_SCHEMA = 1
-_KIND = "repro.farm.checkpoint"
-
 
 class CheckpointMismatch(RuntimeError):
     """The checkpoint on disk belongs to a different campaign."""
 
 
-class CheckpointStore:
+class CheckpointStore(JsonlLog):
     """Append-only JSONL store of completed work-unit results.
 
     Parameters
@@ -60,10 +55,7 @@ class CheckpointStore:
         skips the header consistency check — any checkpoint is accepted.
     """
 
-    def __init__(self, path: Union[str, Path], campaign: str = "") -> None:
-        self.path = Path(path)
-        self.campaign = campaign
-        self._handle = None
+    kind = "repro.farm.checkpoint"
 
     # -- loading -----------------------------------------------------------------
     def load(self) -> Dict[str, WorkResult]:
@@ -78,14 +70,8 @@ class CheckpointStore:
         :class:`CheckpointMismatch`.
         """
         results: Dict[str, WorkResult] = {}
-        if not self.path.exists():
-            return results
         dropped = 0
-        for number, payload in iter_jsonl(self.path):
-            payload = payload or {}
-            if payload.get("kind") == _KIND:
-                self._check_header(payload)
-                continue
+        for number, payload in self.records():
             result = self._decode(payload, number)
             if result is not None:
                 results[result.unit_key] = result
@@ -140,8 +126,10 @@ class CheckpointStore:
     # -- recording ---------------------------------------------------------------
     def record(self, result: WorkResult) -> None:
         """Append one completed unit, flushed immediately."""
-        handle = self._open_for_append()
-        payload = {
+        # The append is fsynced: a unit the executor believes is
+        # checkpointed must survive a crash — a torn line here would
+        # silently re-run (or drop) the unit on resume.
+        self.append({
             "unit": result.unit_key,
             "index": result.index,
             "measurements": result.measurements,
@@ -152,35 +140,4 @@ class CheckpointStore:
             "value_b64": base64.b64encode(
                 pickle.dumps(result.value)
             ).decode("ascii"),
-        }
-        # flush + fsync: a unit the executor believes is checkpointed
-        # must survive a crash — a torn line here would silently re-run
-        # (or drop) the unit on resume.
-        durable_append_line(handle, json.dumps(payload, sort_keys=True))
-
-    def _open_for_append(self):
-        if self._handle is None or self._handle.closed:
-            is_new = not self.path.exists() or self.path.stat().st_size == 0
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-            if is_new:
-                header = {
-                    "schema": _SCHEMA,
-                    "kind": _KIND,
-                    "campaign": self.campaign,
-                }
-                durable_append_line(
-                    self._handle, json.dumps(header, sort_keys=True)
-                )
-        return self._handle
-
-    def close(self) -> None:
-        """Close the append handle (idempotent; loading stays possible)."""
-        if self._handle is not None and not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "CheckpointStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        })

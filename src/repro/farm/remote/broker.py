@@ -39,7 +39,6 @@ frames are small and the peer reads eagerly).
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import socket
 import threading
@@ -56,7 +55,7 @@ from repro.farm.remote.protocol import (
     send_frame,
 )
 from repro.farm.remote.telemetry import BrokerTelemetry, MetricsHTTPServer
-from repro.ioutil import durable_append_line, iter_jsonl
+from repro.ioutil import JsonlLog
 from repro.obs.events import (
     BrokerCampaignStarted,
     DuplicateSuppressed,
@@ -80,11 +79,8 @@ DEFAULT_POLL_S = 0.25
 #: enough that a SIGKILLed worker's units re-issue promptly.
 DEFAULT_LEASE_TIMEOUT_S = 30.0
 
-_SPOOL_SCHEMA = 1
-_SPOOL_KIND = "repro.farm.remote.spool"
 
-
-class ResultSpool:
+class ResultSpool(JsonlLog):
     """Broker-side shared checkpoint: accepted results, one JSON line each.
 
     Stores the pickled-outcome payload exactly as it arrived (base64 in
@@ -94,15 +90,15 @@ class ResultSpool:
     trace absent), which is the existing resume semantics.
     """
 
-    def __init__(self, path: Union[str, Path], campaign: str) -> None:
-        self.path = Path(path)
-        self.campaign = campaign
-        self._handle = None
+    kind = "repro.farm.remote.spool"
+
+    #: Append one accepted result, fsynced like a checkpoint line.
+    record = JsonlLog.append
 
     def load(self) -> Tuple[Dict[str, Dict[str, Any]], int]:
         """Spooled results keyed by unit key, plus the dropped-line count.
 
-        Tolerant reader (:func:`~repro.ioutil.iter_jsonl`): a torn or
+        Tolerant reader (:meth:`~repro.ioutil.JsonlLog.records`): a torn or
         corrupt line (truncated JSON from a crash mid-append, a payload
         that is not a result record) is counted and skipped, never
         fatal — the campaign re-runs those units instead of refusing to
@@ -111,12 +107,7 @@ class ResultSpool:
         """
         results: Dict[str, Dict[str, Any]] = {}
         dropped = 0
-        if not self.path.exists():
-            return results, dropped
-        for number, payload in iter_jsonl(self.path):
-            payload = payload or {}
-            if payload.get("kind") == _SPOOL_KIND:
-                continue
+        for number, payload in self.records():
             if "key" in payload and "outcome" in payload:
                 results[str(payload["key"])] = payload
             else:
@@ -125,29 +116,6 @@ class ResultSpool:
                 )
                 dropped += 1
         return results, dropped
-
-    def record(self, payload: Dict[str, Any]) -> None:
-        """Append one accepted result, fsynced like a checkpoint line."""
-        if self._handle is None or self._handle.closed:
-            is_new = not self.path.exists() or self.path.stat().st_size == 0
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-            if is_new:
-                header = {
-                    "schema": _SPOOL_SCHEMA,
-                    "kind": _SPOOL_KIND,
-                    "campaign": self.campaign,
-                }
-                durable_append_line(
-                    self._handle, json.dumps(header, sort_keys=True)
-                )
-        durable_append_line(
-            self._handle, json.dumps(payload, sort_keys=True)
-        )
-
-    def close(self) -> None:
-        if self._handle is not None and not self._handle.closed:
-            self._handle.close()
 
 
 class _WorkerState:

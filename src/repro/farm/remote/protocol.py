@@ -139,7 +139,9 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
         raise ProtocolError("connection closed between length and body")
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8, bad JSON and an integer past the digit limit all raise
+        # ValueError; a body nested too deeply raises RecursionError.
         raise ProtocolError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(

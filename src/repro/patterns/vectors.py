@@ -11,7 +11,7 @@ test can be pin-pointed precisely (section 3).
 from __future__ import annotations
 
 import enum
-import hashlib
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -203,14 +203,16 @@ class VectorSequence:
         )
 
     def __hash__(self) -> int:
-        # A digest of the column bytes, not ``hash()`` of them: the value
-        # must not depend on the interpreter's string-hash salt.
+        # A CRC of the column bytes, not ``hash()`` of them: the value must
+        # not depend on the interpreter's string-hash salt.  Every fresh
+        # sequence a memo sees is hashed once, so the hash is chosen for
+        # speed; a dict compares content on a match, so a collision costs
+        # one comparison, never a wrong hit.
         if self._hash is None:
-            digest = hashlib.blake2b(digest_size=8)
+            crc = zlib.crc32(f"{self.addr_bits}:{self.data_bits}".encode("ascii"))
             for column in (self._ops, self._addresses, self._data):
-                digest.update(column.tobytes())
-            digest.update(f"{self.addr_bits}:{self.data_bits}".encode("ascii"))
-            self._hash = int.from_bytes(digest.digest(), "little", signed=True)
+                crc = zlib.crc32(column.tobytes(), crc)
+            self._hash = crc
         return self._hash
 
     def __repr__(self) -> str:

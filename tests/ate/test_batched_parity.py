@@ -8,8 +8,12 @@ Every test here runs the same campaign twice — once through the scalar
 equality.
 """
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ate.measurement import MeasurementModel
 from repro.ate.shmoo import ShmooPlotter
@@ -17,8 +21,9 @@ from repro.ate.tester import ATE
 from repro.ate.timing_generator import TimingGenerator
 from repro.core.sutp import SearchUntilTripPoint
 from repro.core.wcr import WCRScreen
+from repro.device.faults import StuckAtFault
 from repro.device.memory_chip import MemoryTestChip
-from repro.device.parameters import F_MAX_PARAMETER, IDD_PEAK_PARAMETER
+from repro.device.parameters import F_MAX_PARAMETER, IDD_PEAK_PARAMETER, T_DQ_PARAMETER
 from repro.device.timing import SelfHeatingModel
 from repro.patterns.random_gen import RandomTestGenerator
 from repro.search.oracles import CountingOracle, majority_oracle, make_ate_oracle
@@ -256,14 +261,93 @@ def test_interleaved_scalar_and_batched_calls_share_one_stream():
 
 
 def test_static_cache_is_bounded_and_pickle_clean():
-    import pickle
-
     chip = MemoryTestChip()
-    tests = RandomTestGenerator(seed=1).batch(chip._STATIC_CACHE_SIZE + 40)
+    tests = RandomTestGenerator(seed=1).batch(chip._MEMO_SIZE + 40)
     for t in tests:
         chip.true_parameter_value(t)
-    assert len(chip._static_cache) <= chip._STATIC_CACHE_SIZE
+    assert len(chip._static_cache) <= chip._MEMO_SIZE
     clone = pickle.loads(pickle.dumps(chip))
     assert len(clone._static_cache) == 0
     # the clone still answers (cold cache)
     assert isinstance(clone.true_parameter_value(tests[-1]), float)
+
+
+# -- content-keyed memos --------------------------------------------------------------
+def _copies(test):
+    """Two distinct objects with ``test``'s content: a renamed sequence
+    copy and a pickle round-trip."""
+    renamed = replace(test, sequence=test.sequence.with_name("copy"))
+    return renamed, pickle.loads(pickle.dumps(test))
+
+
+def test_functional_memo_is_bounded():
+    chip = MemoryTestChip()
+    tests = RandomTestGenerator(seed=1, max_cycles=200).batch(chip._MEMO_SIZE + 40)
+    for t in tests:
+        chip.run_functional(t.sequence)
+    assert len(chip._functional_cache) == chip._MEMO_SIZE
+
+
+def test_equal_content_through_distinct_objects_loads_once():
+    test = _tests(1)[0]
+    copies = _copies(test)
+    assert all(twin.sequence is not test.sequence for twin in copies)
+    ate = _fresh_ate()
+    for probe in (test,) + copies:
+        ate.apply(probe, 25.0)
+    assert ate.pattern_memory.load_count == 1
+    assert ate.pattern_memory.hit_count == 2
+    assert len(ate.chip._functional_cache) == 1
+    assert len(ate.chip._static_cache) == 1
+
+
+def _memo_deck():
+    """More distinct tests than the chip memos hold, plus equal-content
+    copies: one right after its original (a memo hit through a distinct
+    object) and one after the whole deck (its original long evicted)."""
+    base = RandomTestGenerator(seed=21, min_cycles=100, max_cycles=160).batch(
+        MemoryTestChip._MEMO_SIZE + 12
+    )
+    deck = []
+    for test in base:
+        deck.append(test)
+        if len(deck) % 10 == 1:
+            deck.append(_copies(test)[0])
+    return deck + [_copies(test)[1] for test in base[:6]]
+
+
+_MEMO_DECK = _memo_deck()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    strobes=st.lists(st.floats(15.0, 45.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+    parameter=st.sampled_from([T_DQ_PARAMETER, F_MAX_PARAMETER, IDD_PEAK_PARAMETER]),
+    faulty=st.booleans(),
+)
+def test_batched_matches_scalar_over_a_memo_evicting_deck(
+    strobes, seed, parameter, faulty
+):
+    """Batched ≡ scalar for any strobe grid, noise seed, parameter and
+    die, across memo eviction, recompute and equal-content copies."""
+    # Eight stuck words fail about one test in seven functionally.
+    faults = [StuckAtFault(word=w, bit=0, stuck_value=1) for w in range(8)]
+    faults = faults if faulty else []
+
+    def campaign(batched):
+        ate = _fresh_ate(seed=seed, parameter=parameter, faults=faults)
+        maps = [
+            ate.apply_batch(t, strobes).tolist()
+            if batched
+            else [ate.apply(t, s) for s in strobes]
+            for t in _MEMO_DECK
+        ]
+        counts = (
+            ate.measurement_count,
+            ate.executed_cycles_total,
+            ate.pattern_memory.load_count,
+        )
+        return maps, _datalog_rows(ate), counts
+
+    assert campaign(batched=False) == campaign(batched=True)

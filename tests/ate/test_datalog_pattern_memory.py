@@ -19,8 +19,8 @@ def record(index=1, name="t", passed=True, strobe=20.0):
     )
 
 
-def make_sequence(cycles):
-    return VectorSequence([TestVector(Operation.NOP, 0, 0)] * cycles)
+def make_sequence(cycles, address=0):
+    return VectorSequence([TestVector(Operation.NOP, address, 0)] * cycles)
 
 
 class TestDatalog:
@@ -130,7 +130,7 @@ class TestPatternMemory:
 
     def test_lru_eviction(self):
         memory = PatternMemory(capacity_cycles=25)
-        a, b, c = make_sequence(10), make_sequence(10), make_sequence(10)
+        a, b, c = (make_sequence(10, address) for address in range(3))
         memory.load(a)
         memory.load(b)
         memory.load(c)  # evicts a (oldest)
@@ -141,7 +141,7 @@ class TestPatternMemory:
 
     def test_hit_refreshes_lru_order(self):
         memory = PatternMemory(capacity_cycles=25)
-        a, b, c = make_sequence(10), make_sequence(10), make_sequence(10)
+        a, b, c = (make_sequence(10, address) for address in range(3))
         memory.load(a)
         memory.load(b)
         memory.load(a)  # refresh a; b becomes oldest
@@ -154,6 +154,14 @@ class TestPatternMemory:
         memory.load(make_sequence(10))
         memory.load(make_sequence(20))
         assert memory.loaded_cycles_total == 30
+
+    def test_equal_content_is_resident(self):
+        memory = PatternMemory()
+        seq = make_sequence(10)
+        memory.load(seq)
+        assert memory.is_resident(make_sequence(10))
+        assert memory.load(seq.with_name("copy")) is False
+        assert memory.load_count == 1
 
     def test_clear_keeps_counters(self):
         memory = PatternMemory()

@@ -1,9 +1,9 @@
 """Multiprocessing-readiness of the device model.
 
 Farm workers receive chips (or the process instances to build them from)
-via pickle; a chip that drags id()-keyed caches or hidden tester state
-across the boundary would silently decouple parallel results from serial
-ones.  These are the regression tests for that contract.
+via pickle; a chip that drags its memos or hidden tester state across the
+boundary would silently decouple parallel results from serial ones.  These
+are the regression tests for that contract.
 """
 
 import pickle
@@ -49,9 +49,8 @@ class TestChipPickle:
         chip.run_functional(test_case.sequence)
         chip.features_of(test_case.sequence)
         clone = pickle.loads(pickle.dumps(chip))
-        # The clone starts with empty caches and re-derives identical
-        # results (id()-keyed entries must not survive the round trip).
-        # Features are memoized on the sequence, not on the chip.
+        # The clone starts with empty memos and re-derives identical
+        # results.  Features are memoized on the sequence, not on the chip.
         assert clone._functional_cache == {}
         assert clone.features_of(test_case.sequence) is chip.features_of(
             test_case.sequence

@@ -1,9 +1,11 @@
 """Tests for the remote-farm frame protocol (framing, refs, addresses)."""
 
+import json
 import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.farm.remote.protocol import (
     MAX_FRAME_BYTES,
@@ -103,6 +105,48 @@ class TestFraming:
         finally:
             client.close()
             peer.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+_PREFIXED_BODIES = (
+    st.binary()
+    | st.text().map(str.encode)
+    | _JSON.map(lambda value: json.dumps(value).encode())
+).map(lambda body: len(body).to_bytes(4, "big") + body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary() | _PREFIXED_BODIES)
+@example((5000).to_bytes(4, "big") + b"9" * 5000)  # past the int-digit limit
+@example((100_000).to_bytes(4, "big") + b"[" * 100_000)  # too deeply nested
+def test_decoder_accepts_arbitrary_bytes(data):
+    """Whatever arrives, ``recv_frame`` yields a dict, ``None`` (clean EOF)
+    or raises :class:`ProtocolError` — never another error, never a hang."""
+    sender, receiver = socket.socketpair()
+    receiver.settimeout(10.0)
+
+    def feed():
+        try:
+            sender.sendall(data)
+        except OSError:  # the receiver gave up early (oversized prefix)
+            pass
+        finally:
+            sender.close()
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        frame = recv_frame(receiver)
+        assert frame is None or isinstance(frame, dict)
+    except ProtocolError:
+        pass
+    finally:
+        receiver.close()
+        thread.join(timeout=10.0)
 
 
 class TestPack:
