@@ -19,8 +19,8 @@ The package is layered bottom-up:
   Search-Until-Trip-Point algorithm, WCR classification, and the fig. 4/5
   learning + optimization schemes;
 * :mod:`repro.analysis` — statistics, drift analysis and report formatting;
-* :mod:`repro.obs` — structured telemetry (typed events, metrics registry,
-  phase timing, trace/summary reports), off by default.
+* :mod:`repro.obs` — structured telemetry (schema-checked events, metrics
+  registry, phase timing, trace/summary reports), off by default.
 
 Quickstart::
 

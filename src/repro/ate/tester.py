@@ -25,7 +25,7 @@ from repro.ate.pattern_memory import PatternMemory
 from repro.ate.timing_generator import TimingGenerator
 from repro.device.memory_chip import FunctionalResult, MemoryTestChip
 from repro.device.parameters import SpecDirection
-from repro.obs.events import MeasurementEvent
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.patterns.testcase import TestCase
 
@@ -146,7 +146,8 @@ class ATE:
             OBS.metrics.counter("ate.measurements").inc(label=test_name)
             OBS.metrics.counter("ate.executed_cycles").inc(len(test.sequence))
             OBS.bus.emit(
-                MeasurementEvent(
+                event(
+                    "measurement",
                     index=self._measurement_count,
                     test_name=test_name,
                     strobe_ns=strobe_q,
@@ -209,7 +210,8 @@ class ATE:
                 zip(strobes_q.tolist(), passed.tolist()), start=1
             ):
                 OBS.bus.emit(
-                    MeasurementEvent(
+                    event(
+                        "measurement",
                         index=base_index + k,
                         test_name=test_name,
                         strobe_ns=strobe,

@@ -1774,7 +1774,8 @@ def _setup_observability(args) -> None:
         request_id = os.environ.get("REPRO_REQUEST_ID", "")
         if request_id and obs.OBS.enabled:
             obs.OBS.bus.emit(
-                obs.RequestContext(
+                obs.event(
+                    "request_context",
                     request_id=request_id,
                     job_id=os.environ.get("REPRO_JOB_ID", ""),
                 )

@@ -29,7 +29,7 @@ from repro.core.learning import LearningConfig
 from repro.core.lot import _resolve_checkpoint
 from repro.core.optimization import OptimizationConfig
 from repro.farm.executor import make_executor
-from repro.obs.events import WCRClassified
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.obs.timing import span
 from repro.patterns.conditions import NOMINAL_CONDITION, TestCondition
@@ -111,7 +111,8 @@ def _emit_wcr_classifications(database: WorstCaseDatabase) -> None:
         )
         OBS.metrics.counter("wcr.classified").inc(label=wcr_class)
         OBS.bus.emit(
-            WCRClassified(
+            event(
+                "wcr_classified",
                 test_name=record.test.name or "unnamed",
                 technique=record.technique,
                 wcr=record.wcr,
@@ -122,7 +123,8 @@ def _emit_wcr_classifications(database: WorstCaseDatabase) -> None:
     for record in database.failures():
         OBS.metrics.counter("wcr.classified").inc(label="functional_fail")
         OBS.bus.emit(
-            WCRClassified(
+            event(
+                "wcr_classified",
                 test_name=record.test.name or "unnamed",
                 technique=record.technique,
                 wcr=record.wcr,

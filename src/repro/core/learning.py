@@ -39,7 +39,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.mlp import MLP
 from repro.nn.trainer import Trainer
 from repro.nn.weights_io import save_weights
-from repro.obs.events import NNCalibration, NNVote
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.obs.timing import span, timed
 from repro.patterns.conditions import ConditionSpace, TestCondition
@@ -289,7 +289,8 @@ class LearningScheme:
                     predicted = int(intro.predicted[i])
                     matrix[actual, predicted] += 1
                     OBS.bus.emit(
-                        NNVote(
+                        event(
+                            "nn_vote",
                             sample=i,
                             votes=intro.votes_for(i),
                             predicted=predicted,
@@ -300,7 +301,8 @@ class LearningScheme:
                         )
                     )
                 OBS.bus.emit(
-                    NNCalibration(
+                    event(
+                        "nn_calibration",
                         round=rounds,
                         labels=tuple(coder.labels),
                         matrix=tuple(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.obs.events import SUTPFallback, SUTPWalkStep, SUTPWindowEscalated
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.search.base import Oracle, PassRegion, TripPointSearcher
 from repro.search.successive import SuccessiveApproximation
@@ -202,7 +202,9 @@ class SearchUntilTripPoint:
                 # generous full search; convergence stays guaranteed.
                 if OBS.enabled:
                     OBS.metrics.counter("sutp.fallbacks").inc()
-                    OBS.bus.emit(SUTPFallback(iteration=iteration, value=x))
+                    OBS.bus.emit(
+                        event("sutp_fallback", iteration=iteration, value=x)
+                    )
                     self._emit_escalation(
                         iteration, measurements, fallback=True
                     )
@@ -216,7 +218,10 @@ class SearchUntilTripPoint:
             state = probe(x)
             if OBS.enabled:
                 OBS.bus.emit(
-                    SUTPWalkStep(iteration=iteration, value=x, passed=state)
+                    event(
+                        "sutp_walk_step",
+                        iteration=iteration, value=x, passed=state,
+                    )
                 )
             if state != rtp_passes:
                 # Bracketed between `previous` and `x`; refine.
@@ -251,7 +256,8 @@ class SearchUntilTripPoint:
         OBS.metrics.counter("sutp.window_escalations").inc()
         OBS.metrics.histogram("sutp.escalation_window").observe(window)
         OBS.bus.emit(
-            SUTPWindowEscalated(
+            event(
+                "sutp_window_escalated",
                 iteration=iteration,
                 step=step,
                 window=window,

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ate.tester import ATE
 from repro.core.sutp import SearchUntilTripPoint, SUTPResult
-from repro.obs.events import SUTPTestMeasured
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.device.parameters import DeviceParameter, SpecDirection
 from repro.patterns.features import fill_features
@@ -179,7 +179,8 @@ class MultipleTripPointRunner:
                     else None
                 )
                 OBS.bus.emit(
-                    SUTPTestMeasured(
+                    event(
+                        "sutp_test_measured",
                         test_name=test.name or "unnamed",
                         trip_point=result.trip_point,
                         measurements=result.measurements,

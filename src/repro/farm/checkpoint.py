@@ -32,7 +32,7 @@ from typing import Dict, Optional
 
 from repro.ioutil import JsonlLog
 from repro.farm.workunit import WorkResult
-from repro.obs.events import FarmCheckpointDropped
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 logger = logging.getLogger("repro.farm")
@@ -80,7 +80,10 @@ class CheckpointStore(JsonlLog):
         if dropped and OBS.enabled:
             OBS.metrics.counter("farm.checkpoint.dropped_lines").inc(dropped)
             OBS.bus.emit(
-                FarmCheckpointDropped(path=str(self.path), lines=dropped)
+                event(
+                    "farm_checkpoint_dropped",
+                    path=str(self.path), lines=dropped,
+                )
             )
         return results
 

@@ -66,16 +66,7 @@ from repro.obs.collector import (
     WorkerCaptureConfig,
     run_unit_captured,
 )
-from repro.obs.events import (
-    EventBus,
-    FarmRunStarted,
-    FarmUnitCompleted,
-    FarmUnitDispatched,
-    FarmUnitRetried,
-    FarmUnitSkipped,
-    FarmWorkerPool,
-    FarmWorkersClamped,
-)
+from repro.obs.events import EventBus, event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
 
@@ -182,7 +173,8 @@ class _ExecutorBase:
                 campaign=campaign, unit_keys=[unit.key for unit in units]
             )
             OBS.bus.emit(
-                FarmRunStarted(
+                event(
+                    "farm_run_started",
                     campaign=collector.campaign,
                     units=len(units),
                     executor=self.name,
@@ -196,7 +188,7 @@ class _ExecutorBase:
                     results[key] = done
                     if OBS.enabled:
                         OBS.metrics.counter("farm.units_skipped").inc()
-                        OBS.bus.emit(FarmUnitSkipped(key=key))
+                        OBS.bus.emit(event("farm_unit_skipped", key=key))
         pending = [unit for unit in units if unit.key not in results]
 
         broadcast = RTPBroadcast()
@@ -263,7 +255,8 @@ class _ExecutorBase:
         if OBS.enabled:
             _observe_unit(result, unit.kind)
             OBS.bus.emit(
-                FarmUnitCompleted(
+                event(
+                    "farm_unit_completed",
                     key=unit.key,
                     kind=unit.kind,
                     attempt=attempts,
@@ -276,7 +269,8 @@ class _ExecutorBase:
     def _note_dispatch(self, unit: WorkUnit, attempt: int) -> None:
         if OBS.enabled:
             OBS.bus.emit(
-                FarmUnitDispatched(
+                event(
+                    "farm_unit_dispatched",
                     key=unit.key,
                     kind=unit.kind,
                     attempt=attempt,
@@ -288,7 +282,10 @@ class _ExecutorBase:
         if OBS.enabled:
             OBS.metrics.counter("farm.unit_retries").inc(label=unit.kind)
             OBS.bus.emit(
-                FarmUnitRetried(key=unit.key, attempt=attempt, error=reason)
+                event(
+                    "farm_unit_retried",
+                    key=unit.key, attempt=attempt, error=reason,
+                )
             )
 
 
@@ -408,7 +405,9 @@ class ParallelExecutor(_ExecutorBase):
     def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if OBS.enabled:
             OBS.bus.emit(
-                FarmWorkerPool(status="started", workers=self.workers)
+                event(
+                    "farm_worker_pool", status="started", workers=self.workers
+                )
             )
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers
@@ -429,7 +428,9 @@ class ParallelExecutor(_ExecutorBase):
                 process.kill()
                 process.join()
         if OBS.enabled:
-            OBS.bus.emit(FarmWorkerPool(status=status, workers=self.workers))
+            OBS.bus.emit(
+                event("farm_worker_pool", status=status, workers=self.workers)
+            )
 
     def _execute(self, units, runner, results, checkpoint, broadcast,
                  collector):
@@ -525,7 +526,9 @@ def _pool_size(workers: int) -> int:
     if workers <= cpus:
         return workers
     if OBS.enabled:
-        OBS.bus.emit(FarmWorkersClamped(requested=workers, workers=cpus))
+        OBS.bus.emit(
+            event("farm_workers_clamped", requested=workers, workers=cpus)
+        )
     return cpus
 
 

@@ -15,7 +15,7 @@ The remote farm stretches :mod:`repro.farm` past one host:
   Same deterministic-merge/checkpoint/RTP/telemetry contract as the
   serial and process-pool executors.
 * :mod:`~repro.farm.remote.telemetry` — the broker's observability:
-  typed control-plane events, a thread-safe metrics registry served as
+  control-plane events, a thread-safe metrics registry served as
   Prometheus text (``farm-broker --metrics-port``), per-worker clock
   offset estimation, and the ``stats`` frame behind ``repro farm-top``.
 

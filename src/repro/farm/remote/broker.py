@@ -56,18 +56,7 @@ from repro.farm.remote.protocol import (
 )
 from repro.farm.remote.telemetry import BrokerTelemetry, MetricsHTTPServer
 from repro.ioutil import JsonlLog
-from repro.obs.events import (
-    BrokerCampaignStarted,
-    DuplicateSuppressed,
-    LeaseCompleted,
-    LeaseExpired,
-    LeaseHeartbeat,
-    LeaseIssued,
-    LeaseReissued,
-    SpoolRestored,
-    WorkerJoined,
-    WorkerLeft,
-)
+from repro.obs.events import event
 from repro.obs.exposition import render_exposition
 
 logger = logging.getLogger("repro.farm.remote")
@@ -649,7 +638,8 @@ class FarmBroker:
         metrics = self.telemetry.metrics
         metrics.counter("farm.campaigns").inc()
         self.telemetry.emit(
-            BrokerCampaignStarted(
+            event(
+                "broker_campaign_started",
                 campaign=campaign_id,
                 units=len(units),
                 restored=len(restored),
@@ -662,7 +652,8 @@ class FarmBroker:
             metrics.counter("farm.spool_restored").inc(len(restored))
             metrics.counter("farm.spool_dropped").inc(spool_dropped)
             self.telemetry.emit(
-                SpoolRestored(
+                event(
+                    "spool_restored",
                     campaign=campaign_id,
                     restored=len(restored),
                     dropped=spool_dropped,
@@ -734,7 +725,7 @@ class FarmBroker:
         self.telemetry.observe_clock(name, hello.get("clock"))
         self.telemetry.metrics.counter("farm.workers_joined").inc()
         self.telemetry.emit(
-            WorkerJoined(worker=name, worker_id=worker_id),
+            event("worker_joined", worker=name, worker_id=worker_id),
             campaign=campaign_id,
         )
         send_frame(conn, {"type": "welcome", "version": PROTOCOL_VERSION})
@@ -788,7 +779,7 @@ class FarmBroker:
             }
         self.telemetry.metrics.counter("farm.lease_issued").inc()
         self.telemetry.emit(
-            LeaseIssued(key=key, attempt=lease.attempt, worker=name),
+            event("lease_issued", key=key, attempt=lease.attempt, worker=name),
             campaign=campaign.id,
             span_id=key,
         )
@@ -831,7 +822,8 @@ class FarmBroker:
                     "farm.lease_age_seconds"
                 ).observe(age_s)
                 self.telemetry.emit(
-                    LeaseCompleted(
+                    event(
+                        "lease_completed",
                         key=key, attempt=attempt, worker=name,
                         age_s=age_s, ok=False,
                     ),
@@ -856,7 +848,10 @@ class FarmBroker:
                     "farm.duplicate_suppressed"
                 ).inc()
                 self.telemetry.emit(
-                    DuplicateSuppressed(key=key, attempt=attempt, worker=name),
+                    event(
+                        "duplicate_suppressed",
+                        key=key, attempt=attempt, worker=name,
+                    ),
                     campaign=campaign.id,
                     span_id=key,
                 )
@@ -892,7 +887,8 @@ class FarmBroker:
         metrics.histogram("farm.lease_age_seconds").observe(lease_age_s)
         metrics.histogram("farm.unit_seconds").observe(payload["elapsed_s"])
         self.telemetry.emit(
-            LeaseCompleted(
+            event(
+                "lease_completed",
                 key=key, attempt=attempt, worker=name,
                 age_s=lease_age_s, ok=True,
             ),
@@ -935,7 +931,8 @@ class FarmBroker:
             "farm.stale_heartbeats" if not extended else "farm.heartbeats"
         ).inc()
         self.telemetry.emit(
-            LeaseHeartbeat(
+            event(
+                "lease_heartbeat",
                 key=key, attempt=attempt, worker=name, fresh=extended
             ),
             campaign=campaign_id,
@@ -968,7 +965,8 @@ class FarmBroker:
         if state is not None:
             self.telemetry.metrics.counter("farm.workers_left").inc()
             self.telemetry.emit(
-                WorkerLeft(
+                event(
+                    "worker_left",
                     worker=state.name,
                     worker_id=worker_id,
                     completed=state.completed,
@@ -990,7 +988,8 @@ class FarmBroker:
             age_s
         )
         self.telemetry.emit(
-            LeaseExpired(
+            event(
+                "lease_expired",
                 key=lease.key, attempt=lease.attempt, worker=name, age_s=age_s
             ),
             campaign=campaign.id,
@@ -1013,7 +1012,7 @@ class FarmBroker:
         self.stats["reissues"] += 1
         self.telemetry.metrics.counter("farm.lease_reissued").inc()
         self.telemetry.emit(
-            LeaseReissued(key=key, attempt=attempt, reason=reason),
+            event("lease_reissued", key=key, attempt=attempt, reason=reason),
             campaign=campaign.id,
             span_id=key,
         )

@@ -44,7 +44,7 @@ from repro.farm.remote.protocol import (
 )
 from repro.farm.remote.telemetry import clock_stamp
 from repro.farm.scheduler import Scheduler
-from repro.obs.events import BrokerClockSync
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 #: Default lease lifetime requested from the broker, mirroring
@@ -263,7 +263,8 @@ class RemoteExecutor(_ExecutorBase):
                 str(name): float(offset)
                 for name, offset in (clock.get("offsets") or {}).items()
             }
-            OBS.bus.emit(BrokerClockSync(
+            OBS.bus.emit(event(
+                "broker_clock_sync",
                 campaign=campaign_id,
                 offsets=offsets,
                 client_offset_s=float(clock.get("client_offset_s") or 0.0),

@@ -11,7 +11,7 @@ surfaces the rest of the repo already speaks:
   and unit-latency histograms, per-worker throughput) rendered as
   Prometheus text by :class:`MetricsHTTPServer` for
   ``farm-broker --metrics-port`` and for the ``serve --broker`` proxy.
-* **Events** — typed :mod:`repro.obs.events` payloads
+* **Events** — :mod:`repro.obs.events` payloads
   (``lease_issued`` … ``spool_restored``), pre-stamped with ``ts`` and
   trace context (trace_id=campaign, span_id=unit key, worker=worker
   name) because the broker emits from many connection threads and the
@@ -37,7 +37,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import OBS
-from repro.obs.events import Event
 from repro.obs.exposition import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.farm.remote.protocol import (
@@ -138,17 +137,18 @@ class BrokerTelemetry:
 
     def emit(
         self,
-        event: Event,
+        event: Dict[str, object],
         campaign: Optional[str] = None,
         span_id: Optional[str] = None,
     ) -> Dict[str, object]:
         """Stamp, buffer and (if enabled) publish one broker event.
 
-        The payload is pre-stamped so :class:`~repro.obs.events.
-        TraceWriter`'s ``setdefault`` calls leave it untouched — the
-        broker's threads never touch the global trace context.
+        A copy of ``event`` is pre-stamped with ``ts`` and trace context,
+        so :class:`~repro.obs.events.TraceWriter`'s ``setdefault`` calls
+        leave it untouched — the broker's threads never touch the global
+        trace context.
         """
-        payload = event.to_dict()
+        payload = dict(event)
         payload["ts"] = time.time()
         if campaign is not None:
             payload["trace_id"] = campaign

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.ga.chromosome import TestIndividual
 from repro.ga.fitness import CachingFitness
-from repro.obs.events import GAGeneration
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.ga.operators import (
     crossover_conditions,
@@ -314,7 +314,8 @@ class MultiPopulationGA:
                     condition_diversity
                 )
                 OBS.bus.emit(
-                    GAGeneration(
+                    event(
+                        "ga_generation",
                         generation=generation,
                         best_fitness=float(result.best.fitness or float("nan")),
                         mean_fitness=mean_fitness,

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.losses import Loss
 from repro.nn.mlp import MLP
-from repro.obs.events import NNEpoch
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 
@@ -143,7 +143,8 @@ class Trainer:
                 OBS.metrics.counter("nn.epochs").inc()
                 OBS.metrics.histogram("nn.epoch_loss").observe(train_loss)
                 OBS.bus.emit(
-                    NNEpoch(
+                    event(
+                        "nn_epoch",
                         epoch=epoch, train_loss=train_loss, val_loss=val_loss
                     )
                 )

@@ -5,8 +5,9 @@ incremental walk (eqs. 3/4) against the full-range search (eq. 2), the
 NN+GA hunt against exhaustive random characterization (Table 1).  This
 package turns every such cost into an observable:
 
-* :mod:`repro.obs.events` — typed events (one measurement, one SUTP walk
-  step, one GA generation, one NN epoch, one campaign phase) on an
+* :mod:`repro.obs.events` — events (one measurement, one SUTP walk step,
+  one GA generation, one NN epoch, one campaign phase) as plain dicts
+  built by :func:`event` from one schema table, on an
   :class:`EventBus`, with JSONL (:class:`TraceWriter`), in-memory
   (:class:`RingBufferSink`) and logging (:class:`LoggingSink`) sinks,
   plus the process-local trace context (campaign/unit/worker ids)
@@ -53,13 +54,7 @@ everything else is imported from its submodule.
 """
 
 from repro.obs.collector import FarmProgressReporter
-from repro.obs.events import (
-    EventBus,
-    FarmUnitCompleted,
-    FarmUnitSkipped,
-    RequestContext,
-    RingBufferSink,
-)
+from repro.obs.events import EventBus, RingBufferSink, event
 from repro.obs.history import (
     RunHistory,
     bench_run_record,
@@ -93,11 +88,8 @@ from repro.obs.timeline import build_chrome_trace, write_chrome_trace
 __all__ = [
     "EventBus",
     "FarmProgressReporter",
-    "FarmUnitCompleted",
-    "FarmUnitSkipped",
     "OBS",
     "ProfileConfig",
-    "RequestContext",
     "RingBufferSink",
     "RunHistory",
     "TraceFold",
@@ -110,6 +102,7 @@ __all__ = [
     "compare_runs",
     "configure",
     "enable",
+    "event",
     "process_cpu_seconds",
     "profile_summary_data",
     "render_insight",

@@ -37,12 +37,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.obs.events import (
     EventBus,
-    EventLike,
-    FarmUnitMerged,
     clear_trace_context,
     current_trace_context,
-    event_payload,
-    event_type,
+    event,
     set_trace_context,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -94,12 +91,12 @@ class WorkerTelemetry:
 
 
 class SpoolSink:
-    """Bounded in-memory sink of pre-serialized, context-stamped events.
+    """Bounded in-memory sink of stamped event copies.
 
-    Each event is converted to its dict payload at emit time, stamped
-    with the wall-clock timestamp and the current trace context — the
-    exact line a :class:`~repro.obs.events.TraceWriter` would have
-    written, ready to replay through any sink in the parent process.
+    Each event payload is copied at emit time and the copy stamped with
+    the wall-clock timestamp and the current trace context — the exact
+    line a :class:`~repro.obs.events.TraceWriter` would have written,
+    ready to replay through any sink in the parent process.
     """
 
     def __init__(self, capacity: int = DEFAULT_SPOOL_CAPACITY) -> None:
@@ -109,12 +106,12 @@ class SpoolSink:
         self.events: List[Dict[str, object]] = []
         self.dropped = 0
 
-    def handle(self, event: EventLike) -> None:
+    def handle(self, event: Dict[str, object]) -> None:
         """Capture one event (overflow counted, not stored)."""
         if len(self.events) >= self.capacity:
             self.dropped += 1
             return
-        payload = event_payload(event)
+        payload = dict(event)
         payload.setdefault("ts", time.time())
         context = current_trace_context()
         if context:
@@ -245,7 +242,7 @@ class FarmCollector:
     Created by the executors when telemetry is enabled.  ``collect``
     stores the latest successful attempt's telemetry per unit; ``merge``
     replays everything into the parent's live sinks and registry — each
-    unit closed by a :class:`~repro.obs.events.FarmUnitMerged` event —
+    unit closed by a ``farm_unit_merged`` event —
     walking the *submission* order, so the merged section of a trace is
     identical for any worker count and any completion order.
     """
@@ -313,7 +310,8 @@ class FarmCollector:
                     telemetry.dropped_events
                 )
             OBS.bus.emit(
-                FarmUnitMerged(
+                event(
+                    "farm_unit_merged",
                     key=key,
                     events=len(telemetry.events),
                     dropped_events=telemetry.dropped_events,
@@ -331,8 +329,11 @@ class FarmProgressReporter:
 
         [farm 12/16] die/0011 done in 0.42s (381 meas) on ForkProcess-3
 
-    Replayed (pre-serialized) events are ignored: progress reflects the
-    live run, the merged trace stays the deterministic record.
+    Replayed events are ignored: progress reflects the live run, the
+    merged trace stays the deterministic record.  A replay — from a
+    worker spool or the broker — is stamped with ``ts`` before it reaches
+    the bus, and a live event is not (sinks stamp copies), so ``ts``
+    tells them apart.
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
@@ -343,39 +344,39 @@ class FarmProgressReporter:
     def _line(self, text: str) -> None:
         print(text, file=self._stream, flush=True)
 
-    def handle(self, event: EventLike) -> None:
-        """React to farm lifecycle events; ignore everything else."""
-        if isinstance(event, dict):
+    def handle(self, event: Dict[str, object]) -> None:
+        """React to live farm lifecycle events; ignore everything else."""
+        if "ts" in event:
             return
-        name = event_type(event)
+        name = event["type"]
         if name == "farm_run_started":
-            self._total = event.units
+            self._total = event["units"]
             self._done = 0
             self._line(
-                f"[farm] {event.campaign}: {event.units} unit(s) on "
-                f"{event.workers} worker(s) ({event.executor})"
+                f"[farm] {event['campaign']}: {event['units']} unit(s) on "
+                f"{event['workers']} worker(s) ({event['executor']})"
             )
         elif name == "farm_unit_completed":
             self._done += 1
-            worker = f" on {event.worker}" if event.worker else ""
+            worker = f" on {event['worker']}" if event["worker"] else ""
             self._line(
-                f"[farm {self._done}/{self._total}] {event.key} done in "
-                f"{event.elapsed_s:.2f}s ({event.measurements} meas)"
+                f"[farm {self._done}/{self._total}] {event['key']} done in "
+                f"{event['elapsed_s']:.2f}s ({event['measurements']} meas)"
                 f"{worker}"
             )
         elif name == "farm_unit_skipped":
             self._done += 1
             self._line(
-                f"[farm {self._done}/{self._total}] {event.key} "
+                f"[farm {self._done}/{self._total}] {event['key']} "
                 f"restored from checkpoint"
             )
         elif name == "farm_unit_retried":
             self._line(
-                f"[farm] retrying {event.key} after attempt "
-                f"{event.attempt}: {event.error}"
+                f"[farm] retrying {event['key']} after attempt "
+                f"{event['attempt']}: {event['error']}"
             )
         elif name == "farm_checkpoint_dropped":
             self._line(
-                f"[farm] warning: {event.lines} corrupt checkpoint "
-                f"line(s) dropped from {event.path}"
+                f"[farm] warning: {event['lines']} corrupt checkpoint "
+                f"line(s) dropped from {event['path']}"
             )

@@ -19,11 +19,10 @@ merge machinery unchanged:
   at ``cProfile``'s usual overhead; its "stacks" are single frames
   weighted by self-time milliseconds.
 
-Either way the session ends in one :class:`~repro.obs.events.
-ProfileRecorded` event, and a :class:`ResourceSampler` periodically
-records ``getrusage`` CPU time, RSS (``/proc/self/status`` with a
-portable fallback) and GC counters as :class:`~repro.obs.events.
-ResourceSample` events plus ``proc.*`` gauges.  Farm work units run
+Either way the session ends in one ``profile`` event, and a
+:class:`ResourceSampler` periodically records ``getrusage`` CPU time,
+RSS (``/proc/self/status`` with a portable fallback) and GC counters as
+``resource_sample`` events plus ``proc.*`` gauges.  Farm work units run
 their own pair inside the worker capture, so profiles and resource
 series ship back inside ``WorkerTelemetry`` and merge deterministically
 like every other event.
@@ -48,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import timing
-from repro.obs.events import EventBus, ProfileRecorded, ResourceSample
+from repro.obs.events import EventBus, event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import TraceFold
 from repro.obs.runtime import OBS
@@ -149,13 +148,14 @@ def _proc_rss_kb() -> int:
     return 0
 
 
-def read_resource_sample(phase: Optional[str] = None) -> ResourceSample:
-    """One :class:`ResourceSample` for the calling process, right now."""
+def read_resource_sample(phase: Optional[str] = None) -> Dict[str, object]:
+    """One ``resource_sample`` event for the calling process, right now."""
     user, system = process_cpu_seconds()
     max_rss = _max_rss_kb()
     rss = _proc_rss_kb() or max_rss
     counts = gc.get_count()
-    return ResourceSample(
+    return event(
+        "resource_sample",
         cpu_user_s=round(user, 6),
         cpu_system_s=round(system, 6),
         rss_kb=rss,
@@ -168,7 +168,7 @@ def read_resource_sample(phase: Optional[str] = None) -> ResourceSample:
 
 
 class ResourceSampler:
-    """Background thread emitting :class:`ResourceSample` events.
+    """Background thread emitting ``resource_sample`` events.
 
     The bus and registry are bound at :meth:`start` — a farm unit
     capture swaps the global switchboard, and each sampler must keep
@@ -213,10 +213,10 @@ class ResourceSampler:
         self.samples += 1
         metrics = self._metrics
         if metrics is not None:
-            metrics.gauge("proc.cpu.user_s").set(sample.cpu_user_s)
-            metrics.gauge("proc.cpu.system_s").set(sample.cpu_system_s)
-            metrics.gauge("proc.rss_kb").set(sample.rss_kb)
-            metrics.gauge("proc.rss_peak_kb").set(sample.max_rss_kb)
+            metrics.gauge("proc.cpu.user_s").set(sample["cpu_user_s"])
+            metrics.gauge("proc.cpu.system_s").set(sample["cpu_system_s"])
+            metrics.gauge("proc.rss_kb").set(sample["rss_kb"])
+            metrics.gauge("proc.rss_peak_kb").set(sample["max_rss_kb"])
         if self._bus is not None:
             self._bus.emit(sample)
 
@@ -293,8 +293,8 @@ class SamplingProfiler:
             self._counts[key] = self._counts.get(key, 0) + 1
             self.samples += 1
 
-    def stop(self) -> ProfileRecorded:
-        """Stop sampling; the session's :class:`ProfileRecorded` event."""
+    def stop(self) -> Dict[str, object]:
+        """Stop sampling; the session's ``profile`` event."""
         duration = time.perf_counter() - self._started
         if self._thread is not None:
             self._stop.set()
@@ -308,7 +308,8 @@ class SamplingProfiler:
             (phase, ";".join(stack), count)
             for (phase, stack), count in kept
         )
-        return ProfileRecorded(
+        return event(
+            "profile",
             mode="sampling",
             unit="samples",
             samples=self.samples,
@@ -379,8 +380,8 @@ class CProfileSession:
         self._push(TOP_PHASE)
         return self
 
-    def stop(self) -> ProfileRecorded:
-        """Stop all phase profiles; the :class:`ProfileRecorded` event."""
+    def stop(self) -> Dict[str, object]:
+        """Stop all phase profiles; the ``profile`` event."""
         import pstats
 
         timing.remove_phase_listener(self)
@@ -401,7 +402,8 @@ class CProfileSession:
                 entries.append((phase, f"{module}:{name}", weight))
         entries.sort(key=lambda e: (-e[2], e[0], e[1]))
         kept = entries[: self.config.max_stacks]
-        return ProfileRecorded(
+        return event(
+            "profile",
             mode="cprofile",
             unit="ms",
             samples=calls,
@@ -446,7 +448,7 @@ class ProfileSession:
             self._profiler = SamplingProfiler(self.config).start()
         return self
 
-    def stop(self, emit: bool = True) -> Optional[ProfileRecorded]:
+    def stop(self, emit: bool = True) -> Optional[Dict[str, object]]:
         """Stop both recorders; emit and return the ``profile`` event.
 
         With ``emit=False`` the threads are stopped and everything is
@@ -462,15 +464,17 @@ class ProfileSession:
             resources._metrics = None
         if resources is not None:
             resources.stop()
-        event = profiler.stop()
+        recorded = profiler.stop()
         if not emit:
             return None
         if self._bus is not None:
-            self._bus.emit(event)
+            self._bus.emit(recorded)
         if self._metrics is not None:
-            self._metrics.gauge("profile.samples").set(event.samples)
-            self._metrics.gauge("profile.duration_s").set(event.duration_s)
-        return event
+            self._metrics.gauge("profile.samples").set(recorded["samples"])
+            self._metrics.gauge("profile.duration_s").set(
+                recorded["duration_s"]
+            )
+        return recorded
 
 
 #: The process-wide session (CLI ``--profile``) and its config; farm
@@ -494,7 +498,7 @@ def start_profiling(config: Optional[ProfileConfig] = None) -> ProfileSession:
     return _ACTIVE_SESSION
 
 
-def stop_profiling(emit: bool = True) -> Optional[ProfileRecorded]:
+def stop_profiling(emit: bool = True) -> Optional[Dict[str, object]]:
     """Stop the process-wide session (idempotent); its profile event."""
     global _ACTIVE_CONFIG, _ACTIVE_SESSION
     session, _ACTIVE_SESSION = _ACTIVE_SESSION, None

@@ -30,7 +30,7 @@ from typing import (
 )
 
 from repro.ioutil import iter_jsonl
-from repro.obs.events import known_event_types
+from repro.obs.events import EVENT_FIELDS
 from repro.obs.insight import INSIGHT_EVENT_TYPES
 from repro.obs.metrics import MetricsRegistry
 
@@ -81,7 +81,6 @@ class TraceFold:
     """
 
     def __init__(self) -> None:
-        self._known = known_event_types()
         self.events = 0
         self.dropped_lines = 0
         self.unknown_types: Dict[str, int] = {}
@@ -153,7 +152,7 @@ class TraceFold:
                 return False
         self.events += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if kind not in self._known:
+        if kind not in EVENT_FIELDS:
             self.unknown_types[kind] = self.unknown_types.get(kind, 0) + 1
         elif kind in self.decisions:
             self.decisions[kind].append(record)

@@ -8,7 +8,7 @@ one idiom::
 
     if OBS.enabled:
         OBS.metrics.counter("ate.measurements").inc(label=test_name)
-        OBS.bus.emit(MeasurementEvent(...))
+        OBS.bus.emit(event("measurement", index=..., ...))
 
 With telemetry off (the default) the entire cost of instrumentation is the
 ``OBS.enabled`` attribute load — benchmarks are unaffected.  Enabling is

@@ -1,7 +1,7 @@
 """Wall-clock spans feeding the metrics registry and the event bus.
 
 ``span(name)`` wraps any block in a timed campaign phase: a
-:class:`~repro.obs.events.CampaignPhase` start/end event pair on the bus
+``campaign_phase`` start/end event pair on the bus
 plus a ``span.<name>.seconds`` histogram observation in the registry.
 ``@timed`` is the decorator form for whole functions.  Both are no-ops
 (single attribute check, no timer read) while telemetry is disabled.
@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, TypeVar
 
-from repro.obs.events import CampaignPhase
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 F = TypeVar("F", bound=Callable)
@@ -65,7 +65,9 @@ def span(name: str) -> Iterator[None]:
     if not OBS.enabled:
         yield
         return
-    OBS.bus.emit(CampaignPhase(phase=name, status="start"))
+    OBS.bus.emit(
+        event("campaign_phase", phase=name, status="start", duration_s=None)
+    )
     _PHASE_STACK.append(name)
     if _PHASE_LISTENERS:
         for listener in list(_PHASE_LISTENERS):
@@ -82,7 +84,9 @@ def span(name: str) -> Iterator[None]:
             _PHASE_STACK.pop()
         OBS.metrics.histogram(f"span.{name}.seconds").observe(duration)
         OBS.bus.emit(
-            CampaignPhase(phase=name, status="end", duration_s=duration)
+            event(
+                "campaign_phase", phase=name, status="end", duration_s=duration
+            )
         )
 
 

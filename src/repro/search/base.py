@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import SearchConverged, SearchStarted
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 #: A pass/fail probe of the device at one sweep value.
@@ -154,7 +154,9 @@ class TripPointSearcher(abc.ABC):
             raise SearchError(f"invalid bracket [{low}, {high}]")
         if OBS.enabled:
             method = type(self).__name__
-            OBS.bus.emit(SearchStarted(method=method, low=low, high=high))
+            OBS.bus.emit(
+                event("search_started", method=method, low=low, high=high)
+            )
         recorder = _ProbeRecorder(oracle)
         outcome = self._run(recorder, low, high)
         if OBS.enabled:
@@ -164,7 +166,8 @@ class TripPointSearcher(abc.ABC):
                 outcome.measurements
             )
             OBS.bus.emit(
-                SearchConverged(
+                event(
+                    "search_converged",
                     method=method,
                     trip_point=outcome.trip_point,
                     measurements=outcome.measurements,

@@ -92,7 +92,7 @@ class SubprocessJobRunner:
         )
         # Correlation: the child's trace setup emits a request_context
         # event from these, joining the trace to the access log and the
-        # job row (see repro.obs.events.RequestContext).
+        # job row.
         env["REPRO_JOB_ID"] = job_id
         request_id = str(job.get("request_id") or "")
         if request_id:

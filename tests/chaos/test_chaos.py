@@ -153,29 +153,46 @@ class _FakeWorker:
         self.sock.close()
 
 
+def _holds_lease(broker, name):
+    return any(
+        worker["name"] == name and worker["lease"]
+        for worker in broker.stats_payload()["workers"]
+    )
+
+
 class TestKilledWorker:
     def test_sigkill_mid_unit_reissues_and_merges_identically(self):
         units = _units(4, sleep_s=0.5)
         expected = _serial_bytes(units)
         with FarmBroker(port=0, poll_s=0.02, lease_timeout_s=10.0) as broker:
             doomed = _spawn_worker_process(broker.address, "doomed")
-            # The healthy worker joins only after the kill, so the doomed
-            # worker is guaranteed to be holding a unit when it dies.
-            healthy = _start_thread_worker(
-                broker.address, "healthy", delay_s=1.0
-            )
+            merged = {}
 
-            def assassinate():
-                time.sleep(0.9)  # past startup + into the first sleep
+            def client():
+                merged["results"] = RemoteExecutor(
+                    broker.address, max_attempts=3
+                ).run(units, deterministic_runner)
+
+            thread = threading.Thread(target=client, daemon=True)
+            try:
+                thread.start()
+                # Kill the doomed worker once it holds a unit, however
+                # slowly its subprocess starts; the healthy worker joins
+                # only after the kill, so that unit must be re-issued.
+                deadline = time.monotonic() + 30.0
+                while not _holds_lease(broker, "doomed"):
+                    assert doomed.poll() is None, "doomed worker exited"
+                    assert time.monotonic() < deadline, "no lease in 30 s"
+                    time.sleep(0.01)
                 doomed.send_signal(signal.SIGKILL)
-
-            killer = threading.Thread(target=assassinate, daemon=True)
-            killer.start()
-            results = RemoteExecutor(
-                broker.address, max_attempts=3
-            ).run(units, deterministic_runner)
-            doomed.wait(timeout=10.0)
-            assert _merged_bytes(results) == expected
+            finally:
+                if doomed.poll() is None:
+                    doomed.kill()
+                doomed.wait(timeout=10.0)
+            healthy = _start_thread_worker(broker.address, "healthy")
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert _merged_bytes(merged["results"]) == expected
             assert broker.stats["reissues"] >= 1
             assert broker.stats["units_completed"] == 4
         healthy.join(timeout=5.0)

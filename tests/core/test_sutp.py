@@ -1,11 +1,14 @@
 """Tests for the Search-Until-Trip-Point algorithm (section 4)."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sutp import SearchUntilTripPoint
 from repro.search.base import PassRegion
 from repro.search.oracles import CountingOracle
+from repro.search.successive import SuccessiveApproximation
 
 
 def pass_low(trip):
@@ -146,3 +149,93 @@ class TestFallback:
         result = sutp.measure(pass_low(next_trip))
         assert result.found
         assert result.trip_point == pytest.approx(next_trip, abs=0.06)
+
+
+class SpyThreshold:
+    """Threshold oracle that records every probe, in order."""
+
+    def __init__(self, trip, pass_region):
+        self.trip = trip
+        self.pass_region = pass_region
+        self.probes = []
+
+    def passes(self, x):
+        if self.pass_region is PassRegion.LOW:
+            return x <= self.trip
+        return x >= self.trip
+
+    def __call__(self, x):
+        self.probes.append(x)
+        return self.passes(x)
+
+
+@st.composite
+def walk_cases(draw):
+    """A characterization range CR, an RTP and a trip point inside it, a
+    search factor SF, and the side the pass region lies on."""
+    low = draw(st.floats(-100.0, 100.0))
+    width = draw(st.floats(1.0, 200.0))
+    fraction = st.floats(0.0, 1.0)
+    rtp = low + draw(fraction) * width
+    trip = low + draw(fraction) * width
+    search_factor = draw(st.floats(0.01, 1.0)) * width
+    pass_region = draw(st.sampled_from(list(PassRegion)))
+    return low, low + width, rtp, trip, search_factor, pass_region
+
+
+_RESOLUTION = 0.05
+
+
+class TestWalkProperties:
+    """Eqs. 3/4: from the RTP the walk steps SF·IT at iteration IT, and a
+    walk that would leave CR falls back to the eq. 2 full search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=walk_cases())
+    @example(case=(0.0, 10.0, 5.0, 6.2, 0.5, PassRegion.LOW))  # brackets
+    @example(case=(0.0, 10.0, 5.0, 9.5, 4.0, PassRegion.LOW))  # leaves CR
+    @example(case=(0.0, 10.0, 5.0, 0.5, 4.0, PassRegion.HIGH))  # leaves CR
+    def test_walk_steps_are_sf_times_it(self, case):
+        low, high, rtp, trip, search_factor, pass_region = case
+        sutp = SearchUntilTripPoint(
+            (low, high),
+            search_factor=search_factor,
+            pass_region=pass_region,
+            resolution=_RESOLUTION,
+        )
+        sutp.seed_reference(rtp)
+        spy = SpyThreshold(trip, pass_region)
+        result = sutp.measure(spy)
+
+        rtp_passes = spy.passes(rtp)
+        direction = pass_region.toward_fail() * (1.0 if rtp_passes else -1.0)
+        # The step that would leave CR is never probed.
+        walked = result.iterations
+        if result.used_full_search:
+            walked -= 1
+        walk = spy.probes[: walked + 1]
+        assert walk[0] == rtp
+        for k in range(1, len(walk)):
+            assert math.isclose(
+                walk[k] - walk[k - 1],
+                direction * search_factor * k,
+                rel_tol=1e-9,
+                abs_tol=1e-9 * (abs(low) + abs(high)),
+            )
+            assert low <= walk[k] <= high
+
+        if result.used_full_search:
+            beyond = walk[-1] + direction * search_factor * result.iterations
+            assert not low <= beyond <= high
+            assert all(spy.passes(x) == rtp_passes for x in walk)
+            full = SuccessiveApproximation(
+                resolution=_RESOLUTION, pass_region=pass_region
+            ).search(SpyThreshold(trip, pass_region), low, high)
+            if full.trip_point is None:  # the whole range passes
+                assert result.trip_point is None
+            else:
+                assert abs(result.trip_point - full.trip_point) <= _RESOLUTION
+        else:
+            # The state flips at the last walk probe and not before.
+            assert all(spy.passes(x) == rtp_passes for x in walk[:-1])
+            assert spy.passes(walk[-1]) != rtp_passes

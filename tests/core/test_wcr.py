@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.core.wcr import (
     WCRClass,
@@ -96,6 +96,9 @@ class TestClassificationProperties:
     )
     def test_any_boundaries_are_exact(self, edges):
         weakness, fail = sorted(edges)
+        # With adjacent thresholds one ulp below ``fail`` is ``weakness``
+        # itself, a PASS; that pair has its own test below.
+        assume(math.nextafter(weakness, math.inf) < fail)
         classifier = WCRClassifier(weakness_threshold=weakness, fail_threshold=fail)
         for edge, below, above in (
             (weakness, WCRClass.PASS, WCRClass.WEAKNESS),
@@ -104,6 +107,14 @@ class TestClassificationProperties:
             assert classifier.classify(math.nextafter(edge, 0.0)) is below
             assert classifier.classify(edge) is below
             assert classifier.classify(math.nextafter(edge, math.inf)) is above
+
+    def test_adjacent_boundaries_leave_one_weakness_value(self):
+        weakness = 1e-06
+        fail = math.nextafter(weakness, math.inf)
+        classifier = WCRClassifier(weakness_threshold=weakness, fail_threshold=fail)
+        assert classifier.classify(weakness) is WCRClass.PASS
+        assert classifier.classify(fail) is WCRClass.WEAKNESS
+        assert classifier.classify(math.nextafter(fail, math.inf)) is WCRClass.FAIL
 
     @given(a=_WCR, b=_WCR)
     def test_classification_is_monotone_in_wcr(self, a, b):

@@ -10,7 +10,7 @@ import os
 import time
 
 from repro.farm.workunit import UnitOutcome, WorkUnit
-from repro.obs.events import MeasurementEvent
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 
@@ -78,7 +78,8 @@ def emitting_runner(unit: WorkUnit) -> UnitOutcome:
                 float(unit.index * 100 + i)
             )
             OBS.bus.emit(
-                MeasurementEvent(
+                event(
+                    "measurement",
                     index=i,
                     test_name=unit.key,
                     strobe_ns=float(unit.index * 100 + i),

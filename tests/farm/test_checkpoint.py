@@ -119,8 +119,8 @@ class TestDroppedLineTelemetry:
         assert set(loaded) == {"good"}
         assert counter is not None and counter.value == 2
         assert len(events) == 1
-        assert events[0].path == str(path)
-        assert events[0].lines == 2
+        assert events[0]["path"] == str(path)
+        assert events[0]["lines"] == 2
 
     def test_no_telemetry_when_disabled(self, tmp_path):
         from repro import obs
@@ -154,4 +154,4 @@ class TestNonObjectLines:
             obs.reset()
         assert set(loaded) == {"a", "b"}
         assert counter is not None and counter.value == 3
-        assert [event.lines for event in events] == [3]
+        assert [event["lines"] for event in events] == [3]

@@ -15,8 +15,7 @@ from repro.farm.executor import (
 )
 from repro.farm.scheduler import CostModel, Scheduler
 from repro.farm.workunit import WorkUnit
-from repro.obs import FarmUnitCompleted, FarmUnitSkipped, OBS, RingBufferSink
-from repro.obs.events import FarmWorkersClamped
+from repro.obs import OBS, RingBufferSink, event
 from repro.obs.metrics import MetricsRegistry
 
 from tests.farm.runners import (
@@ -72,9 +71,9 @@ class TestMakeExecutor:
             assert make_executor(workers=2).workers == 2
         finally:
             OBS.reset()
-        assert [e for e in sink.events if isinstance(e, FarmWorkersClamped)] == [
-            FarmWorkersClamped(requested=8, workers=2),
-            FarmWorkersClamped(requested=5, workers=2),
+        assert sink.of_type("farm_workers_clamped") == [
+            event("farm_workers_clamped", requested=8, workers=2),
+            event("farm_workers_clamped", requested=5, workers=2),
         ]
 
     def test_single_cpu_keeps_a_one_worker_pool(self, host_cpus):
@@ -286,12 +285,8 @@ class TestFarmTelemetry:
                 SerialExecutor().run(units, echo_runner, checkpoint=store)
             with CheckpointStore(path) as store:
                 SerialExecutor().run(units, echo_runner, checkpoint=store)
-            completed = [
-                e for e in sink.events if isinstance(e, FarmUnitCompleted)
-            ]
-            skipped = [
-                e for e in sink.events if isinstance(e, FarmUnitSkipped)
-            ]
+            completed = sink.of_type("farm_unit_completed")
+            skipped = sink.of_type("farm_unit_skipped")
             assert len(completed) == 3
             assert len(skipped) == 3
             assert OBS.metrics.counter("farm.units").value == 3

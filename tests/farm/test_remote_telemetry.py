@@ -33,7 +33,7 @@ from repro.farm.remote.telemetry import (
     clock_stamp,
 )
 from repro.farm.remote.worker import _HeartbeatPump
-from repro.obs.events import LeaseIssued, WorkerJoined
+from repro.obs.events import event
 from repro.obs.exposition import find_sample, parse_exposition
 from repro.obs.farm import render_farm_top
 from repro.obs.report import TraceFold
@@ -118,7 +118,7 @@ class TestBrokerTelemetry:
         telemetry = BrokerTelemetry()
         before = time.time()
         payload = telemetry.emit(
-            LeaseIssued(key="u/1", attempt=2, worker="w1"),
+            event("lease_issued", key="u/1", attempt=2, worker="w1"),
             campaign="camp",
             span_id="u/1",
         )
@@ -130,12 +130,16 @@ class TestBrokerTelemetry:
 
     def test_emit_defaults_worker_to_broker(self):
         telemetry = BrokerTelemetry()
-        payload = telemetry.emit(WorkerJoined(worker=None, worker_id="x#1"))
+        payload = telemetry.emit(
+            event("worker_joined", worker=None, worker_id="x#1")
+        )
         assert payload["worker"] == "broker"
 
     def test_drain_hands_over_and_clears(self):
         telemetry = BrokerTelemetry()
-        telemetry.emit(LeaseIssued(key="u/1", attempt=1, worker="w"))
+        telemetry.emit(
+            event("lease_issued", key="u/1", attempt=1, worker="w")
+        )
         drained = telemetry.drain_events()
         assert [p["type"] for p in drained] == ["lease_issued"]
         assert telemetry.drain_events() == []
@@ -146,7 +150,9 @@ class TestBrokerTelemetry:
         monkeypatch.setattr(mod, "EVENT_BUFFER_LIMIT", 3)
         telemetry = BrokerTelemetry()
         for i in range(5):
-            telemetry.emit(LeaseIssued(key=f"u/{i}", attempt=1, worker="w"))
+            telemetry.emit(
+                event("lease_issued", key=f"u/{i}", attempt=1, worker="w")
+            )
         assert telemetry.events_dropped == 2
         drained = telemetry.drain_events()
         assert [p["key"] for p in drained] == ["u/0", "u/1", "u/2"]
@@ -157,7 +163,8 @@ class TestBrokerTelemetry:
         obs.configure(trace_path=trace)
         telemetry = BrokerTelemetry()
         payload = telemetry.emit(
-            LeaseIssued(key="u/1", attempt=1, worker="w1"), campaign="camp"
+            event("lease_issued", key="u/1", attempt=1, worker="w1"),
+            campaign="camp",
         )
         obs.reset()
         fold = TraceFold()

@@ -18,8 +18,8 @@ from repro.obs.collector import (
     run_unit_captured,
 )
 from repro.obs.events import (
-    MeasurementEvent,
     current_trace_context,
+    event,
     trace_context,
 )
 
@@ -38,7 +38,8 @@ class TestSpoolSink:
         spool = SpoolSink(capacity=10)
         with trace_context(trace_id="camp", span_id="u/00", worker="w1"):
             spool.handle(
-                MeasurementEvent(
+                event(
+                    "measurement",
                     index=0, test_name="t", strobe_ns=1.0, passed=True
                 )
             )
@@ -120,12 +121,12 @@ class TestFarmCollectorMerge:
             with collector.capture_unit(key, worker=f"w{index}"):
                 emitting_runner(unit)
         collector.merge()
-        merged = [e for e in sink.events if isinstance(e, dict)]
+        merged = [e for e in sink.events if "ts" in e]
         spans = [e["span_id"] for e in merged]
         assert spans == sorted(spans, key=["a", "b", "c"].index)
         closers = sink.of_type("farm_unit_merged")
-        assert [e.key for e in closers] == ["a", "b", "c"]
-        assert [e.measurements for e in closers] == [1, 2, 3]
+        assert [e["key"] for e in closers] == ["a", "b", "c"]
+        assert [e["measurements"] for e in closers] == [1, 2, 3]
         assert obs.OBS.metrics.counters["ate.measurements"].value == 6
         # raw histogram observations replayed in submission order
         assert obs.OBS.metrics.histograms["test.values"].count == 6
@@ -240,4 +241,4 @@ class TestFailureTelemetry:
             executor.run(units, failing_runner, campaign="fails")
         assert sink.of_type("farm_unit_merged") == []
         started = sink.of_type("farm_run_started")
-        assert len(started) == 1 and started[0].campaign == "fails"
+        assert len(started) == 1 and started[0]["campaign"] == "fails"

@@ -1,57 +1,77 @@
-"""Tests for typed events, the bus, sinks and the JSONL trace round-trip."""
+"""Tests for the event schema, the bus, sinks and the JSONL trace round-trip."""
 
 import json
 import logging
 
 import pytest
 
+from repro.obs.collector import SpoolSink
 from repro.obs.events import (
-    CampaignPhase,
+    EVENT_FIELDS,
     EventBus,
-    GAGeneration,
     LoggingSink,
-    MeasurementEvent,
     RingBufferSink,
-    SUTPFallback,
-    SUTPWalkStep,
     TraceWriter,
+    event,
+    trace_context,
 )
 from repro.obs.report import TraceFold
 
 
 def measurement(index=1, name="t0", strobe=20.0, passed=True):
-    return MeasurementEvent(
+    return event(
+        "measurement",
         index=index, test_name=name, strobe_ns=strobe, passed=passed
     )
 
 
-class TestEventTypes:
-    def test_to_dict_carries_type_and_fields(self):
-        event = measurement(index=7, name="rnd_3", strobe=21.5, passed=False)
-        assert event.to_dict() == {
-            "type": "measurement",
-            "index": 7,
-            "test_name": "rnd_3",
-            "strobe_ns": 21.5,
-            "passed": False,
-        }
+class TestEventSchema:
+    def test_event_carries_type_then_fields_in_table_order(self):
+        payload = event(
+            "measurement", passed=False, strobe_ns=21.5, test_name="rnd_3",
+            index=7,
+        )
+        assert list(payload.items()) == [
+            ("type", "measurement"),
+            ("index", 7),
+            ("test_name", "rnd_3"),
+            ("strobe_ns", 21.5),
+            ("passed", False),
+        ]
 
-    def test_events_are_frozen(self):
-        with pytest.raises(Exception):
-            measurement().index = 2
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="unknown event type 'nope'"):
+            event("nope", index=1)
 
-    def test_type_discriminators_are_unique(self):
-        types = {
-            cls.type
-            for cls in (
-                MeasurementEvent,
-                SUTPWalkStep,
-                SUTPFallback,
-                GAGeneration,
-                CampaignPhase,
-            )
-        }
-        assert len(types) == 5
+    def test_missing_field_rejected(self):
+        with pytest.raises(TypeError, match="missing field 'duration_s'"):
+            event("campaign_phase", phase="x", status="start")
+
+    def test_extra_field_rejected(self):
+        with pytest.raises(TypeError, match="unexpected \\['colour'\\]"):
+            event("farm_unit_skipped", key="u/0", colour="red")
+
+    def test_schema_fields_are_distinct_and_never_stamps(self):
+        assert len(EVENT_FIELDS) == 36
+        for name, fields in EVENT_FIELDS.items():
+            assert len(set(fields)) == len(fields), name
+            assert not {"type", "ts"} & set(fields), name
+
+    def test_sinks_do_not_mutate_the_payload(self, tmp_path):
+        payload = measurement()
+        before = dict(payload)
+        sinks = [
+            TraceWriter(tmp_path / "t.jsonl"),
+            SpoolSink(),
+            LoggingSink(),
+            RingBufferSink(),
+        ]
+        with trace_context(trace_id="camp", span_id="u/0", worker="w"):
+            for sink in sinks:
+                sink.handle(payload)
+        sinks[0].close()
+        assert payload == before
+        assert sinks[1].events[0]["span_id"] == "u/0"
 
 
 class TestEventBus:
@@ -86,14 +106,16 @@ class TestRingBufferSink:
         sink = RingBufferSink(capacity=3)
         for i in range(5):
             sink.handle(measurement(index=i))
-        assert [e.index for e in sink.events] == [2, 3, 4]
+        assert [e["index"] for e in sink.events] == [2, 3, 4]
 
-    def test_of_type_by_string_and_class(self):
+    def test_of_type_by_type_string(self):
         sink = RingBufferSink()
         sink.handle(measurement())
-        sink.handle(SUTPWalkStep(iteration=1, value=20.5, passed=True))
+        sink.handle(
+            event("sutp_walk_step", iteration=1, value=20.5, passed=True)
+        )
         assert len(sink.of_type("measurement")) == 1
-        assert len(sink.of_type(SUTPWalkStep)) == 1
+        assert len(sink.of_type("sutp_walk_step")) == 1
         assert sink.of_type("nope") == []
 
     def test_capacity_validated(self):
@@ -107,11 +129,13 @@ class TestTraceRoundTrip:
         writer = TraceWriter(path)
         events = [
             measurement(index=1, name="a"),
-            SUTPWalkStep(iteration=1, value=20.5, passed=False),
-            CampaignPhase(phase="table1", status="end", duration_s=0.25),
+            event("sutp_walk_step", iteration=1, value=20.5, passed=False),
+            event(
+                "campaign_phase", phase="table1", status="end", duration_s=0.25
+            ),
         ]
-        for event in events:
-            writer.handle(event)
+        for payload in events:
+            writer.handle(payload)
         writer.close()
         writer.close()  # idempotent
 
@@ -126,7 +150,7 @@ class TestTraceRoundTrip:
         # Every record carries the original fields plus a timestamp.
         for original, record in zip(events, records):
             assert "ts" in record
-            for key, value in original.to_dict().items():
+            for key, value in original.items():
                 assert record[key] == value
 
     def test_lines_are_plain_json(self, tmp_path):
@@ -139,7 +163,7 @@ class TestTraceRoundTrip:
 
     def test_read_trace_counts_bad_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        good = json.dumps(measurement().to_dict())
+        good = json.dumps(measurement())
         path.write_text(good + "\nnot json\n")
         fold = TraceFold()
         assert [r["type"] for r in fold.read(path)] == ["measurement"]
@@ -154,7 +178,7 @@ class TestTraceRoundTrip:
 
     def test_read_trace_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        path.write_text("\n" + json.dumps(measurement().to_dict()) + "\n\n")
+        path.write_text("\n" + json.dumps(measurement()) + "\n\n")
         fold = TraceFold.load(path)
         assert (fold.events, fold.dropped_lines) == (1, 0)
 
@@ -164,6 +188,11 @@ class TestLoggingSink:
         sink = LoggingSink()
         with caplog.at_level(logging.DEBUG, logger="repro.obs"):
             sink.handle(measurement())
-            sink.handle(CampaignPhase(phase="x", status="start"))
+            sink.handle(
+                event(
+                    "campaign_phase", phase="x", status="start",
+                    duration_s=None,
+                )
+            )
         levels = {r.levelno for r in caplog.records}
         assert levels == {logging.DEBUG, logging.INFO}

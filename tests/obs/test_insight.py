@@ -54,7 +54,7 @@ class TestSUTPInsightEvents:
             quiet_ate, (15.0, 45.0), resolution=0.05
         )
         runner.run(random_tests[:count])
-        return [e.to_dict() for e in sink.events]
+        return sink.events
 
     def test_one_measured_event_per_test(self, quiet_ate, random_tests):
         records = self._measure(quiet_ate, random_tests)
@@ -225,11 +225,7 @@ class TestGAInsightEvents:
         )
         engine = MultiPopulationGA(config, space, synthetic_fitness, seed=0)
         engine.run(seed_individuals(space, 6))
-        return [
-            e.to_dict()
-            for e in sink.events
-            if e.type == "ga_generation"
-        ]
+        return sink.of_type("ga_generation")
 
     def test_generation_events_carry_convergence_fields(self):
         events = self._run_ga()

@@ -90,7 +90,7 @@ class TestProfilerNonInterference:
         assert profiled[2] == baseline[2]  # measurement count
         assert profiled[3] == baseline[3]  # WCR report (fig. 6 export)
         assert profiled[4] == baseline[4]  # screen datalog
-        assert event is not None and event.mode == "sampling"
+        assert event is not None and event["mode"] == "sampling"
 
     def test_cprofile_mode_parity(self):
         baseline = _fig3_campaign()
@@ -100,9 +100,9 @@ class TestProfilerNonInterference:
         event = prof.stop_profiling()
 
         assert profiled == baseline
-        assert event.mode == "cprofile" and event.unit == "ms"
+        assert event["mode"] == "cprofile" and event["unit"] == "ms"
         # deterministic mode attributes self time to the real phases
-        assert {entry[0] for entry in event.folded} >= {"random", "screen"}
+        assert {entry[0] for entry in event["folded"]} >= {"random", "screen"}
 
 
 def _run_lot_profiled(tmp_path, name, extra):
@@ -189,13 +189,13 @@ class TestSamplingProfiler:
             while time.perf_counter() < deadline:
                 sum(i * i for i in range(200))
         event = profiler.stop()
-        assert event.mode == "sampling"
-        assert event.unit == "samples"
-        assert event.samples > 0
-        phases = {entry[0] for entry in event.folded}
+        assert event["mode"] == "sampling"
+        assert event["unit"] == "samples"
+        assert event["samples"] > 0
+        phases = {entry[0] for entry in event["folded"]}
         assert "hotloop" in phases
         # stacks are root-first module:function chains
-        stack = next(e[1] for e in event.folded if e[0] == "hotloop")
+        stack = next(e[1] for e in event["folded"] if e[0] == "hotloop")
         assert re.match(r"^[\w.<>?]+:", stack.split(";")[0])
 
     def test_stop_is_idempotent_and_counts_truncation(self):
@@ -205,9 +205,9 @@ class TestSamplingProfiler:
         time.sleep(0.02)
         first = profiler.stop()
         second = profiler.stop()
-        assert len(first.folded) <= 1
-        assert first.truncated >= 0
-        assert second.samples == first.samples
+        assert len(first["folded"]) <= 1
+        assert first["truncated"] >= 0
+        assert second["samples"] == first["samples"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -234,9 +234,9 @@ class TestCProfileSession:
         with span("beta"):
             beta_work()
         event = session.stop()
-        assert event.mode == "cprofile" and event.unit == "ms"
+        assert event["mode"] == "cprofile" and event["unit"] == "ms"
         by_phase = {}
-        for phase, frame, _ in event.folded:
+        for phase, frame, _ in event["folded"]:
             by_phase.setdefault(phase, set()).add(frame)
         alpha_frames = " ".join(by_phase.get("alpha", ()))
         beta_frames = " ".join(by_phase.get("beta", ()))
@@ -266,15 +266,15 @@ class TestResourceSampler:
         assert sampler.samples == 1
         assert len(seen) == 1
         sample = seen[0]
-        assert sample.type == "resource_sample"
-        assert sample.cpu_user_s >= 0.0
+        assert sample["type"] == "resource_sample"
+        assert sample["cpu_user_s"] >= 0.0
         assert registry.gauges["proc.rss_kb"].value is not None
 
     def test_read_resource_sample_fields(self):
         sample = prof.read_resource_sample(phase="x")
-        assert sample.phase == "x"
-        assert sample.rss_kb >= 0 and sample.max_rss_kb >= 0
-        assert sample.gc_gen0 >= 0
+        assert sample["phase"] == "x"
+        assert sample["rss_kb"] >= 0 and sample["max_rss_kb"] >= 0
+        assert sample["gc_gen0"] >= 0
 
     def test_process_cpu_seconds_monotonic(self):
         user1, system1 = prof.process_cpu_seconds()

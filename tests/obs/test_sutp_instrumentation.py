@@ -34,9 +34,10 @@ class TestScriptedRun:
         # 1. Bootstrap: full-range search establishes the RTP (eq. 2).
         first = sutp.measure(threshold_oracle(50.0))
         assert first.used_full_search
-        types = [e.type for e in sink.events]
+        types = [e["type"] for e in sink.events]
         assert types == ["search_started", "search_converged"]
-        assert sink.events[0].low == 0.0 and sink.events[0].high == 100.0
+        assert sink.events[0]["low"] == 0.0
+        assert sink.events[0]["high"] == 100.0
         sink.clear()
 
         # 2. Small drift: incremental walk, one event per probe.
@@ -46,25 +47,26 @@ class TestScriptedRun:
         walk = sink.events
         # The two-step walk escalated past IT=1, so the bracket also emits
         # a window-escalation insight event.
-        assert [e.type for e in walk] == [
+        assert [e["type"] for e in walk] == [
             "sutp_walk_step",
             "sutp_walk_step",
             "sutp_window_escalated",
         ]
-        assert [e.iteration for e in walk] == [1, 2, 2]
-        assert walk[0].passed and not walk[1].passed
-        assert walk[0].value < walk[1].value  # walking toward the fail region
+        assert [e["iteration"] for e in walk] == [1, 2, 2]
+        assert walk[0]["passed"] and not walk[1]["passed"]
+        # walking toward the fail region
+        assert walk[0]["value"] < walk[1]["value"]
         escalation = walk[2]
-        assert escalation.step == 2.0  # SF * IT = 1.0 * 2
-        assert escalation.window == 3.0  # SF * IT(IT+1)/2
-        assert escalation.probes == 3  # RTP probe + two walk probes
-        assert not escalation.fallback
+        assert escalation["step"] == 2.0  # SF * IT = 1.0 * 2
+        assert escalation["window"] == 3.0  # SF * IT(IT+1)/2
+        assert escalation["probes"] == 3  # RTP probe + two walk probes
+        assert not escalation["fallback"]
         sink.clear()
 
         # 3. Runaway drift: the walk leaves CR, falls back to full search.
         third = sutp.measure(lambda x: True)
         assert third.used_full_search
-        types = [e.type for e in sink.events]
+        types = [e["type"] for e in sink.events]
         assert types[:-4] == ["sutp_walk_step"] * (len(types) - 4)
         assert types[-4:] == [
             "sutp_fallback",
@@ -73,8 +75,8 @@ class TestScriptedRun:
             "search_converged",
         ]
         fallback = sink.events[-4]
-        assert fallback.value > 100.0  # the step that left the range
-        assert sink.events[-3].fallback
+        assert fallback["value"] > 100.0  # the step that left the range
+        assert sink.events[-3]["fallback"]
 
     def test_counters_after_scripted_run(self):
         obs.enable()
@@ -103,8 +105,8 @@ class TestScriptedRun:
         sutp = make_sutp()
         result = sutp.measure(threshold_oracle(50.0))
         (converged,) = sink.of_type("search_converged")
-        assert converged.measurements == result.measurements
-        assert converged.trip_point == result.trip_point
+        assert converged["measurements"] == result.measurements
+        assert converged["trip_point"] == result.trip_point
 
     def test_telemetry_does_not_change_results(self):
         def run():

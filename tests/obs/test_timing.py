@@ -14,9 +14,9 @@ class TestSpan:
         with span("unit"):
             pass
         start, end = sink.events
-        assert (start.phase, start.status) == ("unit", "start")
-        assert (end.phase, end.status) == ("unit", "end")
-        assert end.duration_s >= 0.0
+        assert (start["phase"], start["status"]) == ("unit", "start")
+        assert (end["phase"], end["status"]) == ("unit", "end")
+        assert end["duration_s"] >= 0.0
         hist = obs.OBS.metrics.histograms["span.unit.seconds"]
         assert hist.count == 1
 
@@ -26,7 +26,7 @@ class TestSpan:
         with pytest.raises(RuntimeError):
             with span("boom"):
                 raise RuntimeError("x")
-        assert [e.status for e in sink.events] == ["start", "end"]
+        assert [e["status"] for e in sink.events] == ["start", "end"]
 
     def test_nested_spans(self):
         sink = RingBufferSink()
@@ -34,7 +34,7 @@ class TestSpan:
         with span("outer"):
             with span("inner"):
                 pass
-        assert [(e.phase, e.status) for e in sink.events] == [
+        assert [(e["phase"], e["status"]) for e in sink.events] == [
             ("outer", "start"),
             ("inner", "start"),
             ("inner", "end"),
