@@ -130,6 +130,12 @@ def test_kernel_point_mutation(benchmark):
     assert len(result) == 550
 
 
+def _forget_functional(chip):
+    """Empty the chip's functional memo, newest-entry shortcut included."""
+    chip._functional_cache.clear()
+    chip._newest_functional = None
+
+
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_functional_simulation(benchmark, thousand_cycle_test):
     ate = fresh_ate(seed=67)
@@ -137,7 +143,7 @@ def test_kernel_functional_simulation(benchmark, thousand_cycle_test):
 
     def run():
         # Bypass the cache: functional sim cost is what we measure.
-        ate.chip._functional_cache.clear()
+        _forget_functional(ate.chip)
         return ate.chip.run_functional(sequence)
 
     result = benchmark(run)
@@ -158,7 +164,7 @@ def test_kernel_functional_simulation_faulty(benchmark, thousand_cycle_test):
     sequence = thousand_cycle_test.sequence
 
     def run():
-        chip._functional_cache.clear()
+        _forget_functional(chip)
         return chip.run_functional(sequence)
 
     result = benchmark(run)
@@ -207,8 +213,14 @@ def test_kernel_single_measurement(benchmark, thousand_cycle_test):
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_apply_warm(benchmark, report_sink, thousand_cycle_test):
     """ATE.apply on an already-memoized test, and apart from it the three
-    content-keyed memo lookups it makes (pattern memory, functional result,
-    static value): the lookup layer of the warm measurement path."""
+    memo lookups it makes (pattern memory, functional result, static
+    value): the lookup layer of the warm measurement path.
+
+    Each probe here passes the very objects the previous one did, as an
+    SUTP walk's probes of one test do, so every lookup takes its memo's
+    newest-entry shortcut: one identity check instead of a hash, a pop
+    and a re-insert.  A probe through an equal-content copy still pays
+    the content lookup."""
     ate = fresh_ate(seed=67)
     ate.apply(thousand_cycle_test, 25.0)  # fill every memo
     chip, memory = ate.chip, ate.pattern_memory

@@ -10,6 +10,7 @@ the full cost picture (measurements *and* pattern traffic).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
 from repro.patterns.vectors import VectorSequence
 
@@ -35,6 +36,9 @@ class PatternMemory:
         self.capacity_cycles = capacity_cycles
         # Resident sequences and their cycle counts, oldest first.
         self._resident: "OrderedDict[VectorSequence, int]" = OrderedDict()
+        # The key object of the newest resident entry: the sequence the
+        # last load was asked for, or None after a clear.
+        self._newest: Optional[VectorSequence] = None
         self._used_cycles = 0
         self.load_count = 0
         self.loaded_cycles_total = 0
@@ -69,6 +73,12 @@ class PatternMemory:
                 f"sequence of {len(sequence)} cycles exceeds pattern memory "
                 f"capacity of {self.capacity_cycles}"
             )
+        if sequence is self._newest:
+            # Already the newest entry, keyed by this very object: the
+            # pop-and-re-insert below would leave everything as it is.
+            self.hit_count += 1
+            return False
+        self._newest = sequence
         cycles = self._resident.pop(sequence, None)
         if cycles is not None:
             # Back in as the newest entry, keyed by the object that asked.
@@ -87,4 +97,5 @@ class PatternMemory:
     def clear(self) -> None:
         """Flush the memory (does not reset the cost counters)."""
         self._resident.clear()
+        self._newest = None
         self._used_cycles = 0

@@ -37,8 +37,14 @@ class TimingGenerator:
             raise ValueError("edge range must satisfy min < max")
 
     def quantize(self, edge_ns: float) -> float:
-        """Snap an edge request to the placement grid, clamped to range."""
-        clamped = float(np.clip(edge_ns, self.min_edge_ns, self.max_edge_ns))
+        """Snap an edge request to the placement grid, clamped to range.
+
+        The clamp is ``min(max(...))``, not ``np.clip``: on one Python float
+        numpy's dispatch costs more than the rest of the call, and the two
+        agree on every input (a NaN passes both unchanged and ``round``
+        rejects it).
+        """
+        clamped = min(max(edge_ns, self.min_edge_ns), self.max_edge_ns)
         steps = round(clamped / self.resolution_ns)
         return float(steps * self.resolution_ns)
 

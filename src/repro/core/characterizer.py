@@ -15,7 +15,6 @@ plus the shmoo overlay of fig. 8 and the Table-1 report builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table1Report, Table1Row

@@ -104,12 +104,13 @@ class WorstCaseDatabase:
         The farm merge helper: per-shard databases from a parallel run are
         combined in shard order, so the merged store — and therefore its
         export — is deterministic.  Records and functional failures keep
-        their separation.
+        their separation.  A database merged into itself holds every
+        entry twice: merge is a multiset union, kept in merge order.
         """
-        for record in other._records:
-            self.add(record)
-        for failure in other._failures:
-            self.add(failure)
+        # ``extend``, not a loop of ``add``: it reads ``other``'s lists
+        # once, even when ``other`` is ``self``.
+        self._records.extend(other._records)
+        self._failures.extend(other._failures)
         return self
 
     def export_payload(self) -> Dict[str, object]:

@@ -37,7 +37,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import OBS
-from repro.obs.exposition import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.farm.remote.protocol import (
     PROTOCOL_VERSION,

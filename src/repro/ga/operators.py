@@ -230,9 +230,7 @@ def resize_mutate_sequence(
     """Grow or shrink the sequence within the paper's 100-1000 cycle bounds."""
     pcg64(rng)
     change = int(rng.integers(-max_change, max_change + 1))
-    target = int(
-        np.clip(len(sequence) + change, MIN_SEQUENCE_CYCLES, MAX_SEQUENCE_CYCLES)
-    )
+    target = min(max(len(sequence) + change, MIN_SEQUENCE_CYCLES), MAX_SEQUENCE_CYCLES)
     columns = [column[:target] for column in sequence.columns]
     grow = target - len(sequence)
     if grow > 0:

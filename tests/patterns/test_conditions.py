@@ -1,5 +1,7 @@
 """Tests for test conditions and the condition space."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,3 +121,16 @@ class TestConditionSpace:
         space = ConditionSpace()
         condition = TestCondition(vdd=vdd, temperature=temp, clock_period=period)
         assert space.clamp(space.clamp(condition)) == space.clamp(condition)
+
+    @given(
+        values=st.lists(st.floats() | st.sampled_from([0.0, -0.0]), min_size=3, max_size=3),
+        low=st.sampled_from([-0.0, 0.0, -40.0, 1.4]),
+    )
+    def test_clamp_is_bit_identical_to_np_clip(self, values, low):
+        """Signed zeros at a bound, NaN and infinities included."""
+        space = ConditionSpace((low, 2.2), (low, 125.0), (low, 80.0))
+        clamped = space.clamp(TestCondition(*values)).as_dict().values()
+        reference = [float(np.clip(v, low, high)) for v, high in zip(values, (2.2, 125.0, 80.0))]
+        assert [struct.pack("<d", v) for v in clamped] == [
+            struct.pack("<d", v) for v in reference
+        ]
