@@ -66,8 +66,7 @@ from repro.obs.collector import (
     WorkerCaptureConfig,
     run_unit_captured,
 )
-from repro.obs.events import EventBus, event
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import event
 from repro.obs.runtime import OBS
 
 #: Seconds a terminated pool worker gets to exit before it is killed.
@@ -341,20 +340,15 @@ def _worker_call(
 ):
     """Per-unit entry point inside a pool worker.
 
-    The inherited switchboard is neutralized first: under the ``fork``
-    start method the child inherits the parent's enabled switchboard
-    *and* its open trace file descriptors, and concurrent writes would
-    interleave garbage.  The parent's sinks are detached (never closed —
-    the file handles belong to the parent) and, when a capture config
+    The inherited switchboard is detached first (:meth:`Observability.detach
+    <repro.obs.runtime.Observability.detach>`) and, when a capture config
     was shipped with the dispatch, the unit runs under a fresh
     :class:`~repro.obs.collector.UnitCapture` whose spool travels back
     with the outcome.
     """
     import multiprocessing
 
-    OBS.enabled = False
-    OBS.bus = EventBus()
-    OBS.metrics = MetricsRegistry()
+    OBS.detach()
     worker = multiprocessing.current_process().name
     start = time.perf_counter()
     if config is not None and config.capture:

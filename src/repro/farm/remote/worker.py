@@ -47,8 +47,6 @@ from repro.farm.remote.protocol import (
 )
 from repro.farm.remote.telemetry import clock_stamp
 from repro.obs.collector import run_unit_captured
-from repro.obs.events import EventBus
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
 
 logger = logging.getLogger("repro.farm.remote")
@@ -60,13 +58,6 @@ class WorkerRejected(RuntimeError):
 
 def _default_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _neutralize_observability() -> None:
-    """Detach from any inherited OBS runtime (mirror of the pool worker)."""
-    OBS.enabled = False
-    OBS.bus = EventBus()
-    OBS.metrics = MetricsRegistry()
 
 
 def _connect(
@@ -216,7 +207,7 @@ def run_worker(
         Exit after this long without any unit to steal; ``None`` polls
         forever.
     """
-    _neutralize_observability()
+    OBS.detach()
     worker_name = name or _default_name()
     address = parse_address(connect) if isinstance(connect, str) else (
         connect[0], int(connect[1])

@@ -7,7 +7,7 @@ package turns every such cost into an observable:
 
 * :mod:`repro.obs.events` — events (one measurement, one SUTP walk step,
   one GA generation, one NN epoch, one campaign phase) as plain dicts
-  built by :func:`event` from one schema table, on an
+  built by :func:`event` from one typed schema table, on an
   :class:`EventBus`, with JSONL (:class:`TraceWriter`), in-memory
   (:class:`RingBufferSink`) and logging (:class:`LoggingSink`) sinks,
   plus the process-local trace context (campaign/unit/worker ids)
@@ -26,7 +26,7 @@ package turns every such cost into an observable:
 * :mod:`repro.obs.history` — the per-campaign ``runs.jsonl`` run store
   and the cost-regression comparison behind ``repro obs compare``;
 * :mod:`repro.obs.report` — :class:`TraceFold`, the one tolerant pass
-  over a trace that every ``repro obs`` view and job progress read, and
+  that types a trace for every ``repro obs`` view and job progress, and
   the text summaries drawn from it, including the fig. 3 per-test cost
   profile;
 * :mod:`repro.obs.insight` — decision-level introspection: the SUTP

@@ -4,9 +4,9 @@ Every hot path of the characterization stack emits a small event — one
 ATE measurement, one SUTP walk step, one GA generation, one NN epoch,
 one campaign phase boundary — onto a process-local :class:`EventBus`.
 An event is a plain dict built by :func:`event`, which checks its fields
-against the one schema table, :data:`EVENT_FIELDS`.  The same dict is
-what a trace line, a worker spool and the broker's buffer hold.  Sinks
-subscribe to the bus:
+against the one schema table, :data:`EVENT_FIELDS`, where each field
+also has its type.  The same dict is what a trace line, a worker spool
+and the broker's buffer hold.  Sinks subscribe to the bus:
 
 * :class:`TraceWriter` appends one JSON object per event to a ``.jsonl``
   file (the ``--trace`` CLI flag), timestamped at write time;
@@ -27,11 +27,14 @@ import collections
 import contextlib
 import json
 import logging
+import math
 import time
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 logger = logging.getLogger("repro.obs")
+
+Coerce = Callable[[object], object]
 
 
 #: Process-local trace context: ``trace_id`` (campaign), ``span_id`` (work
@@ -99,80 +102,169 @@ def trace_context(
         _TRACE_CONTEXT = saved
 
 
-#: The event schema: each ``type`` discriminator and its field names, in
-#: the order they are written.  ``docs/observability.md`` documents what
-#: each field means.
-EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    # -- characterization: ATE, searches, SUTP (eqs. 3/4), NN, GA, WCR
-    "measurement": ("index", "test_name", "strobe_ns", "passed"),
-    "search_started": ("method", "low", "high"),
-    "search_converged": ("method", "trip_point", "measurements"),
-    "sutp_walk_step": ("iteration", "value", "passed"),
-    "sutp_fallback": ("iteration", "value"),
-    "sutp_window_escalated": (
-        "iteration", "step", "window", "probes", "fallback",
-    ),
-    "sutp_test_measured": (
-        "test_name", "trip_point", "measurements", "used_full_search",
-        "iterations", "rtp", "drift",
-    ),
-    "ga_generation": (
-        "generation", "best_fitness", "mean_fitness", "evaluations",
-        "restarts", "std_fitness", "sequence_diversity",
-        "condition_diversity", "best_operator",
-    ),
-    "nn_epoch": ("epoch", "train_loss", "val_loss"),
-    "nn_vote": (
-        "sample", "votes", "predicted", "actual", "entropy", "margin",
-        "agreement",
-    ),
-    "nn_calibration": (
-        "round", "labels", "matrix", "accuracy", "mean_entropy",
-        "mean_margin",
-    ),
-    "wcr_classified": ("test_name", "technique", "wcr", "wcr_class", "value"),
-    # -- process: resources, profiles, the service request, phases
-    "resource_sample": (
-        "cpu_user_s", "cpu_system_s", "rss_kb", "max_rss_kb", "gc_gen0",
-        "gc_gen1", "gc_gen2", "phase",
-    ),
-    "profile": (
-        "mode", "unit", "samples", "interval_s", "duration_s", "folded",
-        "truncated",
-    ),
-    "request_context": ("request_id", "job_id"),
-    "campaign_phase": ("phase", "status", "duration_s"),
-    # -- farm executors
-    "farm_unit_dispatched": ("key", "kind", "attempt", "executor"),
-    "farm_run_started": ("campaign", "units", "executor", "workers"),
-    "farm_unit_completed": (
-        "key", "kind", "attempt", "elapsed_s", "measurements", "worker",
-    ),
-    "farm_unit_merged": (
-        "key", "events", "dropped_events", "measurements", "worker",
-    ),
-    "farm_checkpoint_dropped": ("path", "lines"),
-    "farm_unit_retried": ("key", "attempt", "error"),
-    "farm_unit_skipped": ("key",),
-    "farm_worker_pool": ("status", "workers"),
-    "farm_workers_clamped": ("requested", "workers"),
-    # -- remote farm: the broker's control plane, stamped with ``ts`` and
-    # trace context by ``BrokerTelemetry.emit``; the client emits the
-    # closing ``broker_clock_sync``
-    "broker_campaign_started": (
-        "campaign", "units", "restored", "max_attempts", "lease_s",
-    ),
-    "worker_joined": ("worker", "worker_id"),
-    "worker_left": ("worker", "worker_id", "completed", "failed"),
-    "lease_issued": ("key", "attempt", "worker"),
-    "lease_heartbeat": ("key", "attempt", "worker", "fresh"),
-    "lease_expired": ("key", "attempt", "worker", "age_s"),
-    "lease_reissued": ("key", "attempt", "reason"),
-    "lease_completed": ("key", "attempt", "worker", "age_s", "ok"),
-    "duplicate_suppressed": ("key", "attempt", "worker"),
-    "spool_restored": ("campaign", "restored", "dropped"),
-    "broker_clock_sync": ("campaign", "offsets", "client_offset_s"),
+# -- field types.  A type is the function that coerces a parsed JSON value
+# to it: it returns a value that already has the type unchanged (so a
+# well-formed line is never copied) and raises TypeError, ValueError or
+# OverflowError for one that does not coerce.
+
+
+def _int(value: object) -> int:
+    number = value if type(value) is int else int(value)
+    float(number)  # beyond double range: views divide these
+    return number
+
+
+def _float(value: object) -> float:
+    number = float(value)
+    # A JSON int stays an int, so a view prints it as it was written,
+    # unless a double cannot hold it exactly.
+    exact = type(value) is int and abs(value) <= 2**53
+    return value if exact or type(value) is float else number
+
+
+def _finite(value: object) -> float:
+    number = _float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not finite: {number!r}")
+    return number
+
+
+def _exactly(kind: type) -> Coerce:
+    def coerce(value: object) -> object:
+        if type(value) is not kind:
+            raise TypeError(f"not a {kind.__name__}: {value!r}")
+        return value
+    return coerce
+
+
+_str, _bool = _exactly(str), _exactly(bool)
+
+
+def _optional(kind: Coerce) -> Coerce:
+    return lambda value: None if value is None else kind(value)
+
+
+def _same(items: list, value: Sequence) -> object:
+    return value if all(a is b for a, b in zip(items, value)) else items
+
+
+def _list_of(kind: Coerce) -> Coerce:
+    def coerce(value: object) -> object:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"not a list: {value!r}")
+        return _same([kind(item) for item in value], value)
+    return coerce
+
+
+def _row(*kinds: Coerce) -> Coerce:
+    def coerce(value: object) -> object:
+        if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+            raise TypeError(f"not a {len(kinds)}-item row: {value!r}")
+        return _same([kind(item) for kind, item in zip(kinds, value)], value)
+    return coerce
+
+
+def _map_of(kind: Coerce) -> Coerce:
+    def coerce(value: object) -> object:
+        if not isinstance(value, dict):
+            raise TypeError(f"not an object: {value!r}")
+        items = {_str(key): kind(item) for key, item in value.items()}
+        same = all(items[key] is item for key, item in value.items())
+        return value if same else items
+    return coerce
+
+
+#: Every field type by the name the schema spells it with (``?``: or
+#: ``null``; ``[...]``: a list of; ``{...}``: an object of).
+_TYPES: Dict[str, Coerce] = {
+    "int": _int, "float": _float, "finite": _finite, "str": _str,
+    "bool": _bool, "float?": _optional(_float), "str?": _optional(_str),
+    "[int]": _list_of(_int), "[str]": _list_of(_str),
+    "[[int]]": _list_of(_list_of(_int)),
+    "[[str,str,int]]": _list_of(_row(_str, _str, _int)),
+    "{finite}": _map_of(_finite),
 }
+
+
+def _fields(spec: str) -> Dict[str, Coerce]:
+    return {
+        name: _TYPES[kind]
+        for name, _, kind in (field.partition(":") for field in spec.split())
+    }
+
+
+#: The event schema: each ``type`` discriminator and its fields, in the
+#: order they are written, each with its type.  ``docs/observability.md``
+#: documents what each field means.  :class:`repro.obs.report.TraceFold`
+#: coerces every trace line through this table (and
+#: :data:`ENVELOPE_FIELDS`), so the views read typed records.
+EVENT_FIELDS: Dict[str, Dict[str, Coerce]] = {
+    kind: _fields(spec) for kind, spec in {
+        # -- characterization: ATE, searches, SUTP (eqs. 3/4), NN, GA, WCR
+        "measurement": "index:int test_name:str strobe_ns:finite passed:bool",
+        "search_started": "method:str low:float high:float",
+        "search_converged": "method:str trip_point:float? measurements:int",
+        "sutp_walk_step": "iteration:int value:float passed:bool",
+        "sutp_fallback": "iteration:int value:float",
+        "sutp_window_escalated": "iteration:int step:float window:float "
+        "probes:int fallback:bool",
+        "sutp_test_measured": "test_name:str trip_point:float? "
+        "measurements:int used_full_search:bool iterations:int rtp:float? "
+        "drift:float?",
+        "ga_generation": "generation:int best_fitness:float "
+        "mean_fitness:float evaluations:int restarts:int std_fitness:float "
+        "sequence_diversity:float condition_diversity:float "
+        "best_operator:str",
+        "nn_epoch": "epoch:int train_loss:float val_loss:float?",
+        "nn_vote": "sample:int votes:[int] predicted:int actual:int "
+        "entropy:finite margin:float agreement:float",
+        "nn_calibration": "round:int labels:[str] matrix:[[int]] "
+        "accuracy:float mean_entropy:float mean_margin:float",
+        "wcr_classified": "test_name:str technique:str wcr:float? "
+        "wcr_class:str value:float?",
+        # -- process: resources, profiles, the service request, phases
+        "resource_sample": "cpu_user_s:float cpu_system_s:float rss_kb:int "
+        "max_rss_kb:int gc_gen0:int gc_gen1:int gc_gen2:int phase:str?",
+        "profile": "mode:str unit:str samples:int interval_s:float "
+        "duration_s:float folded:[[str,str,int]] truncated:int",
+        "request_context": "request_id:str job_id:str",
+        "campaign_phase": "phase:str status:str duration_s:float?",
+        # -- farm executors
+        "farm_unit_dispatched": "key:str kind:str attempt:int executor:str",
+        "farm_run_started": "campaign:str units:int executor:str workers:int",
+        "farm_unit_completed": "key:str kind:str attempt:int "
+        "elapsed_s:float measurements:int worker:str",
+        "farm_unit_merged": "key:str events:int dropped_events:int "
+        "measurements:int worker:str",
+        "farm_checkpoint_dropped": "path:str lines:int",
+        "farm_unit_retried": "key:str attempt:int error:str",
+        "farm_unit_skipped": "key:str",
+        "farm_worker_pool": "status:str workers:int",
+        "farm_workers_clamped": "requested:int workers:int",
+        # -- remote farm: the broker's control plane, stamped with ``ts``
+        # and trace context by ``BrokerTelemetry.emit``; the client emits
+        # the closing ``broker_clock_sync``
+        "broker_campaign_started": "campaign:str units:int restored:int "
+        "max_attempts:int lease_s:float",
+        "worker_joined": "worker:str worker_id:str",
+        "worker_left": "worker:str worker_id:str completed:int failed:int",
+        "lease_issued": "key:str attempt:int worker:str",
+        "lease_heartbeat": "key:str attempt:int worker:str fresh:bool",
+        "lease_expired": "key:str attempt:int worker:str age_s:float",
+        "lease_reissued": "key:str attempt:int reason:str",
+        "lease_completed": "key:str attempt:int worker:str age_s:float "
+        "ok:bool",
+        "duplicate_suppressed": "key:str attempt:int worker:str",
+        "spool_restored": "campaign:str restored:int dropped:int",
+        "broker_clock_sync": "campaign:str offsets:{finite} "
+        "client_offset_s:finite",
+    }.items()
+}
+
+#: The fields :class:`TraceWriter` stamps onto every line (``ts``) or
+#: onto lines written under a trace context, with their types.  An event
+#: field of the same name has the same type.
+ENVELOPE_FIELDS = _fields("ts:finite worker:str attempt:int trace_id:str span_id:str")
 
 
 def event(type: str, **fields: object) -> Dict[str, object]:

@@ -143,8 +143,7 @@ def render_exposition(
     """
     if isinstance(source, MetricsRegistry):
         # Copy under the registry lock so a concurrent scrape never sees
-        # a dict mid-mutation (thread_safe=False registries hold a
-        # no-op lock and keep the historical behaviour).
+        # a dict mid-mutation.
         with source._lock:
             counters: Dict[str, object] = {
                 name: {"value": c.value, "by_label": dict(c.by_label)}

@@ -48,7 +48,7 @@ WORKER_CLOCKED_TYPES = frozenset(
     {
         "measurement",
         "resource_sample",
-        "profile_recorded",
+        "profile",
         "search_started",
         "search_converged",
         "sutp_walk_step",
@@ -72,22 +72,15 @@ def extract_clock_sync(
     Returns ``(worker offsets, client offset)``, both in the broker's
     ``peer − broker`` convention.  The *last* sync wins: a multi-batch
     campaign (pilot + rest) syncs once per batch and later estimates
-    have seen more samples.
+    have seen more samples.  ``records`` are typed records, as
+    :meth:`repro.obs.report.TraceFold.read` yields them.
     """
     offsets: Dict[str, float] = {}
     client_offset = 0.0
     for record in records:
-        if record.get("type") != "broker_clock_sync":
-            continue
-        raw = record.get("offsets")
-        if isinstance(raw, dict):
-            offsets = {
-                str(name): float(value) for name, value in raw.items()
-            }
-        try:
-            client_offset = float(record.get("client_offset_s") or 0.0)
-        except (TypeError, ValueError):
-            client_offset = 0.0
+        if record.get("type") == "broker_clock_sync":
+            offsets = record.get("offsets", {})
+            client_offset = record.get("client_offset_s", 0.0)
     return offsets, client_offset
 
 
@@ -106,21 +99,16 @@ def align_records(
         return list(records)
     aligned: List[Dict[str, object]] = []
     for record in records:
-        ts = record.get("ts")
-        if not isinstance(ts, (int, float)):
-            aligned.append(record)
-            continue
         kind = record.get("type")
         shift: Optional[float] = None
         if kind in BROKER_EVENT_TYPES:
             shift = client_offset
         elif kind in WORKER_CLOCKED_TYPES:
-            worker = str(record.get("worker") or "")
+            worker = record.get("worker", "")
             if worker in offsets:
                 shift = client_offset - offsets[worker]
-        if shift:
-            record = dict(record)
-            record["ts"] = float(ts) + shift
+        if shift and "ts" in record:
+            record = {**record, "ts": record["ts"] + shift}
         aligned.append(record)
     return aligned
 

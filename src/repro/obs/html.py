@@ -300,30 +300,26 @@ def _shmoo_heatmap(
     strobed parameter on y, cell color = fraction of passing probes
     (sequential blue ramp, darker = more passing).
     """
-    samples: List[Tuple[int, float, bool]] = []
-    for record in records:
-        if record.get("type") != "measurement":
-            continue
-        samples.append(
-            (
-                len(samples),
-                float(record.get("strobe_ns", 0.0) or 0.0),
-                bool(record.get("passed")),
-            )
-        )
+    measurements = (r for r in records if r.get("type") == "measurement")
+    samples = [
+        (order, record.get("strobe_ns", 0.0), record.get("passed", False))
+        for order, record in enumerate(measurements)
+    ]
     if not samples:
         return '<p class="note">(no measurement events in trace)</p>'
     strobes = [s for _, s, _ in samples]
     s_lo, s_hi = min(strobes), max(strobes)
     if s_hi <= s_lo:
         s_hi = s_lo + 1.0
+    # Beyond 2**53 ns, ``s_lo + 1.0`` is ``s_lo`` again.
+    span = (s_hi - s_lo) or 1.0
     left, right, top, bottom = 52.0, width - 12.0, 12.0, height - 26.0
     totals = [[0] * x_bins for _ in range(y_bins)]
     passes = [[0] * x_bins for _ in range(y_bins)]
     for order, strobe, passed in samples:
         xi = min(x_bins - 1, order * x_bins // len(samples))
         yi = min(
-            y_bins - 1, int((strobe - s_lo) / (s_hi - s_lo) * y_bins)
+            y_bins - 1, int((strobe - s_lo) / span * y_bins)
         )
         totals[yi][xi] += 1
         if passed:
@@ -532,16 +528,14 @@ def _votes_section(insight: RunInsight) -> str:
     ]
     calibration = votes.calibration
     if calibration is not None:
-        labels = [str(x) for x in calibration.get("labels", ())]
+        labels = calibration.get("labels", ())
         matrix = calibration.get("matrix", ())
         headers: List[Tuple[str, bool]] = [("measured \\ predicted", False)]
         headers.extend((label, True) for label in labels)
-        rows = []
-        for label, row in zip(labels, matrix):  # type: ignore[arg-type]
-            rows.append([label, *[int(v) for v in row]])
+        rows = [[label, *row] for label, row in zip(labels, matrix)]
         parts.append(
             f'<p class="sub">Calibration, learning round '
-            f"{int(calibration.get('round', 0) or 0)}: predicted fuzzy "
+            f"{calibration.get('round', 0)}: predicted fuzzy "
             f"class against measured trip-point class.</p>"
         )
         parts.append(_table(headers, rows))
@@ -663,9 +657,7 @@ def _sutp_section(insight: RunInsight) -> str:
                     f"test(s) not shown.</p>"
                 )
     if audit.escalations:
-        windows = [
-            float(e.get("window", 0.0) or 0.0) for e in audit.escalations
-        ]
+        windows = [e.get("window", 0.0) for e in audit.escalations]
         parts.append(
             f'<p class="note">{len(audit.escalations)} window-escalation '
             f"event(s); widest search window {_fmt(max(windows))} "

@@ -26,6 +26,7 @@ renders the same structures as a self-contained HTML report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -42,10 +43,6 @@ INSIGHT_EVENT_TYPES: Tuple[str, ...] = (
     "ga_generation",
     "wcr_classified",
 )
-
-
-def _opt_float(value: object) -> Optional[float]:
-    return None if value is None else float(value)  # type: ignore[arg-type]
 
 
 # -- (a) SUTP search audit ----------------------------------------------------
@@ -95,19 +92,19 @@ class SUTPAudit:
         measured: Sequence[Dict[str, object]],
         escalations: Sequence[Dict[str, object]],
     ) -> "SUTPAudit":
-        """Build the audit from ``sutp_test_measured`` events."""
+        """Build the audit from typed ``sutp_test_measured`` events."""
         incremental = [
-            int(r.get("measurements", 0) or 0)
+            r.get("measurements", 0)
             for r in measured
             if not r.get("used_full_search") and r.get("rtp") is not None
         ]
         optimal = min(incremental) if incremental else None
         rows: List[SUTPAuditRow] = []
         for index, record in enumerate(measured):
-            rtp = _opt_float(record.get("rtp"))
-            used_full = bool(record.get("used_full_search"))
-            iterations = int(record.get("iterations", 0) or 0)
-            measurements = int(record.get("measurements", 0) or 0)
+            rtp = record.get("rtp")
+            used_full = record.get("used_full_search", False)
+            iterations = record.get("iterations", 0)
+            measurements = record.get("measurements", 0)
             escalated = rtp is not None and (used_full or iterations >= 2)
             wasted: Optional[int] = None
             if rtp is not None and optimal is not None:
@@ -115,10 +112,10 @@ class SUTPAudit:
             rows.append(
                 SUTPAuditRow(
                     index=index,
-                    test_name=str(record.get("test_name", "unnamed")),
-                    trip_point=_opt_float(record.get("trip_point")),
+                    test_name=record.get("test_name", "unnamed"),
+                    trip_point=record.get("trip_point"),
                     rtp=rtp,
-                    drift=_opt_float(record.get("drift")),
+                    drift=record.get("drift"),
                     measurements=measurements,
                     iterations=iterations,
                     used_full_search=used_full,
@@ -195,78 +192,39 @@ class SUTPAudit:
 
 
 # -- (b) NN ensemble vote introspection --------------------------------------
-@dataclass(frozen=True)
-class VoteRecord:
-    """One ``nn_vote`` event, decoded."""
-
-    sample: int
-    votes: Tuple[int, ...]
-    predicted: int
-    actual: int
-    entropy: float
-    margin: float
-    agreement: float
-
-    @property
-    def correct(self) -> bool:
-        """True when the majority vote matched the measured class."""
-        return self.predicted == self.actual
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else float("nan")
 
 
 @dataclass
 class VoteInsight:
     """The ensemble's voting behaviour over the validation set."""
 
-    votes: List[VoteRecord] = field(default_factory=list)
+    #: The typed ``nn_vote`` events, in trace order.
+    votes: List[Dict[str, object]] = field(default_factory=list)
     #: The last ``nn_calibration`` event (final learning round): labels,
     #: confusion matrix (measured class x predicted class), accuracy.
     calibration: Optional[Dict[str, object]] = None
 
-    @classmethod
-    def from_events(
-        cls,
-        votes: Sequence[Dict[str, object]],
-        calibrations: Sequence[Dict[str, object]],
-    ) -> "VoteInsight":
-        """Decode ``nn_vote`` events (the last calibration round wins)."""
-        return cls(
-            votes=[
-                VoteRecord(
-                    sample=int(record.get("sample", 0) or 0),
-                    votes=tuple(
-                        int(v) for v in record.get("votes", ()) or ()
-                    ),
-                    predicted=int(record.get("predicted", 0) or 0),
-                    actual=int(record.get("actual", 0) or 0),
-                    entropy=float(record.get("entropy", 0.0) or 0.0),
-                    margin=float(record.get("margin", 0.0) or 0.0),
-                    agreement=float(record.get("agreement", 0.0) or 0.0),
-                )
-                for record in votes
-            ],
-            calibration=calibrations[-1] if calibrations else None,
-        )
+    def _column(self, key: str) -> List[float]:
+        return [vote.get(key, 0.0) for vote in self.votes]
 
     @property
     def mean_entropy(self) -> float:
         """Mean disagreement entropy over all recorded votes (bits)."""
-        if not self.votes:
-            return float("nan")
-        return sum(v.entropy for v in self.votes) / len(self.votes)
+        return _mean(self._column("entropy"))
 
     @property
     def mean_margin(self) -> float:
         """Mean fuzzy-class margin over all recorded votes."""
-        if not self.votes:
-            return float("nan")
-        return sum(v.margin for v in self.votes) / len(self.votes)
+        return _mean(self._column("margin"))
 
     @property
     def accuracy(self) -> float:
         """Fraction of recorded votes whose majority matched the label."""
-        if not self.votes:
-            return float("nan")
-        return sum(1 for v in self.votes if v.correct) / len(self.votes)
+        return _mean(
+            [v.get("predicted", 0) == v.get("actual", 0) for v in self.votes]
+        )
 
     def entropy_histogram(
         self, bins: int = 8
@@ -274,7 +232,7 @@ class VoteInsight:
         """``(low, high, count)`` bins of the disagreement entropy."""
         if not self.votes or bins < 1:
             return []
-        values = [v.entropy for v in self.votes]
+        values = self._column("entropy")
         low, high = min(values), max(values)
         if high <= low:
             return [(low, high, len(values))]
@@ -292,7 +250,7 @@ class VoteInsight:
         """Vote behaviour as text (``repro obs insight``)."""
         if not self.votes:
             return "(no nn_vote events in trace)"
-        disagreed = sum(1 for v in self.votes if v.entropy > 0)
+        disagreed = sum(1 for value in self._column("entropy") if value > 0)
         lines = [
             f"NN votes: {len(self.votes)} sample(s), "
             f"accuracy {self.accuracy:.3f}, "
@@ -301,7 +259,7 @@ class VoteInsight:
             f"{disagreed} contested vote(s)"
         ]
         if self.calibration is not None:
-            labels = [str(x) for x in self.calibration.get("labels", ())]
+            labels = self.calibration.get("labels", ())
             matrix = self.calibration.get("matrix", ())
             lines.append(
                 "calibration (measured class rows x predicted class "
@@ -311,8 +269,8 @@ class VoteInsight:
                 f"{label[:8]:>10}" for label in labels
             )
             lines.append(header)
-            for label, row in zip(labels, matrix):  # type: ignore[arg-type]
-                cells = "".join(f"{int(v):>10}" for v in row)
+            for label, row in zip(labels, matrix):
+                cells = "".join(f"{v:>10}" for v in row)
                 lines.append(f"  {label[:20]:<20}{cells}")
         return "\n".join(lines)
 
@@ -327,20 +285,12 @@ class GAInsight:
 
     def series(self, key: str) -> List[float]:
         """One numeric column over the generations (``nan`` if absent)."""
-        out: List[float] = []
-        for generation in self.generations:
-            value = generation.get(key)
-            out.append(float("nan") if value is None else float(value))  # type: ignore[arg-type]
-        return out
+        return [g.get(key, float("nan")) for g in self.generations]
 
     def operator_counts(self) -> Dict[str, int]:
         """How often each operator chain produced a generation's best."""
-        counts: Dict[str, int] = {}
-        for generation in self.generations:
-            operator = str(generation.get("best_operator", "") or "")
-            if operator:
-                counts[operator] = counts.get(operator, 0) + 1
-        return counts
+        operators = (g.get("best_operator") for g in self.generations)
+        return dict(Counter(op for op in operators if op))
 
     def render(self) -> str:
         """Convergence trajectory as text (``repro obs insight``)."""
@@ -349,10 +299,10 @@ class GAInsight:
         first, last = self.generations[0], self.generations[-1]
         lines = [
             f"GA: {len(self.generations)} generation(s), best fitness "
-            f"{float(first.get('best_fitness', 0.0) or 0.0):.4f} -> "
-            f"{float(last.get('best_fitness', 0.0) or 0.0):.4f}, "
-            f"{int(last.get('restarts', 0) or 0)} restart(s), "
-            f"{int(last.get('evaluations', 0) or 0)} evaluation(s)"
+            f"{first.get('best_fitness', 0.0):.4f} -> "
+            f"{last.get('best_fitness', 0.0):.4f}, "
+            f"{last.get('restarts', 0)} restart(s), "
+            f"{last.get('evaluations', 0)} evaluation(s)"
         ]
         operators = self.operator_counts()
         if operators:
@@ -382,11 +332,7 @@ class WCRInsight:
 
     def class_counts(self) -> Dict[str, int]:
         """Record count per WCR class."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            wcr_class = str(record.get("wcr_class", "unknown"))
-            counts[wcr_class] = counts.get(wcr_class, 0) + 1
-        return counts
+        return dict(Counter(r.get("wcr_class", "unknown") for r in self.records))
 
     def render(self) -> str:
         """Classification tally as text (``repro obs insight``)."""
@@ -429,8 +375,9 @@ def build_insight(fold: "TraceFold") -> RunInsight:
         sutp=SUTPAudit.from_events(
             events["sutp_test_measured"], events["sutp_window_escalated"]
         ),
-        votes=VoteInsight.from_events(
-            events["nn_vote"], events["nn_calibration"]
+        votes=VoteInsight(
+            votes=list(events["nn_vote"]),
+            calibration=(events["nn_calibration"] or [None])[-1],
         ),
         ga=GAInsight(generations=list(events["ga_generation"])),
         wcr=WCRInsight(records=list(events["wcr_classified"])),

@@ -11,13 +11,11 @@ Everything is pure Python (no numpy): histograms keep a deterministic
 reservoir sample for quantiles, so the registry can be imported by the
 lowest-level modules without dragging in the numeric stack.
 
-Thread safety: a registry created with ``thread_safe=True`` (the
-default) guards every mutation and read-out behind one shared
-``threading.RLock`` — the instruments it creates share the registry's
-lock, so concurrent handler threads (the HTTP service) and the
-thread-per-connection farm broker can increment and scrape without an
-external lock.  ``thread_safe=False`` keeps the historical lock-free
-behaviour for single-threaded hot paths (per-unit capture registries).
+Thread safety: a registry guards every mutation and read-out behind one
+shared ``threading.RLock`` — the instruments it creates share the
+registry's lock, so concurrent handler threads (the HTTP service) and
+the thread-per-connection farm broker can increment and scrape without
+an external lock.
 """
 
 from __future__ import annotations
@@ -44,21 +42,6 @@ def nearest_rank(values: Sequence[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-class _NullLock:
-    """Zero-cost stand-in for a lock (``thread_safe=False`` registries)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_LOCK = _NullLock()
-
-
 class Counter:
     """Monotonic counter with an optional per-label breakdown.
 
@@ -72,7 +55,7 @@ class Counter:
         self.name = name
         self.value = 0
         self.by_label: Dict[str, int] = {}
-        self._lock = lock if lock is not None else _NULL_LOCK
+        self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: int = 1, label: Optional[str] = None) -> None:
         """Add ``amount`` to the total (and to ``label``'s count if given)."""
@@ -100,7 +83,7 @@ class Gauge:
     def __init__(self, name: str, lock: Optional[object] = None) -> None:
         self.name = name
         self.value: Optional[float] = None
-        self._lock = lock if lock is not None else _NULL_LOCK
+        self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
         """Record the current value."""
@@ -149,7 +132,7 @@ class Histogram:
         self._reservoir: List[float] = []
         self._reservoir_size = reservoir_size
         self._rng = random.Random(0x5EED)
-        self._lock = lock if lock is not None else _NULL_LOCK
+        self._lock = lock if lock is not None else threading.RLock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -206,15 +189,14 @@ class MetricsRegistry:
     a process boundary and replayed exactly — the farm collector builds
     per-work-unit registries this way.
 
-    ``thread_safe=True`` (the default) shares one reentrant lock across
-    the registry and every instrument it creates, so concurrent threads
-    can mutate and scrape without external coordination.  Single-thread
-    hot paths (per-unit capture registries) can opt out.
+    One reentrant lock is shared by the registry and every instrument it
+    creates, so concurrent threads can mutate and scrape without external
+    coordination.
     """
 
-    def __init__(self, keep_raw: bool = False, thread_safe: bool = True) -> None:
+    def __init__(self, keep_raw: bool = False) -> None:
         self.keep_raw = keep_raw
-        self._lock = threading.RLock() if thread_safe else _NULL_LOCK
+        self._lock = threading.RLock()
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}

@@ -523,7 +523,7 @@ def merged_folded(
     """
     totals: Dict[Tuple[str, str], int] = {}
     for profile in fold.profiles:
-        for entry_phase, stack, weight in profile.stacks:
+        for entry_phase, stack, weight in profile.get("folded", ()):
             if phase is not None and entry_phase != phase:
                 continue
             key = (entry_phase, stack)
@@ -568,10 +568,11 @@ def build_profile_summary(
     """
     summary = ProfileSummary()
     for profile in fold.profiles:
-        if profile.mode not in summary.modes:
-            summary.modes.append(profile.mode)
-        summary.unit = profile.unit
-        summary.truncated += profile.truncated
+        mode = profile.get("mode", "sampling")
+        if mode not in summary.modes:
+            summary.modes.append(mode)
+        summary.unit = profile.get("unit", "samples")
+        summary.truncated += profile.get("truncated", 0)
     table: Dict[Tuple[str, str], HotPath] = {}
     for (entry_phase, stack), weight in merged_folded(
         fold, phase=phase

@@ -30,13 +30,18 @@ from typing import (
 )
 
 from repro.ioutil import iter_jsonl
-from repro.obs.events import EVENT_FIELDS
+from repro.obs.events import ENVELOPE_FIELDS, EVENT_FIELDS
 from repro.obs.insight import INSIGHT_EVENT_TYPES
 from repro.obs.metrics import MetricsRegistry
 
-#: What a field that fails to coerce raises (``int("4x")``,
-#: ``int(float("inf"))``, ``entry[2]`` of a short list, ...).
-_COERCE_ERRORS = (TypeError, ValueError, OverflowError, LookupError)
+#: Every field type of every known event type, envelope included.
+_FIELD_TYPES = {
+    kind: {**ENVELOPE_FIELDS, **fields} for kind, fields in EVENT_FIELDS.items()
+}
+
+#: What a field that does not coerce raises (``int("4x")``,
+#: ``int(float("inf"))``, a string where a list belongs, ...).
+_COERCE_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 class UnitRow(NamedTuple):
@@ -49,22 +54,8 @@ class UnitRow(NamedTuple):
     worker: str
 
 
-class FoldedProfile(NamedTuple):
-    """One ``profile`` event: its folded ``(phase, stack, weight)`` rows."""
-
-    mode: str
-    unit: str
-    truncated: int
-    stacks: Tuple[Tuple[str, str, int], ...]
-
-
 def _worker(record: Dict[str, object]) -> str:
-    return str(record.get("worker", "") or "serial")
-
-
-def _ts(record: Dict[str, object]) -> Optional[float]:
-    ts = record.get("ts")
-    return float(ts) if isinstance(ts, (int, float)) else None
+    return record.get("worker") or "serial"
 
 
 class TraceFold:
@@ -72,10 +63,13 @@ class TraceFold:
 
     Feed it parsed trace lines with :meth:`add` (``None`` stands for an
     unparseable line), or build it from a file with :meth:`load` or
-    :meth:`read`.  Each field a view needs is coerced exactly once, here:
-    a line that is not an event object, or a known event whose fields do
-    not coerce, is skipped and counted in :attr:`dropped_lines`.  Events
-    of a type this build does not know are kept and tallied in
+    :meth:`read`.  Every line is coerced exactly once, here, through the
+    field types of :data:`~repro.obs.events.EVENT_FIELDS` and
+    :data:`~repro.obs.events.ENVELOPE_FIELDS`: a line that is not an
+    event object, or whose fields do not coerce, is skipped and counted
+    in :attr:`dropped_lines`.  An absent field stays absent and an
+    undeclared one passes through.  Events of a type this build does not
+    know are kept (their envelope coerced) and tallied in
     :attr:`unknown_types`, so traces written by older or newer schema
     versions stay readable.
     """
@@ -105,7 +99,8 @@ class TraceFold:
         self.peak_rss_kb: Dict[str, int] = {}
         #: Per worker ``(ts, rss_kb, cpu_s)`` of every timestamped sample.
         self.resource_series: Dict[str, List[Tuple[float, float, float]]] = {}
-        self.profiles: List[FoldedProfile] = []
+        #: The typed ``profile`` events, in trace order.
+        self.profiles: List[Dict[str, object]] = []
         #: The decision-level events insight reads, by type, in trace order.
         self.decisions: Dict[str, List[Dict[str, object]]] = {
             kind: [] for kind in INSIGHT_EVENT_TYPES
@@ -128,41 +123,57 @@ class TraceFold:
         return cls.of(record for _, record in iter_jsonl(path))
 
     def read(self, path: Union[str, Path]) -> Iterator[Dict[str, object]]:
-        """Fold every line of ``path``, yielding each record it keeps.
+        """Fold every line of ``path``, yielding each typed record it keeps.
 
         For the views that draw individual events (the timeline and the
         shmoo heatmap); everything else reads the fold.
         """
         for _, record in iter_jsonl(path):
-            if self.add(record):
-                yield record
+            typed = self.add(record)
+            if typed is not None:
+                yield typed
 
-    def add(self, record: Optional[Dict[str, object]]) -> bool:
-        """Fold one parsed trace line; ``False`` when it was dropped."""
+    def add(
+        self, record: Optional[Dict[str, object]]
+    ) -> Optional[Dict[str, object]]:
+        """Fold one parsed trace line: its typed record, ``None`` if dropped.
+
+        The typed record is ``record`` itself when every field already
+        had its type, else a coerced copy; ``record`` is never mutated.
+        """
         if record is None or "type" not in record:
             self.dropped_lines += 1
-            return False
+            return None
         kind = str(record["type"])
-        fold_fields = _FIELD_FOLDS.get(kind)
-        if fold_fields is not None:
-            try:
-                fold_fields(self, record)
-            except _COERCE_ERRORS:
-                self.dropped_lines += 1
-                return False
+        types = _FIELD_TYPES.get(kind, ENVELOPE_FIELDS)
+        typed = record
+        try:
+            for name, value in record.items():
+                coerce = types.get(name)
+                if coerce is not None:
+                    coerced = coerce(value)
+                    if coerced is not value:
+                        if typed is record:
+                            typed = dict(record)
+                        typed[name] = coerced
+        except _COERCE_ERRORS:
+            self.dropped_lines += 1
+            return None
         self.events += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if kind not in EVENT_FIELDS:
+        fold_fields = _FIELD_FOLDS.get(kind)
+        if fold_fields is not None:
+            fold_fields(self, typed)
+        elif kind not in EVENT_FIELDS:
             self.unknown_types[kind] = self.unknown_types.get(kind, 0) + 1
         elif kind in self.decisions:
-            self.decisions[kind].append(record)
-        return True
-
-    # Each field fold coerces every value first and mutates only after,
-    # so a record that fails to coerce leaves the fold untouched.
+            self.decisions[kind].append(typed)
+        elif kind == "profile":
+            self.profiles.append(typed)
+        return typed
 
     def _measurement(self, record: Dict[str, object]) -> None:
-        name = str(record.get("test_name", "unnamed"))
+        name = record.get("test_name", "unnamed")
         if self.groups and self.groups[-1][0] == name:
             self.groups[-1] = (name, self.groups[-1][1] + 1)
         else:
@@ -170,13 +181,13 @@ class TraceFold:
 
     def _unit_completed(self, record: Dict[str, object]) -> None:
         row = UnitRow(
-            key=str(record.get("key")),
-            attempt=int(record.get("attempt", 1) or 1),
-            elapsed_s=float(record.get("elapsed_s", 0.0) or 0.0),
-            measurements=int(record.get("measurements", 0) or 0),
+            key=record.get("key", ""),
+            attempt=record.get("attempt", 1),
+            elapsed_s=record.get("elapsed_s", 0.0),
+            measurements=record.get("measurements", 0),
             worker=_worker(record),
         )
-        end = _ts(record)
+        end = record.get("ts")
         self.units[row.key] = row
         count, busy_s = self.busy.get(row.worker, (0, 0.0))
         self.busy[row.worker] = (count + 1, busy_s + row.elapsed_s)
@@ -184,9 +195,8 @@ class TraceFold:
             self._extend_run(end - row.elapsed_s, end)
 
     def _run_started(self, record: Dict[str, object]) -> None:
-        units = int(record.get("units", 0) or 0)
-        start = _ts(record)
-        self.units_total += units
+        start = record.get("ts")
+        self.units_total += record.get("units", 0)
         if start is not None:
             self._extend_run(start, None)
 
@@ -197,21 +207,17 @@ class TraceFold:
             self.run_end = end
 
     def _unit_merged(self, record: Dict[str, object]) -> None:
-        self.dropped_events += int(record.get("dropped_events", 0) or 0)
+        self.dropped_events += record.get("dropped_events", 0)
 
     def _checkpoint_dropped(self, record: Dict[str, object]) -> None:
-        self.checkpoint_dropped += int(record.get("lines", 0) or 0)
+        self.checkpoint_dropped += record.get("lines", 0)
 
     def _resource_sample(self, record: Dict[str, object]) -> None:
         worker = _worker(record)
-        cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-            record.get("cpu_system_s", 0.0) or 0.0
-        )
-        # Through float: views divide the peak, so one beyond float range
-        # does not coerce and the record is dropped.
-        peak = int(float(record.get("max_rss_kb", 0) or 0))
-        rss = float(record.get("rss_kb", 0) or 0)
-        ts = _ts(record)
+        cpu = record.get("cpu_user_s", 0.0) + record.get("cpu_system_s", 0.0)
+        peak = record.get("max_rss_kb", 0)
+        rss = record.get("rss_kb", 0)
+        ts = record.get("ts")
         self.resource_samples += 1
         low, high = self.cpu_bounds.get(worker, (cpu, cpu))
         self.cpu_bounds[worker] = (min(low, cpu), max(high, cpu))
@@ -220,23 +226,11 @@ class TraceFold:
             self.resource_series.setdefault(worker, []).append((ts, rss, cpu))
 
     def _campaign_phase(self, record: Dict[str, object]) -> None:
-        phase = str(record.get("phase", "") or "")
+        phase = record.get("phase", "")
         if record.get("status") == "start":
             self._phases.append(phase)
         elif self._phases and self._phases[-1] == phase:
             self._phases.pop()
-
-    def _profile(self, record: Dict[str, object]) -> None:
-        profile = FoldedProfile(
-            mode=str(record.get("mode", "sampling")),
-            unit=str(record.get("unit", "samples")),
-            truncated=int(record.get("truncated", 0) or 0),
-            stacks=tuple(
-                (str(entry[0]), str(entry[1]), int(entry[2]))  # type: ignore[index]
-                for entry in record.get("folded") or ()  # type: ignore[union-attr]
-            ),
-        )
-        self.profiles.append(profile)
 
     # -- derived views -------------------------------------------------------
 
@@ -278,7 +272,6 @@ _FIELD_FOLDS = {
     "farm_checkpoint_dropped": TraceFold._checkpoint_dropped,
     "resource_sample": TraceFold._resource_sample,
     "campaign_phase": TraceFold._campaign_phase,
-    "profile": TraceFold._profile,
 }
 
 
@@ -376,12 +369,11 @@ def trace_summary_data(fold: TraceFold) -> Dict[str, object]:
     per_test = fold.per_test_totals()
     resources = None
     if fold.resource_samples:
+        cpu_s = sum((high - low for low, high in fold.cpu_bounds.values()), 0.0)
         resources = {
             "samples": fold.resource_samples,
             "workers": len(fold.cpu_bounds),
-            "cpu_s": round(
-                sum(high - low for low, high in fold.cpu_bounds.values()), 6
-            ),
+            "cpu_s": round(cpu_s, 6),
             "peak_rss_kb": max([0, *fold.peak_rss_kb.values()]),
         }
     counts = fold.counts
@@ -468,11 +460,12 @@ def render_trace_summary(fold: TraceFold) -> str:
         weight = sum(
             weight
             for profile in fold.profiles
-            for _, _, weight in profile.stacks
+            for _, _, weight in profile.get("folded", ())
         )
         lines.append(
             f"profile: {len(fold.profiles)} session(s), {weight} "
-            f"{fold.profiles[0].unit} recorded (see `repro obs profile`)"
+            f"{fold.profiles[0].get('unit', 'samples')} recorded "
+            f"(see `repro obs profile`)"
         )
 
     if fold.dropped_lines:

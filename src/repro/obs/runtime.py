@@ -49,6 +49,19 @@ class Observability:
         """Turn telemetry off (sinks stay subscribed but receive nothing)."""
         self.enabled = False
 
+    def detach(self) -> None:
+        """Disable and swap in a fresh bus and registry, closing nothing.
+
+        For a child process: under the ``fork`` start method it inherits
+        the parent's enabled switchboard *and* its open trace file
+        descriptors, and concurrent writes would interleave garbage.  The
+        inherited sinks are detached, never closed — the file handles
+        belong to the parent.
+        """
+        self.enabled = False
+        self.bus = EventBus()
+        self.metrics = MetricsRegistry()
+
     def reset(self) -> None:
         """Disable, close/detach every sink and drop all metrics.
 

@@ -50,41 +50,27 @@ def _us(ts: float, t0: float) -> float:
     return round((ts - t0) * 1e6, 3)
 
 
-class _Tracks:
-    """Stable worker-name -> tid assignment, first appearance wins."""
-
-    def __init__(self) -> None:
-        self._tids: Dict[str, int] = {}
-
-    def tid(self, worker: str) -> int:
-        worker = worker or "serial"
-        if worker not in self._tids:
-            self._tids[worker] = _FIRST_WORKER_TID + len(self._tids)
-        return self._tids[worker]
-
-    def items(self) -> List[Tuple[str, int]]:
-        return sorted(self._tids.items(), key=lambda kv: kv[1])
-
-
 def build_chrome_trace(
     records: Iterable[Dict[str, object]],
 ) -> Dict[str, object]:
     """The Chrome-trace dict for a list of trace records.
 
-    ``records`` is what :meth:`repro.obs.report.TraceFold.read` yields.
-    Unknown event types are ignored, so traces from newer schemas still
-    render.
+    ``records`` are typed records, as
+    :meth:`repro.obs.report.TraceFold.read` yields them.  Records
+    without a ``ts`` and unknown event types are ignored, so traces from
+    newer schemas still render.
     """
-    records = [r for r in records if isinstance(r.get("ts"), (int, float))]
+    records = [r for r in records if "ts" in r]
     if not records:
         return {"traceEvents": [], "displayTimeUnit": "ms"}
     # Re-anchor broker/worker timestamps onto the client clock first —
     # an identity pass unless a broker_clock_sync record is present.
     records = align_records(records)
-    t0 = min(float(r["ts"]) for r in records)
+    t0 = min(r["ts"] for r in records)
 
     events: List[Dict[str, object]] = []
-    tracks = _Tracks()
+    # Worker name -> track (tid), first appearance wins.
+    tracks: Dict[str, int] = {}
     dispatch_ts: Dict[str, float] = {}
     phase_stack: Dict[str, List[float]] = {}
     # Per-worker previous (ts, cumulative cpu_s) for the CPU% counter.
@@ -96,16 +82,16 @@ def build_chrome_trace(
 
     for record in records:
         kind = record.get("type")
-        ts = float(record["ts"])
+        ts = record["ts"]
         if kind == "farm_unit_dispatched":
             # Latest dispatch wins: a retried unit's queued period is
             # measured from its final dispatch.
-            dispatch_ts[str(record.get("key"))] = ts
+            dispatch_ts[record.get("key", "")] = ts
         elif kind == "farm_unit_completed":
-            key = str(record.get("key"))
-            elapsed = float(record.get("elapsed_s", 0.0))
+            key = record.get("key", "")
+            elapsed = record.get("elapsed_s", 0.0)
             start = ts - elapsed
-            worker = str(record.get("worker", "") or "serial")
+            worker = record.get("worker") or "serial"
             queued_from = dispatch_ts.get(key)
             if queued_from is not None and queued_from < start:
                 events.append(
@@ -126,7 +112,9 @@ def build_chrome_trace(
                     "cat": "running",
                     "ph": "X",
                     "pid": _PID,
-                    "tid": tracks.tid(worker),
+                    "tid": tracks.setdefault(
+                        worker, _FIRST_WORKER_TID + len(tracks)
+                    ),
                     "ts": _us(start, t0),
                     "dur": round(elapsed * 1e6, 3),
                     "args": {
@@ -167,9 +155,9 @@ def build_chrome_trace(
                 }
             )
         elif kind == "resource_sample":
-            worker = str(record.get("worker", "") or "serial")
-            rss_kb = record.get("rss_kb")
-            if isinstance(rss_kb, (int, float)) and rss_kb > 0:
+            worker = record.get("worker") or "serial"
+            rss_kb = record.get("rss_kb", 0)
+            if rss_kb > 0:
                 events.append(
                     {
                         "name": f"rss MB ({worker})",
@@ -177,11 +165,11 @@ def build_chrome_trace(
                         "ph": "C",
                         "pid": _PID,
                         "ts": _us(ts, t0),
-                        "args": {"rss_mb": round(float(rss_kb) / 1024.0, 2)},
+                        "args": {"rss_mb": round(rss_kb / 1024.0, 2)},
                     }
                 )
-            cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-                record.get("cpu_system_s", 0.0) or 0.0
+            cpu = record.get("cpu_user_s", 0.0) + record.get(
+                "cpu_system_s", 0.0
             )
             prev = cpu_prev.get(worker)
             cpu_prev[worker] = (ts, cpu)
@@ -200,14 +188,12 @@ def build_chrome_trace(
                 )
         elif kind == "lease_issued":
             saw_broker = True
-            open_leases[str(record.get("key"))] = (
-                ts,
-                int(record.get("attempt") or 1),
-                str(record.get("worker") or ""),
+            open_leases[record.get("key", "")] = (
+                ts, record.get("attempt", 1), record.get("worker", ""),
             )
         elif kind in ("lease_completed", "lease_expired"):
             saw_broker = True
-            key = str(record.get("key"))
+            key = record.get("key", "")
             issued = open_leases.pop(key, None)
             if issued is not None:
                 start, attempt, worker = issued
@@ -276,12 +262,12 @@ def build_chrome_trace(
                 }
             )
         elif kind == "campaign_phase":
-            phase = str(record.get("phase"))
+            phase = record.get("phase", "")
             if record.get("status") == "start":
                 phase_stack.setdefault(phase, []).append(ts)
             elif record.get("status") == "end":
                 stack = phase_stack.get(phase)
-                start = stack.pop() if stack else ts - float(
+                start = stack.pop() if stack else ts - (
                     record.get("duration_s") or 0.0
                 )
                 events.append(

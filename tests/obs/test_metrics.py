@@ -186,16 +186,6 @@ class TestThreadSafety:
             thread.join()
         assert all(c is seen[0] for c in seen)
 
-    def test_thread_safe_off_still_works_single_threaded(self):
-        registry = MetricsRegistry(thread_safe=False)
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(2.0)
-        snap = registry.snapshot()
-        assert snap["counters"]["c"]["value"] == 3
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["h"]["count"] == 1
-
     def test_snapshot_under_concurrent_writes_is_consistent(self):
         import threading
 
