@@ -4,7 +4,8 @@ Not paper artifacts — these time the hot paths every experiment rides on
 (random test generation per style, feature extraction one test and a deck
 at a time, functional simulation, NN inference, one tester measurement and
 its memo lookups, a farm unit's deck pickle, one point mutation, one GA
-generation of variation) so performance regressions are visible in CI.
+generation of variation, one voting-machine fit) so performance
+regressions are visible in CI.
 """
 
 import pickle
@@ -21,10 +22,14 @@ from repro.ga.chromosome import TestIndividual
 from repro.ga.engine import GAConfig, MultiPopulationGA
 from repro.ga.operators import point_mutate_sequence
 from repro.ga.population import Population
+from repro.nn.ensemble import VotingEnsemble
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.mlp import MLP
+from repro.nn.trainer import Trainer
 from repro.patterns.conditions import NOMINAL_CONDITION, ConditionSpace
 from repro.patterns.features import FEATURE_NAMES, extract_features_batch
 from repro.patterns.random_gen import STYLES, RandomTestGenerator
+from tests.nn import trainer_reference
 from tests.patterns.features_reference import per_sequence_features
 
 
@@ -279,3 +284,54 @@ def test_kernel_nn_ensemble_inference(benchmark):
 
     probabilities = benchmark(network.predict, batch)
     assert probabilities.shape == (300, 4)
+
+
+@pytest.mark.benchmark(group="kernels")
+def test_kernel_nn_ensemble_fit(benchmark, report_sink):
+    """One voting-machine fit at a learning round's shapes: 5 members of
+    ``[21, 24, 12, 4]``, 34 training rows each (70% of 48), batch 24,
+    12 validation rows and the default learning config.  Timed against the
+    per-member loop the stacked one replaced, with equal results."""
+    rng = np.random.default_rng(67)
+    x, val_x = rng.random((48, 21)), rng.random((12, 21))
+    y, val_y = (np.eye(4)[rng.integers(0, 4, size=n)] for n in (48, 12))
+    trainer = Trainer(
+        CrossEntropyLoss(), learning_rate=0.08, momentum=0.9, batch_size=24,
+        max_epochs=150, patience=15, seed=67,
+    )
+
+    def ensemble():
+        return VotingEnsemble(MLP([21, 24, 12, 4], seed=67), n_networks=5, seed=67)
+
+    def stacked():
+        fitted = ensemble()
+        return fitted, fitted.fit(trainer, x, y, val_x, val_y).histories
+
+    def per_member():
+        fitted = ensemble()
+        return fitted, trainer_reference.ensemble_fit(fitted, trainer, x, y, val_x, val_y)[0]
+
+    fitted, histories = benchmark(stacked)
+    reference, reference_histories = per_member()
+    assert [h.train_loss for h in histories] == [h.train_loss for h in reference_histories]
+    for member, twin in zip(fitted.members, reference.members):
+        for a, b in zip(member.get_parameters(), twin.get_parameters()):
+            assert np.array_equal(a, b)
+
+    # Alternate the two, so host drift hits both alike.
+    times = {stacked: [], per_member: []}
+    for _ in range(7):
+        for fn, samples in times.items():
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    ms, reference_ms = (statistics.median(times[fn]) * 1e3 for fn in (stacked, per_member))
+    epochs = [h.epochs_run for h in histories]
+    report_sink.json(
+        ms_per_fit=round(ms, 3), reference_ms_per_fit=round(reference_ms, 3),
+        ratio=round(ms / reference_ms, 4), member_epochs=epochs,
+    )
+    report_sink(
+        f"ensemble fit, 5 members, epochs {epochs}: {ms:.1f} ms; the "
+        f"per-member loop it replaced {reference_ms:.1f} ms ({ms / reference_ms:.2f}x)"
+    )

@@ -97,9 +97,8 @@ class Softmax(Activation):
     name = "softmax"
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        exp_z = np.exp(shifted)
-        return exp_z / np.sum(exp_z, axis=-1, keepdims=True)
+        exp_z = np.exp(z - z.max(axis=-1, keepdims=True))
+        return exp_z / exp_z.sum(axis=-1, keepdims=True)
 
     def backward(self, grad_output: np.ndarray, output: np.ndarray) -> np.ndarray:
         return grad_output

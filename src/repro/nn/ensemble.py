@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.mlp import MLP
+from repro.nn.mlp import MLP, MLPStack
 from repro.nn.trainer import Trainer, TrainingHistory
 from repro.obs.runtime import OBS
 from repro.obs.timing import span
@@ -135,108 +135,85 @@ class VotingEnsemble:
         val_x: Optional[np.ndarray] = None,
         val_y: Optional[np.ndarray] = None,
     ) -> EnsembleTrainingReport:
-        """Train every member on its own subset of the training data."""
+        """Train every member on its own subset, all in one stacked loop."""
         rng = np.random.default_rng(self.seed)
-        histories: List[TrainingHistory] = []
-        subset_size = max(1, int(round(self.subset_fraction * len(train_x))))
+        size = max(1, int(round(self.subset_fraction * len(train_x))))
+        subsets = np.stack(
+            [rng.choice(len(train_x), size=size, replace=False) for _ in self.members]
+        )
         with span("nn.ensemble_fit"):
-            for member in self.members:
-                subset = rng.choice(
-                    len(train_x), size=subset_size, replace=False
-                )
-                histories.append(
-                    trainer.fit(
-                        member, train_x[subset], train_y[subset], val_x, val_y
-                    )
-                )
-        train_losses = [h.final_train_loss for h in histories]
-        val_losses = [h.best_val_loss for h in histories]
+            histories = trainer.fit_stack(
+                self.members, train_x[subsets], train_y[subsets], val_x, val_y
+            )
         report = EnsembleTrainingReport(
             histories=tuple(histories),
-            mean_train_loss=float(np.mean(train_losses)),
-            mean_val_loss=float(np.mean(val_losses)),
+            mean_train_loss=float(np.mean([h.final_train_loss for h in histories])),
+            mean_val_loss=float(np.mean([h.best_val_loss for h in histories])),
         )
         if OBS.enabled:
-            OBS.metrics.gauge("nn.ensemble.mean_train_loss").set(
-                report.mean_train_loss
-            )
-            OBS.metrics.gauge("nn.ensemble.consistency").set(
-                report.consistency
-            )
+            OBS.metrics.gauge("nn.ensemble.mean_train_loss").set(report.mean_train_loss)
+            OBS.metrics.gauge("nn.ensemble.consistency").set(report.consistency)
         return report
 
     # -- voting -------------------------------------------------------------------
+    def _member_outputs(self, inputs: np.ndarray) -> np.ndarray:
+        """Every member's ``predict`` in one stacked forward pass.
+
+        Shape ``(n_networks, n_samples, n_classes)``.
+        """
+        rows = np.atleast_2d(np.asarray(inputs, dtype=float))
+        return MLPStack(self.members).forward(rows)[-1]
+
     def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         """Soft vote: mean class probabilities over members."""
-        stacked = np.stack([member.predict(inputs) for member in self.members])
-        return stacked.mean(axis=0)
+        return self._member_outputs(inputs).mean(axis=0)
 
     def classify(self, inputs: np.ndarray) -> np.ndarray:
         """Hard vote: majority class per sample (ties go to the soft vote)."""
-        votes = np.stack([member.classify(inputs) for member in self.members])
-        n_samples = votes.shape[1]
-        n_classes = self.output_dim
-        counts = np.zeros((n_samples, n_classes), dtype=int)
-        for member_votes in votes:
-            counts[np.arange(n_samples), member_votes] += 1
-        winners = counts.argmax(axis=1)
-        top_count = counts.max(axis=1)
-        tied = (counts == top_count[:, None]).sum(axis=1) > 1
-        if tied.any():
-            soft = self.predict_proba(inputs).argmax(axis=1)
-            winners[tied] = soft[tied]
-        return winners
+        return _tally(self._member_outputs(inputs))[1]
 
     def vote_agreement(self, inputs: np.ndarray) -> np.ndarray:
         """Per-sample fraction of members agreeing with the majority vote."""
-        votes = np.stack([member.classify(inputs) for member in self.members])
-        majority = self.classify(inputs)
-        return (votes == majority[None, :]).mean(axis=0)
+        return self.introspect(inputs).agreement
 
     def introspect(self, inputs: np.ndarray) -> VoteIntrospection:
         """Full vote breakdown for a batch (one member pass, all metrics).
 
-        Computes the tally, winner, soft probabilities, disagreement
-        entropy, fuzzy-class margin and agreement in a single stacked
-        member evaluation, so the insight layer costs no extra forward
-        passes beyond what :meth:`classify` already spends.
+        The tally, winner, soft vote, disagreement entropy, fuzzy-class
+        margin and agreement come from the one stacked forward pass that
+        :meth:`classify` spends.
         """
-        stacked = np.stack([member.predict(inputs) for member in self.members])
-        probabilities = stacked.mean(axis=0)
-        votes = stacked.argmax(axis=2)
-        n_samples = votes.shape[1]
-        n_classes = self.output_dim
-        counts = np.zeros((n_samples, n_classes), dtype=int)
-        for member_votes in votes:
-            counts[np.arange(n_samples), member_votes] += 1
-        winners = counts.argmax(axis=1)
-        top_count = counts.max(axis=1)
-        tied = (counts == top_count[:, None]).sum(axis=1) > 1
-        if tied.any():
-            winners[tied] = probabilities.argmax(axis=1)[tied]
+        counts, winners, probabilities = _tally(self._member_outputs(inputs))
         fractions = counts / float(self.n_networks)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(
-                fractions > 0, fractions * np.log2(fractions), 0.0
-            )
-        entropy = -terms.sum(axis=1)
+            terms = np.where(fractions > 0, fractions * np.log2(fractions), 0.0)
         ordered = np.sort(probabilities, axis=1)
-        if n_classes >= 2:
-            margin = ordered[:, -1] - ordered[:, -2]
-        else:
-            margin = ordered[:, -1]
-        agreement = counts[np.arange(n_samples), winners] / float(
-            self.n_networks
-        )
+        runner_up = ordered[:, -2] if ordered.shape[1] >= 2 else 0.0
         return VoteIntrospection(
             counts=counts,
             predicted=winners,
             probabilities=probabilities,
-            entropy=entropy,
-            margin=margin,
-            agreement=agreement,
+            entropy=-terms.sum(axis=1),
+            margin=ordered[:, -1] - runner_up,
+            agreement=counts[np.arange(len(counts)), winners] / float(self.n_networks),
         )
 
     def accuracy(self, inputs: np.ndarray, target_classes: np.ndarray) -> float:
         """Majority-vote accuracy against integer labels."""
         return float(np.mean(self.classify(inputs) == target_classes))
+
+
+def _tally(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vote tally, winners and soft vote of stacked member outputs.
+
+    ``outputs`` is ``(n_networks, n_samples, n_classes)``.  Returns the
+    ``(n_samples, n_classes)`` tally of member votes, the majority class
+    per sample (ties go to the soft vote) and the soft-vote probabilities.
+    """
+    probabilities = outputs.mean(axis=0)
+    votes = outputs.argmax(axis=2)
+    counts = (votes[:, :, None] == np.arange(outputs.shape[2])).sum(axis=0)
+    winners = counts.argmax(axis=1)
+    tied = (counts == counts.max(axis=1)[:, None]).sum(axis=1) > 1
+    winners[tied] = probabilities.argmax(axis=1)[tied]
+    return counts, winners, probabilities

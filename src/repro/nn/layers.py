@@ -1,8 +1,8 @@
 """Dense (fully connected) layers.
 
-A :class:`DenseLayer` owns its weight matrix and bias vector, caches the
-values needed for backprop during ``forward``, and accumulates parameter
-gradients during ``backward`` for the optimizer to consume.
+A :class:`DenseLayer` owns its weight matrix and bias vector.  Training
+runs on the stacked parameters of :class:`~repro.nn.mlp.MLPStack`, so a
+layer has only its forward pass.
 """
 
 from __future__ import annotations
@@ -43,49 +43,11 @@ class DenseLayer:
         self.bias = np.zeros(out_features)
         self.activation = activation if activation is not None else Identity()
 
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._cached_input: Optional[np.ndarray] = None
-        self._cached_output: Optional[np.ndarray] = None
-
-    @property
-    def in_features(self) -> int:
-        """Input dimension."""
-        return self.weights.shape[0]
-
-    @property
-    def out_features(self) -> int:
-        """Output dimension."""
-        return self.weights.shape[1]
-
-    def forward(self, inputs: np.ndarray, train: bool = False) -> np.ndarray:
-        """Compute the layer output for a ``(batch, in_features)`` input.
-
-        With ``train=True`` the input and output are cached for the
-        subsequent :meth:`backward`.
-        """
-        if inputs.ndim != 2 or inputs.shape[1] != self.in_features:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Compute the layer output for a ``(batch, in_features)`` input."""
+        width = len(self.weights)
+        if inputs.ndim != 2 or inputs.shape[1] != width:
             raise ValueError(
-                f"expected input of shape (batch, {self.in_features}), "
-                f"got {inputs.shape}"
+                f"expected input of shape (batch, {width}), got {inputs.shape}"
             )
-        pre_activation = inputs @ self.weights + self.bias
-        output = self.activation.forward(pre_activation)
-        if train:
-            self._cached_input = inputs
-            self._cached_output = output
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate; accumulates parameter grads, returns input grad."""
-        if self._cached_input is None or self._cached_output is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        grad_pre = self.activation.backward(grad_output, self._cached_output)
-        self.grad_weights = self._cached_input.T @ grad_pre
-        self.grad_bias = grad_pre.sum(axis=0)
-        return grad_pre @ self.weights.T
-
-    def zero_grad(self) -> None:
-        """Clear accumulated gradients."""
-        self.grad_weights.fill(0.0)
-        self.grad_bias.fill(0.0)
+        return self.activation.forward(inputs @ self.weights + self.bias)

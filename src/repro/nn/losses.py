@@ -1,8 +1,9 @@
 """Training losses.
 
-A loss exposes ``value`` (scalar, averaged over the batch) and ``gradient``
-(w.r.t. the network output).  :class:`CrossEntropyLoss` is meant to sit
-behind a softmax output layer and returns the combined
+A loss exposes ``values`` (the mean loss of each batch in a
+``(..., batch, out)`` stack), ``value`` (one batch's, as a float) and
+``gradient`` (w.r.t. the network output).  :class:`CrossEntropyLoss` is
+meant to sit behind a softmax output layer and returns the combined
 softmax-cross-entropy gradient ``(p - y) / batch``.
 """
 
@@ -20,13 +21,17 @@ class Loss(abc.ABC):
 
     name: str = "loss"
 
-    @abc.abstractmethod
     def value(self, predicted: np.ndarray, target: np.ndarray) -> float:
-        """Mean loss over the batch."""
+        """Mean loss over one ``(batch, out)`` batch."""
+        return float(self.values(predicted, target))
+
+    @abc.abstractmethod
+    def values(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Mean loss of each batch in a ``(..., batch, out)`` stack."""
 
     @abc.abstractmethod
     def gradient(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Gradient of :meth:`value` w.r.t. ``predicted``."""
+        """Gradient of each batch's :meth:`values` w.r.t. ``predicted``."""
 
     @staticmethod
     def _check_shapes(predicted: np.ndarray, target: np.ndarray) -> None:
@@ -41,13 +46,15 @@ class MSELoss(Loss):
 
     name = "mse"
 
-    def value(self, predicted: np.ndarray, target: np.ndarray) -> float:
+    def values(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         self._check_shapes(predicted, target)
-        return float(np.mean((predicted - target) ** 2))
+        squared = (predicted - target) ** 2
+        return np.mean(squared.reshape(squared.shape[:-2] + (-1,)), axis=-1)
 
     def gradient(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         self._check_shapes(predicted, target)
-        return 2.0 * (predicted - target) / predicted.size
+        batch, width = predicted.shape[-2:]
+        return 2.0 * (predicted - target) / (batch * width)
 
 
 class CrossEntropyLoss(Loss):
@@ -61,11 +68,11 @@ class CrossEntropyLoss(Loss):
 
     name = "cross_entropy"
 
-    def value(self, predicted: np.ndarray, target: np.ndarray) -> float:
+    def values(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         self._check_shapes(predicted, target)
-        clipped = np.clip(predicted, _EPS, 1.0)
-        return float(-np.mean(np.sum(target * np.log(clipped), axis=-1)))
+        log_p = np.log(predicted.clip(_EPS, 1.0))
+        return -(target * log_p).sum(axis=-1).mean(axis=-1)
 
     def gradient(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         self._check_shapes(predicted, target)
-        return (predicted - target) / predicted.shape[0]
+        return (predicted - target) / predicted.shape[-2]

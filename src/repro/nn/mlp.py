@@ -1,20 +1,22 @@
 """Multilayer perceptron.
 
-A plain feed-forward stack of dense layers with backpropagation — the
-network class of the paper's refs [12][14].  Construction is by layer
-sizes plus activation names, e.g. ``MLP([21, 24, 12, 4], hidden="tanh",
-output="softmax", seed=7)``.
+A plain feed-forward stack of dense layers — the network class of the
+paper's refs [12][14].  Construction is by layer sizes plus activation
+names, e.g. ``MLP([21, 24, 12, 4], hidden="tanh", output="softmax",
+seed=7)``.  :class:`MLPStack` holds several same-architecture networks as
+stacked arrays: the voting machine votes through its forward pass, and
+the trainer backpropagates through it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.nn.activations import activation_by_name
 from repro.nn.layers import DenseLayer
-from repro.nn.losses import CrossEntropyLoss, Loss
+from repro.nn.losses import Loss
 
 
 class MLP:
@@ -65,51 +67,18 @@ class MLP:
         return self.layer_sizes[-1]
 
     # -- inference ---------------------------------------------------------------
-    def forward(self, inputs: np.ndarray, train: bool = False) -> np.ndarray:
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Run the network on a ``(batch, input_dim)`` matrix."""
         out = np.atleast_2d(np.asarray(inputs, dtype=float))
         for layer in self.layers:
-            out = layer.forward(out, train=train)
+            out = layer.forward(out)
         return out
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass."""
-        return self.forward(inputs, train=False)
 
     def classify(self, inputs: np.ndarray) -> np.ndarray:
         """Argmax class index per row."""
         return np.argmax(self.predict(inputs), axis=-1)
 
-    # -- training ----------------------------------------------------------------
-    def backward(self, grad_output: np.ndarray) -> None:
-        """Backpropagate a loss gradient through all layers."""
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-
-    def train_batch(
-        self, inputs: np.ndarray, targets: np.ndarray, loss: Loss,
-        learning_rate: float, momentum_buffers: Optional[list] = None,
-        momentum: float = 0.0,
-    ) -> float:
-        """One forward/backward/update step; returns the batch loss."""
-        predicted = self.forward(inputs, train=True)
-        batch_loss = loss.value(predicted, targets)
-        self.backward(loss.gradient(predicted, targets))
-        if momentum_buffers is None:
-            for layer in self.layers:
-                layer.weights -= learning_rate * layer.grad_weights
-                layer.bias -= learning_rate * layer.grad_bias
-        else:
-            for layer, (vel_w, vel_b) in zip(self.layers, momentum_buffers):
-                vel_w *= momentum
-                vel_w -= learning_rate * layer.grad_weights
-                layer.weights += vel_w
-                vel_b *= momentum
-                vel_b -= learning_rate * layer.grad_bias
-                layer.bias += vel_b
-        return batch_loss
-
+    # -- evaluation --------------------------------------------------------------
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray, loss: Loss) -> float:
         """Mean loss on a dataset without updating weights."""
         return loss.value(self.predict(inputs), targets)
@@ -145,6 +114,56 @@ class MLP:
         return MLP(self.layer_sizes, self.hidden_name, self.output_name, seed=seed)
 
 
-def default_classifier_loss() -> Loss:
-    """The loss matching the default softmax output layer."""
-    return CrossEntropyLoss()
+class MLPStack:
+    """Same-architecture networks as stacked parameter arrays.
+
+    ``parameters`` is :meth:`MLP.get_parameters`'s ``[W0, b0, W1, ...]``
+    with a leading network axis: ``(M, in, out)`` weights, ``(M, out)``
+    biases.  Slice ``m`` of a stacked matmul is network ``m``'s own matmul
+    bit for bit, so :meth:`forward` and :meth:`gradients` equal each
+    network's own forward pass and backprop.
+    """
+
+    def __init__(self, networks: Sequence[MLP]) -> None:
+        kinds = {(tuple(n.layer_sizes), n.hidden_name, n.output_name) for n in networks}
+        if len(kinds) != 1:
+            raise ValueError("stacked networks must share one architecture")
+        self.activations = [layer.activation for layer in networks[0].layers]
+        self.parameters = [
+            np.stack(arrays) for arrays in zip(*(n.get_parameters() for n in networks))
+        ]
+
+    def forward(self, inputs: np.ndarray) -> List[np.ndarray]:
+        """Every layer's output, the input first.
+
+        ``inputs`` is one ``(batch, in)`` matrix for all networks or an
+        ``(M, batch, in)`` stack of one batch per network.
+        """
+        outputs = [inputs]
+        params = self.parameters
+        for weights, bias, activation in zip(params[::2], params[1::2], self.activations):
+            outputs.append(activation.forward(outputs[-1] @ weights + bias[:, None, :]))
+        return outputs
+
+    def gradients(self, outputs: Sequence[np.ndarray], grad_output: np.ndarray) -> List[np.ndarray]:
+        """The loss gradient of each of :attr:`parameters`.
+
+        ``outputs`` are a :meth:`forward` of an ``(M, batch, in)`` stack and
+        ``grad_output`` is the loss gradient w.r.t. the last of them.
+        """
+        grads: List[np.ndarray] = []
+        grad = grad_output
+        for i in reversed(range(len(self.activations))):
+            grad = self.activations[i].backward(grad, outputs[i + 1])
+            grads[:0] = [outputs[i].swapaxes(1, 2) @ grad, grad.sum(axis=1)]
+            if i:
+                grad = grad @ self.parameters[2 * i].swapaxes(1, 2)
+        return grads
+
+    def member(self, row: int) -> List[np.ndarray]:
+        """A copy of the ``[W0, b0, W1, ...]`` of the network in ``row``."""
+        return [param[row].copy() for param in self.parameters]
+
+    def select(self, rows: Sequence[int]) -> None:
+        """Keep only the networks in ``rows``, in that order."""
+        self.parameters = [param[rows] for param in self.parameters]

@@ -3,18 +3,20 @@
 The fig. 4 scheme keeps training "until learning and generalization error is
 small enough"; the :class:`Trainer` provides the inner loop — epochs of
 shuffled minibatches, a held-out validation score per epoch, patience-based
-early stopping and restoration of the best weights.
+early stopping and restoration of the best weights.  It runs all the
+voting machine's members at once on stacked parameters; each ends exactly
+as if trained alone (``docs/performance.md``, "Stacked ensemble training").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.losses import Loss
-from repro.nn.mlp import MLP
+from repro.nn.mlp import MLP, MLPStack
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 
@@ -101,66 +103,98 @@ class Trainer:
         When validation data is supplied, the network is left holding the
         weights of its best validation epoch.
         """
-        if len(train_x) != len(train_y):
+        x, y = np.asarray(train_x)[None], np.asarray(train_y)[None]
+        return self.fit_stack([network], x, y, val_x, val_y)[0]
+
+    def fit_stack(
+        self,
+        networks: Sequence[MLP],
+        train_x: np.ndarray,
+        train_y: np.ndarray,
+        val_x: Optional[np.ndarray] = None,
+        val_y: Optional[np.ndarray] = None,
+    ) -> List[TrainingHistory]:
+        """:meth:`fit` for same-architecture networks, all in one loop.
+
+        ``train_x[m]``/``train_y[m]`` are network ``m``'s training rows,
+        the same count for each.  Every network ends as :meth:`fit` would
+        leave it alone; one that stops early leaves the stack.
+        """
+        train_x = np.asarray(train_x, dtype=float)
+        train_y = np.asarray(train_y, dtype=float)
+        if train_x.shape[:2] != train_y.shape[:2]:
             raise ValueError("train_x and train_y lengths differ")
         if (val_x is None) != (val_y is None):
             raise ValueError("provide both val_x and val_y or neither")
+        if val_x is not None:
+            val_x = np.atleast_2d(np.asarray(val_x, dtype=float))
 
+        stack = MLPStack(networks)
+        n_rows = train_x.shape[1]
         rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        momentum_buffers = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in network.layers
-        ]
-        best_val = float("inf")
-        best_params = None
-        epochs_since_best = 0
+        histories = [TrainingHistory() for _ in networks]
+        velocities = [np.zeros_like(param) for param in stack.parameters]
+        best: List[Optional[List[np.ndarray]]] = [None] * len(networks)
+        active = list(range(len(networks)))  # the network in each stack row
 
         for epoch in range(self.max_epochs):
-            order = rng.permutation(len(train_x))
-            epoch_losses = []
-            for start in range(0, len(order), self.batch_size):
+            order = rng.permutation(n_rows)
+            starts = range(0, n_rows, self.batch_size)
+            batch_losses = np.empty((len(active), len(starts)))
+            for column, start in enumerate(starts):
                 batch = order[start : start + self.batch_size]
-                epoch_losses.append(
-                    network.train_batch(
-                        train_x[batch],
-                        train_y[batch],
-                        self.loss,
-                        self.learning_rate,
-                        momentum_buffers,
-                        self.momentum,
-                    )
-                )
-            train_loss = float(np.mean(epoch_losses))
-            history.train_loss.append(train_loss)
-
-            val_loss: Optional[float] = None
+                # ``take`` keeps each network's rows contiguous, as one
+                # network's are: BLAS sums width-1 products stride-dependently.
+                targets = train_y.take(batch, axis=1)
+                outputs = stack.forward(train_x.take(batch, axis=1))
+                batch_losses[:, column] = self.loss.values(outputs[-1], targets)
+                grads = stack.gradients(outputs, self.loss.gradient(outputs[-1], targets))
+                for param, velocity, grad in zip(stack.parameters, velocities, grads):
+                    velocity *= self.momentum
+                    velocity -= self.learning_rate * grad
+                    param += velocity
+            train_losses = batch_losses.mean(axis=1)
             if val_x is not None:
-                val_loss = network.evaluate(val_x, val_y, self.loss)
-                history.val_loss.append(val_loss)
-
-            if OBS.enabled:
-                OBS.metrics.counter("nn.epochs").inc()
-                OBS.metrics.histogram("nn.epoch_loss").observe(train_loss)
-                OBS.bus.emit(
-                    event(
-                        "nn_epoch",
-                        epoch=epoch, train_loss=train_loss, val_loss=val_loss
-                    )
+                predicted = stack.forward(val_x)[-1]
+                val_losses = self.loss.values(
+                    predicted, np.broadcast_to(val_y, predicted.shape)
                 )
 
-            if val_loss is not None:
-                if val_loss < best_val - 1e-9:
-                    best_val = val_loss
-                    best_params = network.get_parameters()
-                    history.best_epoch = epoch
-                    epochs_since_best = 0
-                else:
-                    epochs_since_best += 1
-                    if epochs_since_best >= self.patience:
+            keep = []
+            for row, member in enumerate(active):
+                history = histories[member]
+                history.train_loss.append(float(train_losses[row]))
+                if val_x is not None:
+                    best_epoch = history.best_epoch
+                    best_val = history.val_loss[best_epoch] if best_epoch >= 0 else np.inf
+                    history.val_loss.append(float(val_losses[row]))
+                    if history.val_loss[-1] < best_val - 1e-9:
+                        best[member] = stack.member(row)
+                        history.best_epoch = epoch
+                    elif epoch - best_epoch >= self.patience:
                         history.stopped_early = True
-                        break
+                        networks[member].set_parameters(best[member] or stack.member(row))
+                        continue
+                keep.append(row)
+            if len(keep) < len(active):
+                active = [active[row] for row in keep]
+                stack.select(keep)
+                velocities = [velocity[keep] for velocity in velocities]
+                train_x, train_y = train_x[keep], train_y[keep]
+                if not active:
+                    break
 
-        if best_params is not None:
-            network.set_parameters(best_params)
-        return history
+        for row, member in enumerate(active):
+            networks[member].set_parameters(best[member] or stack.member(row))
+        if OBS.enabled:
+            for history in histories:
+                val_losses = history.val_loss or [None] * history.epochs_run
+                for epoch, (train_loss, val_loss) in enumerate(
+                    zip(history.train_loss, val_losses)
+                ):
+                    OBS.metrics.counter("nn.epochs").inc()
+                    OBS.metrics.histogram("nn.epoch_loss").observe(train_loss)
+                    OBS.bus.emit(
+                        event("nn_epoch", epoch=epoch, train_loss=train_loss, val_loss=val_loss)
+                    )
+        return histories

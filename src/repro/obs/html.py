@@ -23,6 +23,7 @@ The report assembles, from a campaign trace plus an optional
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.insight import RunInsight, build_insight
@@ -311,15 +312,20 @@ def _shmoo_heatmap(
     s_lo, s_hi = min(strobes), max(strobes)
     if s_hi <= s_lo:
         s_hi = s_lo + 1.0
+    # Opposite extremes (+-1e308) overflow ``s_hi - s_lo``: bin and place
+    # labels on strobes scaled by 2**-8, which is exact and leaves every
+    # span below that untouched (scale 1).
+    scale = 1.0 if math.isfinite(s_hi - s_lo) else 2.0**-8
+    low, high = s_lo * scale, s_hi * scale
     # Beyond 2**53 ns, ``s_lo + 1.0`` is ``s_lo`` again.
-    span = (s_hi - s_lo) or 1.0
+    span = (high - low) or 1.0
     left, right, top, bottom = 52.0, width - 12.0, 12.0, height - 26.0
     totals = [[0] * x_bins for _ in range(y_bins)]
     passes = [[0] * x_bins for _ in range(y_bins)]
     for order, strobe, passed in samples:
         xi = min(x_bins - 1, order * x_bins // len(samples))
         yi = min(
-            y_bins - 1, int((strobe - s_lo) / span * y_bins)
+            y_bins - 1, int((strobe * scale - low) / span * y_bins)
         )
         totals[yi][xi] += 1
         if passed:
@@ -339,8 +345,8 @@ def _shmoo_heatmap(
             x = left + xi * cell_w
             # y axis points up: bin 0 (lowest strobe) at the bottom.
             y = bottom - (yi + 1) * cell_h
-            lo = s_lo + yi * (s_hi - s_lo) / y_bins
-            hi = s_lo + (yi + 1) * (s_hi - s_lo) / y_bins
+            lo = (low + yi * (high - low) / y_bins) / scale
+            hi = (low + (yi + 1) * (high - low) / y_bins) / scale
             parts.append(
                 f'<rect x="{x + 1:.1f}" y="{y + 1:.1f}" '
                 f'width="{max(0.5, cell_w - 2):.1f}" '
@@ -351,11 +357,11 @@ def _shmoo_heatmap(
                 f"({100 * fraction:.0f}%)</title></rect>"
             )
     for i in range(0, 5):
-        value = s_lo + (s_hi - s_lo) * i / 4
-        y = _scale(value, s_lo, s_hi, bottom, top)
+        value = low + (high - low) * i / 4
+        y = _scale(value, low, high, bottom, top)
         parts.append(
             f'<text x="{left - 6}" y="{y + 3.5:.1f}" text-anchor="end" '
-            f'fill="var(--muted)">{_esc(_fmt(value, 1))}</text>'
+            f'fill="var(--muted)">{_esc(_fmt(value / scale, 1))}</text>'
         )
     parts.append(
         f'<text x="{(left + right) / 2:.0f}" y="{height - 6}" '

@@ -1,12 +1,12 @@
-"""Tests for dense layers and the MLP, including an end-to-end fit."""
+"""Tests for dense layers, the MLP and its stacked form, including an
+end-to-end fit."""
 
 import numpy as np
 import pytest
 
-from repro.nn.activations import Tanh
 from repro.nn.layers import DenseLayer
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.mlp import MLP
+from repro.nn.mlp import MLP, MLPStack
 from repro.nn.trainer import Trainer
 
 
@@ -24,40 +24,6 @@ class TestDenseLayer:
         layer = DenseLayer(4, 3)
         with pytest.raises(ValueError):
             layer.forward(np.zeros((7, 5)))
-
-    def test_backward_before_forward_raises(self):
-        layer = DenseLayer(4, 3)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.zeros((7, 3)))
-
-    def test_gradient_check(self):
-        rng = np.random.default_rng(3)
-        layer = DenseLayer(4, 3, activation=Tanh(), rng=rng)
-        x = rng.normal(size=(5, 4))
-        upstream = rng.normal(size=(5, 3))
-
-        out = layer.forward(x, train=True)
-        grad_input = layer.backward(upstream)
-
-        eps = 1e-6
-        # Check dL/dW numerically for a few entries.
-        for idx in [(0, 0), (2, 1), (3, 2)]:
-            orig = layer.weights[idx]
-            layer.weights[idx] = orig + eps
-            up = float(np.sum(layer.forward(x) * upstream))
-            layer.weights[idx] = orig - eps
-            down = float(np.sum(layer.forward(x) * upstream))
-            layer.weights[idx] = orig
-            numeric = (up - down) / (2 * eps)
-            assert layer.grad_weights[idx] == pytest.approx(numeric, abs=1e-4)
-        # And dL/dx.
-        x_pert = x.copy()
-        x_pert[1, 2] += eps
-        up = float(np.sum(layer.forward(x_pert) * upstream))
-        x_pert[1, 2] -= 2 * eps
-        down = float(np.sum(layer.forward(x_pert) * upstream))
-        numeric = (up - down) / (2 * eps)
-        assert grad_input[1, 2] == pytest.approx(numeric, abs=1e-4)
 
 
 class TestMLP:
@@ -117,6 +83,50 @@ class TestMLP:
         assert clone.hidden_name == "sigmoid"
         x = np.ones((1, 4))
         assert not np.allclose(net.predict(x), clone.predict(x))
+
+
+class TestMLPStack:
+    def test_rejects_mixed_architectures(self):
+        with pytest.raises(ValueError):
+            MLPStack([MLP([4, 3]), MLP([4, 5, 3])])
+        with pytest.raises(ValueError):
+            MLPStack([MLP([4, 3]), MLP([4, 3], output="identity")])
+
+    def test_forward_equals_each_network(self):
+        networks = [MLP([4, 6, 3], seed=s) for s in range(3)]
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        stacked = MLPStack(networks).forward(x)[-1]
+        for m, network in enumerate(networks):
+            assert np.array_equal(stacked[m], network.predict(x))
+
+    def test_gradient_check(self):
+        """Finite differences of ``sum(output * upstream)`` per network."""
+        rng = np.random.default_rng(3)
+        networks = [
+            MLP([4, 5, 3], hidden="tanh", output="tanh", seed=s)
+            for s in range(3)
+        ]
+        stack = MLPStack(networks)
+        x = rng.normal(size=(3, 5, 4))
+        upstream = rng.normal(size=(3, 5, 3))
+        grads = stack.gradients(stack.forward(x), upstream)
+        assert [g.shape for g in grads] == [p.shape for p in stack.parameters]
+
+        def loss(m):
+            return float(np.sum(stack.forward(x)[-1][m] * upstream[m]))
+
+        eps = 1e-6
+        probes = [(0, 0, 0), (1, 2, 1), (2, 3, 2), (1, 2)]
+        for param, grad in zip(stack.parameters, grads):
+            for idx in probes[:3] if param.ndim == 3 else probes[3:]:
+                orig = param[idx]
+                param[idx] = orig + eps
+                up = loss(idx[0])
+                param[idx] = orig - eps
+                down = loss(idx[0])
+                param[idx] = orig
+                numeric = (up - down) / (2 * eps)
+                assert grad[idx] == pytest.approx(numeric, abs=1e-4)
 
 
 class TestLearningEndToEnd:

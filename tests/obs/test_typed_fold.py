@@ -28,7 +28,7 @@ from repro.obs.report import (
     trace_summary_data,
 )
 from repro.obs.timeline import build_chrome_trace
-from tests.obs.test_golden_views import GOLDEN, cli_views, fixture_bytes
+from tests.obs.test_golden_views import GOLDEN, _cli, cli_views, fixture_bytes
 
 
 def _line(type, ts=2e9, **bad):
@@ -228,3 +228,20 @@ def test_event_fields_named_like_the_envelope_have_its_type():
     for fields in EVENT_FIELDS.values():
         for name in set(fields) & set(ENVELOPE_FIELDS):
             assert fields[name] is ENVELOPE_FIELDS[name], name
+
+
+def test_report_over_opposite_extreme_strobes(tmp_path):
+    """Two finite strobes whose difference overflows to inf: the shmoo
+    heatmap still bins both, one at each end, and labels the axis."""
+    trace = tmp_path / "extremes.jsonl"
+    trace.write_text(
+        _line("measurement", strobe_ns=1e308) + "\n"
+        + _line("measurement", strobe_ns=-1e308) + "\n"
+    )
+    report = tmp_path / "report.html"
+    assert _cli(["obs", "report", str(trace), str(report)], tmp_path).startswith("exit=0")
+    heatmap = report.read_text().split('aria-label="shmoo pass-fraction heatmap"')[1]
+    heatmap = heatmap.split("</svg>")[0]
+    assert heatmap.count("1/1 pass") == 2
+    assert 'fill="var(--muted)">0</text>' in heatmap
+    assert "n/a" not in heatmap and "nan" not in heatmap
