@@ -42,6 +42,7 @@ from repro.core.wcr import WCRClassifier, worst_case_ratio
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.parameters import DeviceParameter, SpecDirection, T_DQ_PARAMETER
 from repro.device.process import ProcessCorner, ProcessInstance, ProcessModel
+from repro.patterns.features import fill_features
 from repro.patterns.testcase import TestCase
 from repro.search.base import PassRegion
 
@@ -256,6 +257,9 @@ class LotCharacterizer:
 
     # -- work-unit plumbing ---------------------------------------------------
     def _unit_payload(self, die: ProcessInstance, tests: Sequence[TestCase]):
+        # Features depend on the pattern alone: extract them here, once per
+        # deck, and every die unit pickles them along with the sequences.
+        fill_features(test.sequence for test in tests)
         return {
             "die": die,
             "tests": tuple(tests),
@@ -589,6 +593,8 @@ class EnvironmentalSweep:
         executor,
         checkpoint: Union[None, str, Path, CheckpointStore],
     ) -> EnvSweepResult:
+        # Every cell measures the same pattern: its features ship with it.
+        fill_features([test.sequence])
         units = []
         for i, vdd in enumerate(vdd_values):
             for j, temperature in enumerate(temperature_values):

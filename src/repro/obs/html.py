@@ -111,10 +111,12 @@ def _esc(value: object) -> str:
 
 
 def _fmt(value: float, digits: int = 3) -> str:
-    """Compact numeric label (no trailing zeros, nan-safe)."""
+    """Compact numeric label (no trailing zeros, nan-safe, short when huge)."""
     if value != value or value in (float("inf"), float("-inf")):
         return "n/a"
-    if value == int(value) and abs(value) < 1e6:
+    if abs(value) >= 1e6:
+        return f"{value:.3g}"
+    if value == int(value):
         return str(int(value))
     return f"{value:.{digits}f}".rstrip("0").rstrip(".")
 

@@ -23,7 +23,10 @@ One kernel, :func:`extract_features_batch`, scores many sequences per call;
 its features are memoized on it: code that holds a batch of tests (a deck,
 an encoder batch, a GA generation's offspring) fills the memos with
 :func:`fill_features` in one batch before it measures, and every later
-:func:`extract_features` call returns the memo.
+:func:`extract_features` call returns the memo.  The memo is part of a
+sequence's pickled state, so a farm that fills a deck's memos before it
+shards the deck into work units ships the features with the deck, and no
+worker extracts them again.
 """
 
 from __future__ import annotations

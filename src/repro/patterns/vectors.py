@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -160,7 +160,7 @@ class VectorSequence:
         self._data = data
         self._vectors: Optional[Tuple[TestVector, ...]] = None
         self._hash: Optional[int] = None
-        # Filled by repro.patterns.features; never pickled, compared or hashed.
+        # Filled by repro.patterns.features; pickled, never compared or hashed.
         self._features: Optional["PatternFeatures"] = None
         self.addr_bits = addr_bits
         self.data_bits = data_bits
@@ -219,21 +219,29 @@ class VectorSequence:
         label = self.name or "unnamed"
         return f"VectorSequence({label!r}, cycles={len(self)})"
 
-    # -- pickling: the columns only, as raw bytes ---------------------------
-    def __getstate__(self) -> Tuple[bytes, bytes, bytes, int, int, str]:
-        return (
+    # -- pickling: the columns as raw bytes, then the feature row if any ----
+    def __getstate__(self) -> Tuple[Any, ...]:
+        # A never-featured sequence keeps the 6-tuple state.  A featured one
+        # appends its float64 row, so a deck whose memos the parent filled
+        # reaches every worker with its features.
+        state = (
             self._ops.tobytes(), self._addresses.tobytes(), self._data.tobytes(),
             self.addr_bits, self.data_bits, self.name,
         )
+        if self._features is None:
+            return state
+        return state + (self._features.values.tobytes(),)
 
-    def __setstate__(self, state: Tuple[bytes, bytes, bytes, int, int, str]) -> None:
-        ops, addresses, data, addr_bits, data_bits, name = state
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        ops, addresses, data, addr_bits, data_bits, name = state[:6]
         self._init(
             np.frombuffer(ops, dtype=np.int8),
             np.frombuffer(addresses, dtype=np.int64),
             np.frombuffer(data, dtype=np.int64),
             addr_bits, data_bits, name,
         )
+        if len(state) > 6:
+            self._features = _features_from_bytes(state[6])
 
     # -- derived views ------------------------------------------------------
     @property
@@ -241,7 +249,8 @@ class VectorSequence:
         """The activity features if already extracted, else ``None``.
 
         :func:`repro.patterns.features.extract_features` fills the memo on
-        first use; a pickled copy or a derived sequence starts without it.
+        first use.  A pickled copy carries it; a derived sequence starts
+        without it.
         """
         return self._features
 
@@ -317,6 +326,16 @@ class VectorSequence:
             addresses[:MAX_SEQUENCE_CYCLES],
             data[:MAX_SEQUENCE_CYCLES],
         )
+
+
+def _features_from_bytes(raw: bytes) -> Optional["PatternFeatures"]:
+    """The read-only memo a pickled feature row holds, or ``None`` when the
+    row does not fit today's feature set (one pickled by an older one)."""
+    from repro.patterns.features import FEATURE_NAMES, PatternFeatures
+
+    if len(raw) != 8 * len(FEATURE_NAMES):
+        return None
+    return PatternFeatures(np.frombuffer(raw, dtype=np.float64))
 
 
 def _checked_columns(

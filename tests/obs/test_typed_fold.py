@@ -8,6 +8,7 @@ raises on a damaged trace.
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +246,9 @@ def test_report_over_opposite_extreme_strobes(tmp_path):
     assert heatmap.count("1/1 pass") == 2
     assert 'fill="var(--muted)">0</text>' in heatmap
     assert "n/a" not in heatmap and "nan" not in heatmap
+    # Every axis tick and the strobe range in every cell title stay short.
+    ticks = re.findall(r'fill="var\(--muted\)">(-?[\d.e+]+)</text>', heatmap)
+    titles = re.findall(r"<title>strobe (-?[^\s-]+)-(-?\S+) ns,", heatmap)
+    assert len(ticks) == 5 and len(titles) == 2
+    labels = ticks + [label for title in titles for label in title]
+    assert all(len(label) <= 12 for label in labels), labels

@@ -3,8 +3,9 @@
 Every row of :func:`extract_features_batch` must equal the per-sequence
 kernel it replaced (kept in ``features_reference``) bit for bit, whatever
 the other sequences in the call, their order or the chunk size.  The memo
-is a cache only: it never travels in a pickle, never reaches a derived
-sequence and never changes equality or hashing.
+is a cache only: it travels in a pickle bit for bit (so a farmed deck is
+extracted once), never reaches a derived sequence and never changes
+equality or hashing.
 """
 
 import pickle
@@ -149,16 +150,63 @@ class TestFeatureMemo:
 
     @settings(max_examples=40, deadline=None)
     @given(sequence=sequences())
-    def test_memo_is_not_pickled_and_leaves_identity_alone(self, sequence):
+    def test_memo_is_pickled_and_leaves_identity_alone(self, sequence):
         blank = VectorSequence.from_columns(
             *sequence.columns, sequence.addr_bits, sequence.data_bits
         )
         pickled, hashed = pickle.dumps(sequence), hash(sequence)
+        assert pickle.loads(pickled).features_memo is None
         extract_features(sequence)
-        assert pickle.dumps(sequence) == pickled
-        assert hash(sequence) == hashed == hash(blank)
-        assert sequence == blank and blank.features_memo is None
-        assert pickle.loads(pickle.dumps(sequence)).features_memo is None
+        copy = pickle.loads(pickle.dumps(sequence))
+        assert np.array_equal(
+            copy.features_memo.values, per_sequence_features(sequence)
+        )
+        assert copy.features_memo.values.tobytes() == (
+            sequence.features_memo.values.tobytes()
+        )
+        with pytest.raises(ValueError):
+            copy.features_memo.values[0] = 0.5
+        assert hash(sequence) == hash(copy) == hashed == hash(blank)
+        assert sequence == copy == blank and blank.features_memo is None
+        # The memo is appended to the column state, which stays as it was.
+        assert pickle.dumps(blank) == pickled
+        assert sequence.__getstate__()[:6] == blank.__getstate__()
+
+    def test_never_featured_sequence_pickles_to_the_column_only_bytes(self):
+        # The bytes a sequence pickled to before the memo joined the state
+        # (little-endian columns), so older pickles and checkpoints agree.
+        sequence = VectorSequence.from_columns(
+            [0, 1, 2], [1, 2, 3], [0, 7, 0], 4, 3, name="g"
+        )
+        assert pickle.dumps(sequence, protocol=4) == (
+            b"\x80\x04\x95x\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.patterns.vectors"
+            b"\x94\x8c\x0eVectorSequence\x94\x93\x94)\x81\x94(C\x03\x00\x01\x02\x94"
+            b"C\x18\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
+            b"\x03\x00\x00\x00\x00\x00\x00\x00\x94C\x18\x00\x00\x00\x00\x00\x00\x00"
+            b"\x00\x07\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+            b"\x94K\x04K\x03\x8c\x01g\x94t\x94b."
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            None,  # a 6-tuple state, as a sequence pickled without a memo
+            np.zeros(len(FEATURE_NAMES) - 1).tobytes(),  # an older feature set
+            np.zeros(len(FEATURE_NAMES) + 1).tobytes(),
+            b"\x00" * 7,  # not a whole float64
+        ],
+    )
+    def test_state_without_a_fitting_row_loads_without_a_memo(self, row):
+        sequence = _fixed(40, 10, 8)
+        state = sequence.__getstate__()
+        assert len(state) == 6
+        loaded = VectorSequence.__new__(VectorSequence)
+        loaded.__setstate__(state if row is None else state + (row,))
+        assert loaded.features_memo is None
+        assert loaded == sequence and hash(loaded) == hash(sequence)
+        assert np.array_equal(
+            extract_features(loaded).values, per_sequence_features(sequence)
+        )
 
     def test_derived_sequences_start_without_a_memo(self):
         sequence = _fixed(60, 10, 8)
