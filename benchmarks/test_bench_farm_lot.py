@@ -12,15 +12,22 @@ count: on a single-core host the workers timeshare one core and the farm
 honest number to record.  ``make_executor`` sizes the pool to the CPUs
 available, so the record also keeps the pool size and the speedup per CPU
 the pool could use (``efficiency_per_cpu``; 1.0 is perfect scaling).
+
+It also records what one die unit costs to dispatch: the pickled bytes of
+each unit the pool is handed, of the same unit with its deck inline, and
+of the shared-payload table a pool worker receives once (inherited for
+free under ``fork``).
 """
 
+import concurrent.futures
+import pickle
 import time
 
 import pytest
 
 from benchmarks.conftest import SEARCH_RANGE, host_cpus
 from repro.core.lot import LotCharacterizer
-from repro.farm.executor import make_executor
+from repro.farm.executor import ParallelExecutor, make_executor
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
@@ -35,13 +42,45 @@ def make_tests():
     ]
 
 
-def run_lot(tests, executor):
+def run_lot(tests, executor, n_dies=N_DIES):
     lot = LotCharacterizer(search_range=SEARCH_RANGE, seed=37)
-    return lot.run(tests, n_dies=N_DIES, executor=executor)
+    return lot.run(tests, n_dies=n_dies, executor=executor)
+
+
+def dispatch_bytes(tests, monkeypatch):
+    """Pickled bytes a 2-die lot hands its process pool.
+
+    Returns the largest dispatched unit, the same unit with its payload
+    inline, and the shared table each pool worker receives once.
+    """
+    sent = {"units": [], "table": 0}
+
+    class MeteredPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, initargs=(), **kwargs):
+            sent["table"] = len(pickle.dumps(initargs))
+            super().__init__(*args, initargs=initargs, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            sent["units"].append(args[1])
+            return super().submit(fn, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", MeteredPool)
+        run_lot(tests, ParallelExecutor(workers=2), n_dies=2)
+    lot = LotCharacterizer(search_range=SEARCH_RANGE, seed=37)
+    die = lot.process.sample_lot(1)[0]
+    inline = lot.die_unit(die, tests)
+    return (
+        max(len(pickle.dumps(unit)) for unit in sent["units"]),
+        len(pickle.dumps(inline)),
+        sent["table"],
+    )
 
 
 @pytest.mark.benchmark(group="farm")
-def test_farm_lot_serial_vs_4_workers(benchmark, report_sink, tmp_path):
+def test_farm_lot_serial_vs_4_workers(
+    benchmark, report_sink, tmp_path, monkeypatch
+):
     tests = make_tests()
 
     start = time.perf_counter()
@@ -67,6 +106,7 @@ def test_farm_lot_serial_vs_4_workers(benchmark, report_sink, tmp_path):
     speedup = serial_s / parallel_s
     efficiency = speedup / min(farm.workers, cpus)
     measurements = sum(d.measurements for d in serial.dies)
+    unit_bytes, inline_bytes, table_bytes = dispatch_bytes(tests, monkeypatch)
     report_sink.json(
         dies=N_DIES,
         tests=N_TESTS,
@@ -78,6 +118,9 @@ def test_farm_lot_serial_vs_4_workers(benchmark, report_sink, tmp_path):
         speedup=round(speedup, 4),
         efficiency_per_cpu=round(efficiency, 4),
         identical_databases=True,
+        unit_bytes_dispatched=unit_bytes,
+        unit_bytes_inline=inline_bytes,
+        shared_table_bytes=table_bytes,
     )
     report_sink(
         f"farm — {N_DIES}-die lot x {N_TESTS} tests "
@@ -90,6 +133,10 @@ def test_farm_lot_serial_vs_4_workers(benchmark, report_sink, tmp_path):
     )
     report_sink(
         "  worst-case database export: byte-identical serial vs parallel"
+    )
+    report_sink(
+        f"  dispatched die unit {unit_bytes:,} B (deck inline: "
+        f"{inline_bytes:,} B); shared table {table_bytes:,} B once per worker"
     )
     if cpus < 2:
         report_sink(

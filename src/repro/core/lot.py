@@ -22,7 +22,7 @@ resumes from a :class:`~repro.farm.checkpoint.CheckpointStore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -262,7 +262,9 @@ class LotCharacterizer:
         fill_features(test.sequence for test in tests)
         return {
             "die": die,
-            "tests": tuple(tests),
+            # A deck tuple passed in is kept, not copied: units holding
+            # one deck object ship it once per pool worker.
+            "tests": tests if isinstance(tests, tuple) else tuple(tests),
             "parameter": self.parameter,
             "search_range": self.search_range,
             "noise_sigma": self.noise_sigma,
@@ -351,8 +353,9 @@ class LotCharacterizer:
         if not tests:
             raise ValueError("need at least one test")
         dies = self.process.sample_lot(n_dies, corner=corner)
+        deck = tuple(tests)
         units = [
-            self.die_unit(die, tests, index=i) for i, die in enumerate(dies)
+            self.die_unit(die, deck, index=i) for i, die in enumerate(dies)
         ]
         campaign = (
             f"lot:seed={self.seed}:dies={n_dies}"
@@ -453,7 +456,11 @@ def run_env_unit(unit: WorkUnit) -> UnitOutcome:
     )
     if unit.rtp_hint is not None:
         runner.sutp.seed_reference(unit.rtp_hint)
-    entry = runner.measure_one(cfg["test"])
+    test: TestCase = cfg["test"]
+    condition = replace(
+        test.condition, vdd=cfg["vdd"], temperature=cfg["temperature"]
+    )
+    entry = runner.measure_one(test.with_condition(condition))
     return UnitOutcome(
         value=(cfg["row"], cfg["column"], entry.value),
         measurements=entry.measurements,
@@ -501,20 +508,22 @@ class EnvironmentalSweep:
         temperature: float,
         index: int = 0,
     ) -> WorkUnit:
-        """The work unit measuring one (Vdd, temperature) grid cell."""
-        import dataclasses
+        """The work unit measuring one (Vdd, temperature) grid cell.
 
+        The payload holds the base ``test`` and the cell's operating
+        point; the runner applies it, so every cell of a sweep holds one
+        test object.
+        """
         key = f"cell/v{row:02d}/t{column:02d}"
-        condition = dataclasses.replace(
-            test.condition, vdd=float(vdd), temperature=float(temperature)
-        )
         return WorkUnit(
             key=key,
             kind=ENV_CELL_UNIT,
             payload={
                 "die": self.ate.chip.die,
                 "parameter": self.ate.chip.parameter,
-                "test": test.with_condition(condition),
+                "test": test,
+                "vdd": float(vdd),
+                "temperature": float(temperature),
                 "row": row,
                 "column": column,
                 "search_range": self.search_range,
@@ -566,11 +575,9 @@ class EnvironmentalSweep:
         )
         before = self.ate.measurement_count
         grid = np.full((len(vdd_values), len(temperature_values)), np.nan)
-        import dataclasses
-
         for i, vdd in enumerate(vdd_values):
             for j, temperature in enumerate(temperature_values):
-                condition = dataclasses.replace(
+                condition = replace(
                     test.condition, vdd=float(vdd), temperature=float(temperature)
                 )
                 entry = runner.measure_one(test.with_condition(condition))

@@ -133,10 +133,11 @@ class WaferProber:
             parameter=self.parameter, grid_diameter=self.wafer.grid_diameter
         )
         sites = list(self.wafer.sites)
+        deck = tuple(tests)
         units = [
             self._lot.die_unit(
                 self.variation.die_at(site),
-                tests,
+                deck,
                 key=f"site/{site.x:02d}x{site.y:02d}",
                 index=i,
             )

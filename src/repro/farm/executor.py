@@ -40,6 +40,13 @@ and the profile/resource events merge with the rest.  Farm lifecycle
 events (dispatch/complete/retry, pool lifecycle) stay live on the
 parent's :mod:`repro.obs` bus in real completion order — they drive
 progress reporting and the Perfetto timeline.
+
+A payload value that several units of one batch hold as the same object
+(a lot's deck, shared by every die) crosses the process boundary once
+per pool worker, not once per unit: :func:`hoist_shared` moves it into a
+table the pool's initializer installs in each worker — inherited for
+free under ``fork``, pickled once per worker under ``spawn`` — and
+:func:`_worker_call` puts it back before the runner sees the unit.
 """
 
 from __future__ import annotations
@@ -47,10 +54,14 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
+from collections import Counter
+from dataclasses import replace
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -332,6 +343,75 @@ class SerialExecutor(_ExecutorBase):
             raise FarmExecutionError(failures)
 
 
+#: Never hoisted: a scalar pickles smaller than its placeholder would.
+_SCALARS = (str, bytes, int, float, bool, type(None))
+
+#: This pool worker's shared payload table (see :func:`hoist_shared`).
+_SHARED: Tuple[Any, ...] = ()
+
+
+class _SharedRef(NamedTuple):
+    """Placeholder for the payload value in slot ``slot`` of the shared table."""
+
+    slot: int
+
+
+def hoist_shared(
+    units: Sequence[WorkUnit],
+) -> Tuple[Tuple[Any, ...], List[WorkUnit]]:
+    """Split the payload values several units share from the units.
+
+    A non-scalar payload value that two or more ``units`` hold as the
+    same object (by ``id``) moves into the returned table, and each unit
+    holding it carries a small placeholder in its place.  A unit that
+    shares nothing is returned as is.  :func:`_worker_call` undoes the
+    split inside a worker that installed the table.
+    """
+    holders = Counter(
+        ident
+        for unit in units
+        for ident in {
+            id(value) for value in unit.payload.values()
+            if not isinstance(value, _SCALARS)
+        }
+    )
+    table: List[Any] = []
+    refs: Dict[int, _SharedRef] = {}
+
+    def ref(value: Any) -> _SharedRef:
+        if id(value) not in refs:
+            refs[id(value)] = _SharedRef(len(table))
+            table.append(value)
+        return refs[id(value)]
+
+    stubs = []
+    for unit in units:
+        hoisted = {
+            name: ref(value) for name, value in unit.payload.items()
+            if holders[id(value)] > 1
+        }
+        stubs.append(
+            replace(unit, payload={**unit.payload, **hoisted})
+            if hoisted else unit
+        )
+    return tuple(table), stubs
+
+
+def _install_shared(table: Tuple[Any, ...]) -> None:
+    """Pool initializer: keep the batch's shared payload table."""
+    global _SHARED
+    _SHARED = table
+
+
+def _resolve_shared(unit: WorkUnit) -> WorkUnit:
+    """The complete unit a :func:`hoist_shared` stub stands for."""
+    hoisted = {
+        name: _SHARED[value.slot] for name, value in unit.payload.items()
+        if isinstance(value, _SharedRef)
+    }
+    return replace(unit, payload={**unit.payload, **hoisted}) if hoisted else unit
+
+
 def _worker_call(
     runner: UnitRunner,
     unit: WorkUnit,
@@ -340,14 +420,16 @@ def _worker_call(
 ):
     """Per-unit entry point inside a pool worker.
 
-    The inherited switchboard is detached first (:meth:`Observability.detach
-    <repro.obs.runtime.Observability.detach>`) and, when a capture config
-    was shipped with the dispatch, the unit runs under a fresh
+    The unit's shared payload values are put back from the pool's table
+    first.  The inherited switchboard is detached (:meth:`Observability.
+    detach <repro.obs.runtime.Observability.detach>`) and, when a capture
+    config was shipped with the dispatch, the unit runs under a fresh
     :class:`~repro.obs.collector.UnitCapture` whose spool travels back
     with the outcome.
     """
     import multiprocessing
 
+    unit = _resolve_shared(unit)
     OBS.detach()
     worker = multiprocessing.current_process().name
     start = time.perf_counter()
@@ -396,7 +478,9 @@ class ParallelExecutor(_ExecutorBase):
         self.workers = workers
         self.timeout_s = timeout_s
 
-    def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
+    def _pool(
+        self, shared: Tuple[Any, ...]
+    ) -> concurrent.futures.ProcessPoolExecutor:
         if OBS.enabled:
             OBS.bus.emit(
                 event(
@@ -404,7 +488,9 @@ class ParallelExecutor(_ExecutorBase):
                 )
             )
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers
+            max_workers=self.workers,
+            initializer=_install_shared,
+            initargs=(shared,),
         )
 
     def _shutdown(self, pool, status: str = "stopped",
@@ -431,7 +517,9 @@ class ParallelExecutor(_ExecutorBase):
         pending: List[WorkUnit] = list(units)
         failures: List[Tuple[WorkUnit, str]] = []
         config = collector.worker_config() if collector is not None else None
-        pool = self._pool()
+        shared, stubs = hoist_shared(pending)
+        dispatched = {unit.key: stub for unit, stub in zip(pending, stubs)}
+        pool = self._pool(shared)
         clean = False
         try:
             for attempt in range(1, self.max_attempts + 1):
@@ -449,8 +537,8 @@ class ParallelExecutor(_ExecutorBase):
                                 # context instead of replaying as a
                                 # second attempt=1.
                                 pool.submit(
-                                    _worker_call, runner, unit, config,
-                                    attempt,
+                                    _worker_call, runner,
+                                    dispatched[unit.key], config, attempt,
                                 ),
                             )
                         )
@@ -491,7 +579,7 @@ class ParallelExecutor(_ExecutorBase):
                         # Stalled or dead workers poison the pool; start a
                         # fresh one for the retry pass.
                         self._shutdown(pool, status="recycled", terminate=True)
-                        pool = self._pool()
+                        pool = self._pool(shared)
                     if attempt < self.max_attempts:
                         for unit, reason in failures:
                             self._note_retry(unit, attempt, reason)

@@ -45,7 +45,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.farm.remote.leases import LeaseTable
 from repro.farm.remote.protocol import (
@@ -148,6 +148,11 @@ class _Campaign:
         self.leases = LeaseTable(lease_timeout_s)
         self.pending: Deque[str] = deque(order)
         self.failed: Dict[str, str] = {}
+        #: Keys whose "done" frame has been pushed to the client.  A
+        #: result is completed under the broker lock but pushed after
+        #: it, so the campaign counts pushes: "campaign_done" cannot
+        #: overtake a "done" still on its way.
+        self.delivered: Set[str] = set()
         self.client = client
         self.client_lock = threading.Lock()
         self.client_alive = True
@@ -159,9 +164,7 @@ class _Campaign:
 
     @property
     def finished(self) -> bool:
-        return (
-            len(self.leases.completed) + len(self.failed) >= len(self.units)
-        )
+        return len(self.delivered) + len(self.failed) >= len(self.units)
 
     def push(self, frame: Dict[str, Any]) -> None:
         """Send one frame to the campaign's client (best-effort)."""
@@ -692,6 +695,7 @@ class FarmBroker:
                     "telemetry": None,
                     "restored": True,
                 })
+                campaign.delivered.add(payload["key"])
             self._maybe_finish(campaign)
         return campaign
 
@@ -905,6 +909,7 @@ class FarmBroker:
             "telemetry": frame.get("telemetry"),
         })
         with self._lock:
+            campaign.delivered.add(key)
             self._maybe_finish(campaign)
         return {"type": "ack", "accepted": True}
 

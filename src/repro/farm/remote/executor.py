@@ -223,6 +223,12 @@ class RemoteExecutor(_ExecutorBase):
                     )
                     remaining.discard(unit.key)
                 elif kind == "campaign_done":
+                    if remaining:
+                        raise RemoteFarmError(
+                            f"broker finished campaign {campaign_id!r} "
+                            f"without a result for "
+                            f"{', '.join(sorted(remaining))}"
+                        )
                     self._replay_broker_telemetry(campaign_id, frame)
                     break
             try:

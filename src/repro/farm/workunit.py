@@ -11,9 +11,10 @@ workers the farm had.  That is what makes a farm run bit-identical to a
 serial run.
 
 Units are plain picklable dataclasses: a :class:`~repro.farm.executor.
-ParallelExecutor` ships them to worker processes as-is, and a
-:class:`~repro.farm.checkpoint.CheckpointStore` writes their results to
-disk for resume.
+ParallelExecutor` ships them to worker processes (a payload value that
+several units share goes once per worker, see :func:`~repro.farm.
+executor.hoist_shared`), and a :class:`~repro.farm.checkpoint.
+CheckpointStore` writes their results to disk for resume.
 """
 
 from __future__ import annotations

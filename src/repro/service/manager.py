@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import subprocess
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.obs.history import RUN_KIND, RUN_SCHEMA
 from repro.service.progress import job_progress
@@ -162,7 +162,9 @@ class JobManager:
             runner if runner is not None
             else SubprocessJobRunner(broker=broker)
         )
-        self._queue: "queue.Queue[str]" = queue.Queue()
+        #: Queued job ids, oldest first; ``_ready`` counts them.
+        self._queue: Deque[str] = deque()
+        self._ready = threading.Semaphore(0)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -237,7 +239,8 @@ class JobManager:
                 request_id=request_id,
             )
             self._done[job_id] = threading.Event()
-        self._queue.put(job_id)
+            self._queue.append(job_id)
+        self._ready.release()
         return job
 
     def cancel(self, job_id: str) -> bool:
@@ -317,19 +320,15 @@ class JobManager:
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            try:
-                self._execute(job_id)
-            finally:
-                self._queue.task_done()
+            if self._ready.acquire(timeout=0.1):
+                self._execute()
 
-    def _execute(self, job_id: str) -> None:
-        # Claim under the lock: a job cancelled while queued must never
+    def _execute(self) -> None:
+        # Dequeue and claim under one lock hold, so workers claim jobs in
+        # submission order; a job cancelled while queued must never
         # transition to running (cancel() takes the same lock).
         with self._lock:
+            job_id = self._queue.popleft()
             job = self.store.get_job(job_id)
             if job is None or job["state"] != "queued":
                 return

@@ -95,3 +95,18 @@ def forbidden_key_runner(unit: WorkUnit) -> UnitOutcome:
     if unit.key in unit.payload.get("forbidden", ()):
         raise AssertionError(f"unit {unit.key} was re-executed")
     return UnitOutcome(value=unit.key, measurements=1)
+
+
+def stall_once_runner(unit: WorkUnit) -> UnitOutcome:
+    """Stalls the first attempt anywhere, then returns ``payload["shared"]``.
+
+    The first call creates the payload's marker file and sleeps past any
+    reasonable timeout; every later call (same or a fresh process) sees
+    the marker and echoes the shared value.
+    """
+    marker = unit.payload["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write(unit.key)
+        time.sleep(30.0)
+    return UnitOutcome(value=unit.payload["shared"], measurements=1)

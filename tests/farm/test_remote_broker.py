@@ -309,6 +309,58 @@ class TestAcceptOrdering:
             worker.close()
 
 
+class TestCompletionOrdering:
+    def test_campaign_done_cannot_overtake_a_done_frame(
+        self, broker, monkeypatch
+    ):
+        """The last result to complete must not announce "campaign_done"
+        while another worker's "done" frame is still on its way.
+
+        The broker completes a result under its lock and pushes the
+        "done" frame after releasing it.  Here the push of u/1's frame is
+        held until u/2 has been delivered by a second worker and
+        "campaign_done" has gone out, or one second has passed.  A broker
+        that counts completions announces the end between the two, and
+        the client never sees u/1's result; a broker that counts pushed
+        results waits for it.
+        """
+        client = _connect(broker.address)
+        first = _connect(broker.address)
+        second = _connect(broker.address)
+        finished = threading.Event()
+        real_push = broker_module._Campaign.push
+
+        def push(campaign, frame):
+            if frame["type"] == "campaign_done":
+                finished.set()
+            elif frame["type"] == "done" and frame["key"] == "u/1":
+                send_frame(second, {
+                    "type": "result", "key": "u/2", "attempt": 1, "ok": True,
+                    "elapsed_s": 0.01, "outcome": pack({"key": "u/2"}),
+                })
+                finished.wait(1.0)
+            real_push(campaign, frame)
+
+        monkeypatch.setattr(broker_module._Campaign, "push", push)
+        try:
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp", ["u/1", "u/2"])["type"] == "accepted"
+            assert _hello(first, "worker", worker="w1")["type"] == "welcome"
+            assert _hello(second, "worker", worker="w2")["type"] == "welcome"
+            assert _pull(first)["key"] == "u/1"
+            assert _pull(second)["key"] == "u/2"
+            assert _deliver(first, "u/1", 1)["accepted"] is True
+            assert recv_frame(second)["accepted"] is True
+            frames = _drain_until(client, "campaign_done")
+            done = sorted(f["key"] for f in frames if f["type"] == "done")
+            assert done == ["u/1", "u/2"]
+            assert frames[-1]["completed"] == 2
+        finally:
+            client.close()
+            first.close()
+            second.close()
+
+
 class TestSpoolRestore:
     def test_broker_restart_restores_completed_units(self, tmp_path):
         spool_dir = tmp_path / "spool"

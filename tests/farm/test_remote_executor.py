@@ -7,6 +7,7 @@ genuine process boundary, exactly like production.
 """
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -31,7 +32,9 @@ from repro.farm.remote import (
     RemoteExecutor,
     RemoteFarmError,
     WorkerRejected,
+    recv_frame,
     run_worker,
+    send_frame,
 )
 from repro.farm.workunit import WorkUnit
 
@@ -184,6 +187,33 @@ class TestRemoteExecution:
         )
         with pytest.raises(RemoteFarmError):
             executor.run(_units(1), echo_runner)
+
+    def test_campaign_done_before_every_result_raises(self):
+        """A broker that announces the end of a campaign while units are
+        still outstanding must fail the run, naming them, not leave the
+        merge without their results."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def early_finish():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                send_frame(conn, {"type": "welcome"})
+                recv_frame(conn)
+                send_frame(conn, {"type": "accepted", "pending": 2})
+                send_frame(conn, {"type": "campaign_done", "completed": 0})
+                recv_frame(conn)
+
+        thread = threading.Thread(target=early_finish, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(RemoteFarmError, match="unit/000, unit/001"):
+                RemoteExecutor(listener.getsockname()).run(
+                    _units(2), echo_runner
+                )
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
 
     def test_local_runner_rejected_before_submit(self):
         def local_runner(unit):

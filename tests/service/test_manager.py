@@ -83,7 +83,18 @@ def _manager(store, tmp_path, runner, max_workers=2):
 
 
 class TestConcurrency:
-    def test_pool_never_exceeds_max_workers(self, store, tmp_path):
+    def test_pool_never_exceeds_max_workers(self, store, tmp_path, monkeypatch):
+        # The order jobs turn running is the order the manager claims
+        # them under its lock.
+        claimed = []
+        update_job = store.update_job
+
+        def record_claims(job_id, **fields):
+            if fields.get("state") == "running":
+                claimed.append(job_id)
+            return update_job(job_id, **fields)
+
+        monkeypatch.setattr(store, "update_job", record_claims)
         runner = GateRunner()
         manager = _manager(store, tmp_path, runner, max_workers=2)
         for index in range(1, 6):
@@ -108,7 +119,11 @@ class TestConcurrency:
             assert manager.wait(job_id, timeout=WAIT)["state"] == "completed"
 
         assert runner.max_active == 2
-        assert runner.started == ids  # FIFO: start order == submit order
+        assert claimed == ids  # FIFO: claim order == submit order
+        # The first two jobs race each other to the runner; the rest are
+        # admitted one at a time, in order.
+        assert sorted(runner.started[:2]) == ids[:2]
+        assert runner.started[2:] == ids[2:]
         manager.shutdown()
 
     def test_single_worker_is_strictly_serial(self, store, tmp_path):
