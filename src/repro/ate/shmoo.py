@@ -228,7 +228,6 @@ def shmoo_overlay_units(
                 seed=derive_seed(campaign_seed, key),
                 index=index,
                 cost_hint=float(test.cycles * len(vdd_values)),
-                test_names=(name,),
             )
         )
     return units

@@ -289,7 +289,6 @@ class LotCharacterizer:
             seed=derive_seed(self.seed, key),
             index=index,
             cost_hint=float(sum(t.cycles for t in tests)),
-            test_names=tuple(t.name or f"test_{i}" for i, t in enumerate(tests)),
         )
 
     def characterize_die(
@@ -306,17 +305,10 @@ class LotCharacterizer:
         ``rtp_hint`` seeds the SUTP reference as a farm RTP broadcast
         would.
         """
-        unit = self.die_unit(die, tests)
         if noise_seed is None:
             noise_seed = self.seed + die.die_id
-        unit = WorkUnit(
-            key=unit.key,
-            kind=unit.kind,
-            payload=unit.payload,
-            seed=noise_seed,
-            cost_hint=unit.cost_hint,
-            test_names=unit.test_names,
-            rtp_hint=rtp_hint,
+        unit = replace(
+            self.die_unit(die, tests), seed=noise_seed, rtp_hint=rtp_hint
         )
         return run_lot_unit(unit).value
 
@@ -534,7 +526,6 @@ class EnvironmentalSweep:
             seed=derive_seed(self.seed, key),
             index=index,
             cost_hint=float(test.cycles),
-            test_names=(test.name or "env_sweep",),
         )
 
     def sweep(

@@ -279,9 +279,6 @@ def wcr_screen_units(
                 seed=derive_seed(campaign_seed, key),
                 index=index,
                 cost_hint=float(sum(t.cycles for t in chunk)),
-                test_names=tuple(
-                    t.name or f"test_{start + i}" for i, t in enumerate(chunk)
-                ),
             )
         )
     return units

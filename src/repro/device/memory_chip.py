@@ -317,23 +317,6 @@ class MemoryTestChip:
             return strobe_ns <= value
         return value <= strobe_ns
 
-    def strobes_pass(self, test: TestCase, strobes_ns: Sequence[float]) -> np.ndarray:
-        """Noise-free pass/fail of one batch of strobe levels.
-
-        Element ``k`` matches ``strobe_passes(test, strobes_ns[k])`` called
-        ``k``-th in sequence (each element models one application, so the
-        batch advances self-heating just like the scalar loop would).  A
-        functional failure fails the whole batch without touching the
-        thermal state, mirroring the scalar early return.
-        """
-        strobes = np.asarray(strobes_ns, dtype=float)
-        if not self.run_functional(test.sequence).passed:
-            return np.zeros(strobes.shape, dtype=bool)
-        values = self.true_parameter_values(test, strobes.size)
-        if self.parameter.direction is SpecDirection.MIN_IS_WORST:
-            return strobes <= values
-        return values <= strobes
-
     def reset_state(self) -> None:
         """Cool the die and clear the array (new characterization insertion)."""
         self.timing.reset()

@@ -204,32 +204,6 @@ class TimingModel:
             self.heating.apply(features["peak_window_activity"])
         return float(static - self.heating.derating_ns)
 
-    def t_dq_ns_batch(
-        self,
-        features: PatternFeatures,
-        condition: TestCondition,
-        die: ProcessInstance = NOMINAL_DIE,
-        count: int = 1,
-        account_heating: bool = True,
-    ) -> np.ndarray:
-        """``T_DQ`` of ``count`` successive applications, vectorized.
-
-        Element ``k`` is bit-identical to the ``k``-th of ``count``
-        successive :meth:`t_dq_ns` calls: the static part is computed once
-        and the self-heating recurrence advanced application by
-        application.  With ``account_heating=False`` the thermal state is
-        left untouched and every element sees the current derating (the
-        what-if query semantics of the scalar path).
-        """
-        static = self.static_t_dq_ns(features, condition, die)
-        if account_heating:
-            deratings = self.heating.derating_sequence(
-                features["peak_window_activity"], count
-            )
-        else:
-            deratings = np.full(count, self.heating.derating_ns)
-        return static - deratings
-
     def f_max_from_t_dq(self, t_dq):
         """Map ``T_DQ`` (scalar or array) to maximum operating frequency."""
         cfg = self.config
@@ -242,28 +216,6 @@ class TimingModel:
     ) -> float:
         """Peak supply current for the secondary (max-limited) parameter."""
         return self.sensitivity.idd_peak_ma(features, condition.vdd)
-
-    def f_max_mhz(
-        self,
-        features: PatternFeatures,
-        condition: TestCondition,
-        die: ProcessInstance = NOMINAL_DIE,
-        account_heating: bool = True,
-    ) -> float:
-        """Maximum operating frequency for one test, in MHz.
-
-        Modelled off the same critical-path physics as ``T_DQ``: the quiet
-        nominal die runs at ~110 MHz (the section-4 example's fail point)
-        and every nanosecond of valid-window degradation costs
-        ``f_max_slope_mhz_per_ns`` of headroom.
-        """
-        t_dq = self.t_dq_ns(
-            features, condition, die, account_heating=account_heating
-        )
-        cfg = self.config
-        return cfg.f_max_quiet_mhz - cfg.f_max_slope_mhz_per_ns * (
-            cfg.base_ns - t_dq
-        )
 
     def reset(self) -> None:
         """Reset transient state (self-heating) between characterization runs."""

@@ -10,9 +10,8 @@ testers at once over a lot.  This package is the second lever:
 * :mod:`repro.farm.executor` — :class:`SerialExecutor` and the process-
   pool :class:`ParallelExecutor` behind one interface, with per-unit
   timeouts, bounded retry and order-deterministic result merge;
-* :mod:`repro.farm.scheduler` — longest-expected-first dispatch fed by
-  the :mod:`repro.obs` metrics registry, plus the section-4 reference-
-  trip-point broadcast;
+* :mod:`repro.farm.scheduler` — longest-first dispatch by each unit's
+  static cost hint, plus the section-4 reference-trip-point broadcast;
 * :mod:`repro.farm.checkpoint` — JSONL checkpoint store so an
   interrupted lot, wafer or sweep resumes without re-measuring finished
   units;
@@ -36,7 +35,7 @@ from repro.farm.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.farm.scheduler import CostModel, RTPBroadcast, Scheduler
+from repro.farm.scheduler import RTPBroadcast
 from repro.farm.workunit import (
     UnitOutcome,
     WorkResult,
@@ -47,12 +46,10 @@ from repro.farm.workunit import (
 __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
-    "CostModel",
     "ExecutorBackend",
     "FarmExecutionError",
     "ParallelExecutor",
     "RTPBroadcast",
-    "Scheduler",
     "SerialExecutor",
     "UnitOutcome",
     "WorkResult",

@@ -70,7 +70,7 @@ from typing import (
 )
 
 from repro.farm.checkpoint import CheckpointStore
-from repro.farm.scheduler import RTPBroadcast, Scheduler
+from repro.farm.scheduler import RTPBroadcast, dispatch_order
 from repro.farm.workunit import UnitOutcome, WorkResult, WorkUnit
 from repro.obs.collector import (
     FarmCollector,
@@ -147,14 +147,9 @@ class _ExecutorBase:
 
     name = "farm"
 
-    def __init__(
-        self,
-        scheduler: Optional[Scheduler] = None,
-        max_attempts: int = 2,
-    ) -> None:
+    def __init__(self, max_attempts: int = 2) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.max_attempts = max_attempts
 
     def run(
@@ -212,8 +207,7 @@ class _ExecutorBase:
                 )
             if pending:
                 ordered = [
-                    broadcast.apply(unit)
-                    for unit in self.scheduler.order(pending)
+                    broadcast.apply(unit) for unit in dispatch_order(pending)
                 ]
                 self._execute(
                     ordered, runner, results, checkpoint, broadcast, collector
@@ -300,7 +294,7 @@ class _ExecutorBase:
 
 
 class SerialExecutor(_ExecutorBase):
-    """Runs every unit in the parent process, in scheduled order.
+    """Runs every unit in the parent process, longest-first.
 
     The degenerate farm: same sharding, same merge, same checkpointing —
     and full in-process telemetry, since nothing crosses a process
@@ -433,7 +427,7 @@ def _worker_call(
     OBS.detach()
     worker = multiprocessing.current_process().name
     start = time.perf_counter()
-    if config is not None and config.capture:
+    if config is not None:
         outcome, telemetry = run_unit_captured(
             runner, unit, config, worker, attempt=attempt
         )
@@ -455,8 +449,6 @@ class ParallelExecutor(_ExecutorBase):
         expires counts as a failed attempt and the pool is recycled so
         the stalled worker cannot starve the retry pass.  ``None`` (the
         default) waits indefinitely.
-    scheduler:
-        Dispatch-order policy (longest-expected-first by default).
     max_attempts:
         Total dispatches allowed per unit (first try + retries).
     """
@@ -467,10 +459,9 @@ class ParallelExecutor(_ExecutorBase):
         self,
         workers: int,
         timeout_s: Optional[float] = None,
-        scheduler: Optional[Scheduler] = None,
         max_attempts: int = 2,
     ) -> None:
-        super().__init__(scheduler=scheduler, max_attempts=max_attempts)
+        super().__init__(max_attempts=max_attempts)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if timeout_s is not None and timeout_s <= 0:

@@ -7,8 +7,8 @@ which may join and leave at any point:
 * **Work-stealing dispatch** — workers *pull*: a ``request`` frame takes
   the next pending unit, so a fast worker simply asks more often and no
   static plan can strand a long unit behind a slow host.  The client
-  still submits units in scheduler order (longest-expected-first), which
-  seeds the queue well; after that, completion order is whatever the
+  still submits units longest-first by ``cost_hint``, which seeds the
+  queue well; after that, completion order is whatever the
   workers make of it — the client's executor merges deterministically
   by submission order regardless.
 * **Leases + heartbeats** — every dispatched unit is leased (see
@@ -141,7 +141,7 @@ class _Campaign:
     ) -> None:
         self.id = campaign_id
         self.units = units          # key -> packed WorkUnit
-        self.order = order          # submission order (scheduler's)
+        self.order = order          # submission order (longest-first)
         self.runner = runner
         self.config = config
         self.max_attempts = max_attempts

@@ -7,9 +7,9 @@ guarantee of the base contract — deterministic merge in submission
 order, checkpoint skip/record, pilot RTP broadcast, telemetry replay —
 and delegates only the *scheduling* to the broker's work-stealing queue:
 
-* Units are submitted in the scheduler's order (longest-expected-first),
-  which seeds the broker's pending queue; workers then pull in whatever
-  order their speed dictates.
+* Units are submitted longest-first by ``cost_hint``, which seeds the
+  broker's pending queue; workers then pull in whatever order their
+  speed dictates.
 * Completion frames arrive in real completion order and are folded into
   the same ``results`` dict keyed by unit, so the returned list — and
   the checkpoint, and the merged trace — are byte-identical to a serial
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.farm.executor import FarmExecutionError, _ExecutorBase
 from repro.farm.remote.protocol import (
@@ -43,7 +43,6 @@ from repro.farm.remote.protocol import (
     unpack,
 )
 from repro.farm.remote.telemetry import clock_stamp
-from repro.farm.scheduler import Scheduler
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 
@@ -67,9 +66,6 @@ class RemoteExecutor(_ExecutorBase):
     ----------
     broker:
         Broker address: ``"host:port"`` or ``(host, port)``.
-    scheduler:
-        Submission-order policy (longest-expected-first by default);
-        seeds the broker's work-stealing queue.
     max_attempts:
         Total dispatches allowed per unit across all workers.
     lease_timeout_s:
@@ -84,12 +80,11 @@ class RemoteExecutor(_ExecutorBase):
     def __init__(
         self,
         broker: Union[str, Tuple[str, int]],
-        scheduler: Optional[Scheduler] = None,
         max_attempts: int = 2,
         lease_timeout_s: float = DEFAULT_LEASE_S,
         connect_timeout_s: float = 10.0,
     ) -> None:
-        super().__init__(scheduler=scheduler, max_attempts=max_attempts)
+        super().__init__(max_attempts=max_attempts)
         if isinstance(broker, str):
             self.address = parse_address(broker)
         else:

@@ -149,7 +149,7 @@ def _execute_unit(
         runner = runners[ref]
         unit = unpack(str(frame["unit"]))
         config = unpack(str(frame["config"])) if frame.get("config") else None
-        if config is not None and config.capture:
+        if config is not None:
             outcome, telemetry = run_unit_captured(
                 runner, unit, config, worker=name, attempt=attempt
             )

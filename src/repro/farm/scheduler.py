@@ -1,14 +1,11 @@
-"""Dispatch-order policy and reference-trip-point broadcast.
+"""Dispatch order and reference-trip-point broadcast.
 
 Two farm-level levers from the paper's measurement-time argument live here:
 
-* **Longest-expected-first dispatch** — on a pool of ``W`` workers the
-  makespan is dominated by whatever long unit starts last, so
-  :class:`Scheduler` orders the queue by expected cost, descending.
-  Expectations come from the :mod:`repro.obs` metrics registry when it has
-  history (per-test ``ate.measurements`` label counts, per-kind
-  ``farm.unit_measurements.*`` histograms from earlier farm runs in the
-  process) and fall back to the unit's static ``cost_hint``.
+* **Longest-first dispatch** — on a pool of ``W`` workers the makespan is
+  dominated by whatever long unit starts last, so :func:`dispatch_order`
+  sorts the queue by each unit's static ``cost_hint``, descending.  The
+  order depends on the units alone, never on telemetry.
 * **RTP broadcast** (section 4) — the first unit to complete a full-range
   bootstrap search offers its reference trip point to
   :class:`RTPBroadcast`; units dispatched afterwards carry the value as
@@ -17,7 +14,7 @@ Two farm-level levers from the paper's measurement-time argument live here:
 
 Reordering never changes results — unit seeds are derived from unit keys,
 and the executors pin the broadcast pilot to submission order — so the
-scheduler is free to chase wall-clock time only.
+dispatch order buys wall-clock time only.
 """
 
 from __future__ import annotations
@@ -25,60 +22,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.farm.workunit import WorkUnit
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import OBS
 
 
-class CostModel:
-    """Expected-cost estimator backed by the metrics registry.
-
-    Parameters
-    ----------
-    registry:
-        Registry to read history from; the global ``OBS.metrics`` when
-        omitted.  An empty registry degrades gracefully to the units'
-        static ``cost_hint``.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else OBS.metrics
-
-    def estimate(self, unit: WorkUnit) -> float:
-        """Expected cost of ``unit`` in tester measurements (relative)."""
-        registry = self.registry
-        per_test = registry.counters.get("ate.measurements")
-        if per_test is not None and unit.test_names:
-            known = [
-                per_test.by_label[name]
-                for name in unit.test_names
-                if name in per_test.by_label
-            ]
-            if known:
-                # Unseen tests are charged the mean of the seen ones.
-                mean = sum(known) / len(known)
-                return sum(known) + mean * (len(unit.test_names) - len(known))
-        history = registry.histograms.get(f"farm.unit_measurements.{unit.kind}")
-        if history is not None and history.count:
-            return history.mean
-        return unit.cost_hint
-
-
-class Scheduler:
-    """Longest-expected-first ordering with a deterministic tie-break."""
-
-    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-
-    def order(self, units: Sequence[WorkUnit]) -> List[WorkUnit]:
-        """Dispatch order: largest expected cost first, ties by submission."""
-        return sorted(
-            units,
-            key=lambda u: (-self.cost_model.estimate(u), u.index, u.key),
-        )
+def dispatch_order(units: Sequence[WorkUnit]) -> List[WorkUnit]:
+    """Largest ``cost_hint`` first; ties by submission index, then key."""
+    return sorted(units, key=lambda u: (-u.cost_hint, u.index, u.key))
 
 
 class RTPBroadcast:

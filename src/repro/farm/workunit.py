@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 #: Mask keeping derived seeds inside the non-negative 63-bit range every
 #: seedable RNG in the stack (``numpy.random.default_rng``) accepts.
@@ -65,11 +65,9 @@ class WorkUnit:
         Submission position; results are merged back in this order no
         matter how the farm scheduled the units.
     cost_hint:
-        Static relative cost estimate (e.g. test count x cycles) used by
-        the scheduler when the metrics registry has no history yet.
-    test_names:
-        Names of the tests the unit will measure; lets the scheduler
-        refine its estimate from per-test measurement counters.
+        Static relative cost estimate (e.g. total cycles of the unit's
+        tests); executors dispatch the largest first.  It orders work
+        only and never changes a result.
     rtp_hint:
         Reference trip point broadcast by an earlier unit (section 4):
         the runner may bootstrap its SUTP walk from it instead of paying
@@ -82,7 +80,6 @@ class WorkUnit:
     seed: int = 0
     index: int = 0
     cost_hint: float = 1.0
-    test_names: Tuple[str, ...] = ()
     rtp_hint: Optional[float] = None
 
     def with_rtp_hint(self, rtp: Optional[float]) -> "WorkUnit":

@@ -24,10 +24,6 @@ class MembershipFunction(abc.ABC):
     def center(self) -> float:
         """Representative (peak) location of the set."""
 
-    def support_contains(self, x: float) -> bool:
-        """True where the membership degree is strictly positive."""
-        return bool(np.asarray(self(x)) > 0.0)
-
 
 @dataclass(frozen=True)
 class TriangularMF(MembershipFunction):

@@ -69,7 +69,6 @@ class WorkerCaptureConfig:
     """
 
     trace_id: str
-    capture: bool = True
     spool_capacity: int = DEFAULT_SPOOL_CAPACITY
     profile: Optional[ProfileConfig] = None
 

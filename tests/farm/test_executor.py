@@ -13,10 +13,8 @@ from repro.farm.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.farm.scheduler import CostModel, Scheduler
 from repro.farm.workunit import WorkUnit
 from repro.obs import OBS, RingBufferSink, event
-from repro.obs.metrics import MetricsRegistry
 
 from tests.farm.runners import (
     crashing_runner,
@@ -131,8 +129,7 @@ class TestDeterministicMerge:
             WorkUnit(key=f"u/{i}", kind="k", index=i, cost_hint=float(i))
             for i in range(5)
         ]
-        scheduler = Scheduler(CostModel(MetricsRegistry()))
-        results = SerialExecutor(scheduler=scheduler).run(units, echo_runner)
+        results = SerialExecutor().run(units, echo_runner)
         assert [r.unit_key for r in results] == [u.key for u in units]
 
     def test_empty_unit_list(self):

@@ -1,45 +1,19 @@
-"""Tests for the cost model, dispatch ordering and RTP broadcast."""
+"""Tests for the dispatch order and RTP broadcast."""
 
-from repro.farm.scheduler import CostModel, RTPBroadcast, Scheduler
+from repro.ate.shmoo import shmoo_overlay_units
+from repro.device.parameters import T_DQ_PARAMETER
+from repro.device.process import NOMINAL_DIE
+from repro.farm.executor import SerialExecutor
+from repro.farm.scheduler import RTPBroadcast, dispatch_order
 from repro.farm.workunit import WorkUnit
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import OBS, RingBufferSink
+from repro.patterns.random_gen import RandomTestGenerator
+
+from tests.farm.runners import echo_runner
 
 
-def _unit(key, index=0, cost_hint=1.0, test_names=()):
-    return WorkUnit(
-        key=key, kind="lot_die", index=index,
-        cost_hint=cost_hint, test_names=test_names,
-    )
-
-
-class TestCostModel:
-    def test_falls_back_to_static_hint(self):
-        model = CostModel(MetricsRegistry())
-        assert model.estimate(_unit("a", cost_hint=7.5)) == 7.5
-
-    def test_uses_per_test_measurement_history(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("ate.measurements")
-        counter.inc(30, label="cheap")
-        counter.inc(90, label="dear")
-        model = CostModel(registry)
-        assert model.estimate(_unit("a", test_names=("dear",))) == 90
-        assert model.estimate(_unit("b", test_names=("cheap", "dear"))) == 120
-
-    def test_unseen_tests_charged_mean_of_seen(self):
-        registry = MetricsRegistry()
-        registry.counter("ate.measurements").inc(60, label="seen")
-        model = CostModel(registry)
-        # one seen (60) + one unseen charged the mean of seen (60)
-        assert model.estimate(_unit("a", test_names=("seen", "new"))) == 120
-
-    def test_uses_kind_histogram_when_no_test_history(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("farm.unit_measurements.lot_die")
-        histogram.observe(10)
-        histogram.observe(30)
-        model = CostModel(registry)
-        assert model.estimate(_unit("a", cost_hint=99.0)) == 20
+def _unit(key, index=0, cost_hint=1.0):
+    return WorkUnit(key=key, kind="lot_die", index=index, cost_hint=cost_hint)
 
 
 class TestScheduler:
@@ -49,14 +23,39 @@ class TestScheduler:
             _unit("b", index=1, cost_hint=5.0),
             _unit("c", index=2, cost_hint=3.0),
         ]
-        scheduler = Scheduler(CostModel(MetricsRegistry()))
-        assert [u.key for u in scheduler.order(units)] == ["b", "c", "a"]
+        assert [u.key for u in dispatch_order(units)] == ["b", "c", "a"]
 
     def test_ties_break_by_submission_order(self):
         units = [_unit(k, index=i, cost_hint=2.0)
                  for i, k in enumerate("zyx")]
-        scheduler = Scheduler(CostModel(MetricsRegistry()))
-        assert [u.key for u in scheduler.order(units)] == ["z", "y", "x"]
+        assert [u.key for u in dispatch_order(units)] == ["z", "y", "x"]
+
+    def test_telemetry_does_not_change_dispatch_order(self):
+        # A traced campaign measures tests before its shmoo phase, so the
+        # ate.measurements counter holds labels that collide with the
+        # shmoo units' test names.  Dispatch must still go by cost_hint.
+        tests = RandomTestGenerator(seed=3).batch(6)
+        units = shmoo_overlay_units(
+            tests, (1.7, 1.8, 1.9),
+            strobe_start=15.0, strobe_stop=45.0, strobe_step=0.5,
+            search_resolution=0.05, die=NOMINAL_DIE,
+            parameter=T_DQ_PARAMETER, noise_sigma=0.0,
+        )
+        expected = [
+            u.key for u in sorted(units, key=lambda u: (-u.cost_hint, u.index))
+        ]
+        sink = RingBufferSink()
+        OBS.reset()
+        OBS.enable(sink)
+        try:
+            measured = OBS.metrics.counter("ate.measurements")
+            for rank, test in enumerate(tests[::2]):
+                measured.inc(6 + rank, label=test.name)
+            SerialExecutor().run(units, echo_runner)
+        finally:
+            OBS.reset()
+        dispatched = [e["key"] for e in sink.of_type("farm_unit_dispatched")]
+        assert dispatched == expected
 
 
 class TestRTPBroadcast:

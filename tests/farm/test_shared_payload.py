@@ -40,8 +40,8 @@ from tests.farm.runners import echo_runner, stall_once_runner
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Upper bound on one dispatched die unit of a 100-test lot.  The deck
-#: alone pickles to about 0.9 MB; the rest of a unit is about 2.5 kB.
-UNIT_BYTES_BOUND = 8 * 1024
+#: alone pickles to about 0.9 MB; the rest of a unit is about 0.5 kB.
+UNIT_BYTES_BOUND = 1024
 
 
 def _deck(count, seed=37):

@@ -48,7 +48,6 @@ class TestWorkUnit:
             seed=derive_seed(0, "die/0001"),
             index=1,
             cost_hint=12.0,
-            test_names=("a", "b"),
         )
         assert pickle.loads(pickle.dumps(unit)) == unit
 
