@@ -52,8 +52,11 @@ free under ``fork``, pickled once per worker under ``spawn`` — and
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
+import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 from typing import (
@@ -82,6 +85,32 @@ from repro.obs.runtime import OBS
 
 #: Seconds a terminated pool worker gets to exit before it is killed.
 _TERMINATE_GRACE_S = 5.0
+
+#: Manager threads of pools shut down without waiting, while they wind
+#: their pools down; a finished thread drops out.  Process-wide, as the
+#: interpreter exit it serves.
+_RETIRED_MANAGERS: weakref.WeakSet[threading.Thread] = weakref.WeakSet()
+
+
+def _join_retired_managers() -> None:
+    """Join every retired manager thread before the interpreter exits.
+
+    At exit, ``concurrent.futures.process`` wakes each live manager thread
+    through its wakeup pipe, unlocked, while that thread may be closing the
+    pipe: the write then fails with ``EBADF`` on stderr.  A joined thread
+    has closed its pipe, and a closed pipe is skipped.
+    """
+    for thread in list(_RETIRED_MANAGERS):
+        thread.join()
+
+
+@functools.lru_cache(maxsize=None)
+def _register_exit_hook() -> None:
+    # Threading runs its exit hooks last-registered first.  Registered with
+    # the first pool, this one runs before the hook that
+    # ``concurrent.futures.process`` registered when it was imported.
+    threading._register_atexit(_join_retired_managers)  # type: ignore[attr-defined]
+
 
 #: A unit runner: executes one unit, returns its outcome.  Must be a
 #: module-level callable so the process pool can pickle it by reference.
@@ -478,11 +507,13 @@ class ParallelExecutor(_ExecutorBase):
                     "farm_worker_pool", status="started", workers=self.workers
                 )
             )
-        return concurrent.futures.ProcessPoolExecutor(
+        pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_install_shared,
             initargs=(shared,),
         )
+        _register_exit_hook()
+        return pool
 
     def _shutdown(self, pool, status: str = "stopped",
                   terminate: bool = False) -> None:
@@ -490,7 +521,12 @@ class ParallelExecutor(_ExecutorBase):
         # stalled worker would outlive the run; ``terminate`` stops and
         # reaps the pool's processes.
         processes = list((pool._processes or {}).values()) if terminate else []
+        manager = pool._executor_manager_thread
+        # Waiting here would time the pool's wind-down into every run; the
+        # exit hook joins the manager thread instead.
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            _RETIRED_MANAGERS.add(manager)
         for process in processes:
             process.terminate()
         for process in processes:
@@ -498,6 +534,10 @@ class ParallelExecutor(_ExecutorBase):
             if process.is_alive():
                 process.kill()
                 process.join()
+        if processes and manager is not None:
+            # The manager thread reaps the same processes, and one it reaped
+            # first reads as alive here until it stores the exit code.
+            manager.join(_TERMINATE_GRACE_S)
         if OBS.enabled:
             OBS.bus.emit(
                 event("farm_worker_pool", status=status, workers=self.workers)

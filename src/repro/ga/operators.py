@@ -130,9 +130,8 @@ def point_mutate_sequence(
     columns = [column.copy() for column in sequence.columns]
     for column, values in zip(columns, rewritten):
         column[cycles] = values
-    return VectorSequence.from_columns(
-        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
-    )
+    # Decoded op codes and bounded draws fit the bus: no re-check.
+    return sequence._derived(*columns)
 
 
 # -- motifs ----------------------------------------------------------------------
@@ -217,9 +216,8 @@ def motif_mutate_sequence(
     columns = [column.copy() for column in sequence.columns]
     for column, segment in zip(columns, motif):
         column[start : start + length] = segment
-    return VectorSequence.from_columns(
-        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
-    )
+    # Every motif writes op codes and values that fit the bus: no re-check.
+    return sequence._derived(*columns)
 
 
 def resize_mutate_sequence(
@@ -241,13 +239,13 @@ def resize_mutate_sequence(
             block, np.arange(0, 2 * grow, 2), 2 * grow,
             sequence.addr_bits, sequence.data_bits,
         )
-        columns = [
+        ops, addresses, data = (
             np.concatenate((column, added))
             for column, added in zip(columns, grown)
-        ]
-    return VectorSequence.from_columns(
-        *columns, sequence.addr_bits, sequence.data_bits, name=sequence.name
-    )
+        )
+        columns = [ops.astype(np.int8), addresses, data]
+    # A prefix of the parent plus decoded cycles fits the bus: no re-check.
+    return sequence._derived(*columns)
 
 
 # -- condition species --------------------------------------------------------------

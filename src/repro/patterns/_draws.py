@@ -8,7 +8,8 @@ numpy's scalar calls would have:
 
 * ``random()`` reads one word ``w`` as ``(w >> 11) * 2**-53``;
 * ``choice(k, p=p)`` reads one ``random()`` double ``u`` and returns
-  ``cdf.searchsorted(u, side="right")`` for the normalized cumsum of ``p``;
+  ``cdf.searchsorted(u, side="right")`` for the normalized cumsum of ``p``
+  (:func:`choice_cdf`);
 * ``integers(0, 2**k)`` (``1 <= k <= 32``) reads one 32-bit half ``x`` and
   returns ``(x << k) >> 32``; a power-of-two range never rejects.  The
   halves come low first, high second: a draw on an empty cache takes a
@@ -48,11 +49,16 @@ def doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * _DOUBLE_SCALE
 
 
-def choices(uniforms: np.ndarray, p: Sequence[float]) -> np.ndarray:
-    """``choice(len(p), p=p)`` of each ``random()`` double in ``uniforms``."""
+def choice_cdf(p: ArrayLike) -> np.ndarray:
+    """The normalized cumsum of ``p`` that ``choice(len(p), p=p)`` searches."""
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
+    return cdf
+
+
+def choices(uniforms: np.ndarray, p: Sequence[float]) -> np.ndarray:
+    """``choice(len(p), p=p)`` of each ``random()`` double in ``uniforms``."""
+    return choice_cdf(p).searchsorted(uniforms, side="right")
 
 
 def bounded(halves: np.ndarray, bits: int) -> np.ndarray:

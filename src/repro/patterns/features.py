@@ -32,6 +32,7 @@ worker extracts them again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -149,6 +150,9 @@ _PEAK_KERNEL = np.ones(PEAK_WINDOW_CYCLES) / PEAK_WINDOW_CYCLES
 #: ``ops == _OP_ROWS`` is the (read, write, idle) mask of every cycle.
 _OP_ROWS = np.array([[READ_CODE], [WRITE_CODE], [NOP_CODE]], dtype=np.int8)
 
+#: The bus data before a sequence's first write.
+_IDLE_BUS = np.zeros(1, dtype=np.int64)
+
 # Rows of the kernel's integer table, one column per cycle.  A pair row
 # holds the pair (cycle, next cycle) and is zero where the next cycle
 # starts another sequence; the cycle rows count the cycle itself.
@@ -156,22 +160,6 @@ _OP_ROWS = np.array([[READ_CODE], [WRITE_CODE], [NOP_CODE]], dtype=np.int8)
  _NEW_ADDRESS, _RW_FLIP, _RAW, _WAKE, _TURNAROUND,
  _PAIR_ROWS) = range(12)
 _READ, _WRITE, _IDLE, _WRITTEN_ONES, _CHECKER, _TABLE_ROWS = range(_PAIR_ROWS, 17)
-
-
-def _op_pair_flags() -> np.ndarray:
-    """(rw flip, write then read, idle then active) of each op-code pair,
-    indexed by ``3 * first + second``."""
-    flags = np.zeros((3, 9), dtype=np.int64)
-    for first in (READ_CODE, WRITE_CODE, NOP_CODE):
-        for second in (READ_CODE, WRITE_CODE, NOP_CODE):
-            code = 3 * first + second
-            flags[0, code] = {first, second} == {READ_CODE, WRITE_CODE}
-            flags[1, code] = (first, second) == (WRITE_CODE, READ_CODE)
-            flags[2, code] = first == NOP_CODE and second != NOP_CODE
-    return flags
-
-
-_OP_PAIR_FLAGS = _op_pair_flags()
 
 
 def extract_features(sequence: VectorSequence) -> PatternFeatures:
@@ -228,16 +216,16 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
     segments, and every per-sequence count is one ``np.add.reduceat`` over
     the segment starts of a stacked integer table.  An integer count
     divided once is the float ``np.mean`` of its 0/1 or integer terms bit
-    for bit, since every partial sum is exactly represented.
+    for bit, since every partial sum is exactly represented.  Segment
+    bookkeeping stays in Python ints, and the steps that only separate
+    segments are skipped when there is one.
     """
     k = len(sequences)
     lengths = [len(sequence) for sequence in sequences]
     addr_bits = [sequence.addr_bits for sequence in sequences]
     data_bits = [sequence.data_bits for sequence in sequences]
-    starts = np.zeros(k, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    total = sum(lengths)
-    index = np.arange(total)
+    starts = [0, *accumulate(lengths[:-1])]
+    total = starts[-1] + lengths[-1]
     if k == 1:
         ops, addresses, data = sequences[0].columns
     else:
@@ -246,17 +234,19 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
             for column in zip(*(sequence.columns for sequence in sequences))
         )
     # Each cycle's segment start and bus widths (ints when all share one).
-    segment_start = _per_cycle(starts.tolist(), lengths)
+    segment_start = _per_cycle(starts, lengths)
     cycle_addr_bits = _per_cycle(addr_bits, lengths)
     cycle_data_bits = _per_cycle(data_bits, lengths)
     wide_addr, wide_data = max(addr_bits), max(data_bits)
-    cross = starts[1:] - 1  # pairs whose second cycle starts the next segment
+    cross = [start - 1 for start in starts[1:]]  # pairs that cross segments
+    counter = np.arange(total + 1)
+    index = counter[:-1]
 
     table = np.empty((_TABLE_ROWS, total), dtype=np.int64)
     pairs = table[:_PAIR_ROWS, :-1]
     table[:_PAIR_ROWS, -1] = 0
     is_op = ops == _OP_ROWS
-    is_write = is_op[1]
+    is_read, is_write, is_idle = is_op
     table[_READ:_IDLE + 1] = is_op
 
     address_flips = addresses[1:] ^ addresses[:-1]
@@ -269,7 +259,8 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
     np.subtract(addresses[1:], addresses[:-1], out=pairs[_JUMP])
     np.abs(pairs[_JUMP], out=pairs[_JUMP])
     repeat = address_flips == 0
-    repeat[cross] = False
+    if cross:
+        repeat[cross] = False
     pairs[_REPEAT] = repeat
     pairs[_REPEAT_START, :1] = repeat[:1]
     np.greater(repeat[1:], repeat[:-1], out=pairs[_REPEAT_START, 1:])
@@ -280,15 +271,22 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
     )
     ordered = np.sort(segment_addresses)
     np.not_equal(ordered[1:], ordered[:-1], out=pairs[_NEW_ADDRESS])
-    pairs[_RW_FLIP:_WAKE + 1] = _OP_PAIR_FLAGS[:, 3 * ops[:-1] + ops[1:]]
-    pairs[_RAW] &= repeat
-    np.logical_and(repeat, pairs[_RW_FLIP], out=pairs[_TURNAROUND])
+    # Op pairs: a write then a read, a read/write flip, an idle cycle then
+    # an active one.
+    write_read = is_write[:-1] & is_read[1:]
+    flips = write_read | (is_read[:-1] & is_write[1:])
+    pairs[_RW_FLIP] = flips
+    np.logical_and(write_read, repeat, out=pairs[_RAW])
+    np.greater(is_idle[:-1], is_idle[1:], out=pairs[_WAKE])
+    np.logical_and(flips, repeat, out=pairs[_TURNAROUND])
 
     # The data bus holds the last written word through reads and NOPs; a
     # write in an earlier segment does not reach this one.
-    last_write = np.maximum.accumulate(np.where(is_write, index + 1, 0))
-    last_write[last_write <= segment_start] = 0
-    bus_data = np.concatenate(([0], data))[last_write]
+    last_write = np.where(is_write, counter[1:], 0)
+    np.maximum.accumulate(last_write, out=last_write)
+    if cross:
+        last_write[last_write <= segment_start] = 0
+    bus_data = np.concatenate((_IDLE_BUS, data))[last_write]
     data_hamming = popcount(bus_data[1:] ^ bus_data[:-1], wide_data)
     pairs[_DATA_HAMMING] = data_hamming
 
@@ -302,7 +300,8 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
     )
     dist0 = popcount(checker_flips, wide_data)
     np.minimum(dist0, cycle_data_bits - dist0, out=table[_CHECKER])
-    table[:_PAIR_ROWS, cross] = 0
+    if cross:
+        table[:_PAIR_ROWS, cross] = 0
     sums = np.add.reduceat(table, starts, axis=1).T.tolist()
 
     # Longest read and write runs: a cycle's run so far reaches back to the
@@ -312,8 +311,9 @@ def _segment_features(sequences: Sequence[VectorSequence]) -> List[List[float]]:
     np.subtract(index, runs, out=runs)
     longest = np.maximum.reduceat(runs, starts, axis=1).T.tolist()
 
-    activity = (addr_hamming / _pairwise(cycle_addr_bits)
-                + data_hamming / _pairwise(cycle_data_bits)) / 2.0
+    activity = addr_hamming / _pairwise(cycle_addr_bits)
+    activity += data_hamming / _pairwise(cycle_data_bits)
+    activity /= 2.0
     peaks = _peak_window_activity(activity, lengths, starts)
     checkers = _odd_bus_checker(table[_CHECKER], is_write, lengths, data_bits, starts)
     return [
@@ -377,7 +377,7 @@ def _odd_bus_checker(
     is_write: np.ndarray,
     lengths: List[int],
     data_bits: List[int],
-    starts: np.ndarray,
+    starts: List[int],
 ) -> List[Optional[float]]:
     """``checkerboard_affinity`` of each sequence whose data bus is not a
     power of two (``None`` for the others).
@@ -399,7 +399,7 @@ def _odd_bus_checker(
 
 
 def _peak_window_activity(
-    activity: np.ndarray, lengths: List[int], starts: np.ndarray
+    activity: np.ndarray, lengths: List[int], starts: List[int]
 ) -> List[float]:
     """Max of each sequence's sliding-window mean of its pair ``activity``.
 
@@ -414,9 +414,11 @@ def _peak_window_activity(
     if any(full):
         rolling = np.convolve(activity, _PEAK_KERNEL, mode="valid")
         if len(lengths) == 1:
-            peaks[0] = float(np.max(rolling))
+            peaks[0] = float(rolling.max())
         else:
-            last_start = np.repeat(starts + lengths - PEAK_WINDOW_CYCLES - 1, lengths)
+            last_start = np.repeat(
+                np.add(starts, lengths) - (PEAK_WINDOW_CYCLES + 1), lengths
+            )
             rolling[np.arange(rolling.size) > last_start[:rolling.size]] = -1.0
             rolling = np.concatenate((rolling, np.full(PEAK_WINDOW_CYCLES, -1.0)))
             maxima = np.maximum.reduceat(rolling, starts).tolist()
@@ -426,5 +428,5 @@ def _peak_window_activity(
             window = n - 1
             segment = activity[starts[i]:starts[i] + window]
             rolling = np.convolve(segment, np.ones(window) / window, mode="valid")
-            peaks[i] = float(np.max(rolling))
+            peaks[i] = float(rolling.max())
     return peaks

@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.patterns._draws import WordBlock, bounded, doubles, pcg64
+from repro.patterns._draws import WordBlock, bounded, choice_cdf, doubles, pcg64
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
 from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
@@ -38,7 +38,6 @@ from repro.patterns.vectors import (
     DEFAULT_DATA_BITS,
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    OPS,
     Columns,
     READ_CODE,
     WRITE_CODE,
@@ -53,6 +52,12 @@ STYLES: Tuple[Tuple[str, float], ...] = (
     ("hammer", 0.15),
     ("toggle", 0.20),
 )
+
+_STYLE_NAMES = tuple(name for name, _ in STYLES)
+_STYLE_WEIGHTS = np.array([weight for _, weight in STYLES])
+_STYLE_CDF = choice_cdf(_STYLE_WEIGHTS / _STYLE_WEIGHTS.sum())
+#: The op-code draw of a ``uniform`` cycle, ``choice(3, p=...)``.
+_UNIFORM_OP_CDF = choice_cdf([0.45, 0.45, 0.10])
 
 
 class RandomTestGenerator:
@@ -99,9 +104,7 @@ class RandomTestGenerator:
         """
         rng = self._rng
         if style is None:
-            names = [name for name, _ in STYLES]
-            weights = np.array([w for _, w in STYLES])
-            style = str(rng.choice(names, p=weights / weights.sum()))
+            style = self._draw_style(rng)
         cycles = int(rng.integers(self.min_cycles, self.max_cycles + 1))
         builder = getattr(self, f"_build_{style}", None)
         if builder is None:
@@ -127,6 +130,12 @@ class RandomTestGenerator:
         while True:
             yield self.generate()
 
+    def _draw_style(self, rng: np.random.Generator) -> str:
+        """A style from the :data:`STYLES` weights: the ``random()`` double
+        that ``rng.choice(names, p=weights / weights.sum())`` reads, decoded
+        through the cdf that it searches."""
+        return _STYLE_NAMES[_STYLE_CDF.searchsorted(rng.random(), side="right")]
+
     # -- style builders --------------------------------------------------------
     # Each builder returns the ``(op codes, addresses, data)`` columns of
     # ``cycles`` cycles.
@@ -137,15 +146,28 @@ class RandomTestGenerator:
         return int(rng.integers(0, 1 << self.data_bits))
 
     def _build_uniform(self, rng: np.random.Generator, cycles: int) -> Columns:
-        # Choosing among three codes consumes the same draws as choosing
-        # among the three operations.
-        ops = rng.choice(len(OPS), size=cycles, p=[0.45, 0.45, 0.10])
-        # Addresses and data in one call, interleaved as the per-cycle
-        # scalar draws (address, then data) would consume the stream.
-        draws = rng.integers(
-            0, np.tile([1 << self.addr_bits, 1 << self.data_bits], cycles)
+        # ``choice(3, size=cycles, p=...)`` reads one random() word per
+        # cycle; then every cycle draws its address and its data word.
+        block = WordBlock(rng, 2 * cycles)
+        ops = _UNIFORM_OP_CDF.searchsorted(doubles(block.words[:cycles]), side="right")
+        if max(self.addr_bits, self.data_bits) > 32:
+            block.commit(cycles)
+            # Addresses and data in one call, interleaved as the per-cycle
+            # scalar draws (address, then data) would consume the stream.
+            draws = rng.integers(
+                0, np.tile([1 << self.addr_bits, 1 << self.data_bits], cycles)
+            )
+            return ops, draws[0::2], draws[1::2]
+        # Both draws read 32-bit halves, the cached one first: 2 * cycles
+        # halves take the next ``cycles`` words whatever the cache holds.
+        fresh = np.arange(cycles, 2 * cycles)
+        halves = block.halves(fresh)
+        block.commit(2 * cycles, fresh, 2 * cycles)
+        return (
+            ops,
+            bounded(halves[0 : 2 * cycles : 2], self.addr_bits),
+            bounded(halves[1 : 2 * cycles : 2], self.data_bits),
         )
-        return ops, draws[0::2], draws[1::2]
 
     def _build_burst(self, rng: np.random.Generator, cycles: int) -> Columns:
         # Burst k draws (base address, length in [2, 8], data word) and

@@ -366,14 +366,14 @@ def _checked_columns(
         raise ValueError("a vector sequence must contain at least one cycle")
     if op_codes.shape != (n,) or address_column.shape != (n,) or data_column.shape != (n,):
         raise ValueError("op, address and data columns must be 1-D and equally long")
-    if op_codes.min() < 0 or op_codes.max() >= len(OPS):
+    if np.minimum.reduce(op_codes) < 0 or np.maximum.reduce(op_codes) >= len(OPS):
         raise ValueError(f"op codes must index the {len(OPS)} operations")
     op_column = op_codes.astype(np.int8)
+    # Read as unsigned, a negative int64 is at least 2**63: one maximum per
+    # column finds a value off its bus, below zero or above the top.
     if (
-        int(address_column.min()) < 0
-        or int(address_column.max()) >> addr_bits
-        or int(data_column.min()) < 0
-        or int(data_column.max()) >> data_bits
+        int(np.maximum.reduce(address_column.view(np.uint64))) >> min(addr_bits, 63)
+        or int(np.maximum.reduce(data_column.view(np.uint64))) >> min(data_bits, 63)
     ):
         bad = (address_column < 0) | (data_column < 0)
         bad |= (address_column >> min(addr_bits, 63)) != 0

@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +297,40 @@ class TestFarmTelemetry:
             assert histogram.count == 3
         finally:
             OBS.reset()
+
+
+#: A 2-worker batch, then interpreter exit.  The exit-time wakeup of pool
+#: manager threads is slowed between its "pipe still open" check and its
+#: write, so a manager thread still winding down closes the pipe in between
+#: every time, instead of once in many runs.
+_EXIT_SCRIPT = """
+import concurrent.futures.process as process
+import time
+
+from repro.farm.executor import ParallelExecutor
+from repro.farm.workunit import WorkUnit
+from tests.farm.runners import echo_runner
+
+units = [WorkUnit(key=f"u/{i}", kind="k", index=i) for i in range(4)]
+ParallelExecutor(workers=2).run(units, echo_runner)
+
+def slow_wakeup(self):
+    if not self._closed:
+        time.sleep(0.2)
+        self._writer.send_bytes(b"")
+
+process._ThreadWakeup.wakeup = slow_wakeup
+"""
+
+
+class TestInterpreterExit:
+    def test_exit_after_a_batch_leaves_stderr_empty(self):
+        root = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
+        for _ in range(20):
+            run = subprocess.run(
+                [sys.executable, "-c", _EXIT_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert run.returncode == 0
+            assert run.stderr == ""

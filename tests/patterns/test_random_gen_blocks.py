@@ -1,8 +1,10 @@
-"""The block-drawn ``burst`` and ``hammer`` builders against their scalar loops.
+"""The block-drawn builders and style draw against their numpy calls.
 
-The reference below is how the two builders were written before they drew
-whole blocks: a few scalar ``Generator`` calls per burst or cycle.  The
-block builders must return the same columns and leave the Generator in the
+The reference below is how the ``burst`` and ``hammer`` builders were
+written before they drew whole blocks (a few scalar ``Generator`` calls per
+burst or cycle), and how the ``uniform`` builder and the style draw were
+written before they decoded raw words (``choice`` and ``integers`` calls).
+The block forms must return the same columns and leave the Generator in the
 same state, cached 32-bit half included, so every later draw of a stream
 stays aligned.
 """
@@ -18,6 +20,18 @@ from repro.patterns.vectors import READ_CODE, WRITE_CODE
 
 
 class ScalarBuilders(RandomTestGenerator):
+    def _draw_style(self, rng):
+        names = [name for name, _ in STYLES]
+        weights = np.array([w for _, w in STYLES])
+        return str(rng.choice(names, p=weights / weights.sum()))
+
+    def _build_uniform(self, rng, cycles):
+        ops = rng.choice(3, size=cycles, p=[0.45, 0.45, 0.10])
+        draws = rng.integers(
+            0, np.tile([1 << self.addr_bits, 1 << self.data_bits], cycles)
+        )
+        return ops, draws[0::2], draws[1::2]
+
     def _build_burst(self, rng, cycles):
         addresses: List[int] = []
         data: List[int] = []
@@ -61,9 +75,38 @@ def _pair(seed, cached):
 
 
 geometry = st.tuples(st.integers(1, 16), st.integers(1, 16))
+#: Buses wider than 32 bits take numpy's ``integers`` path.
+wide_geometry = st.tuples(st.integers(1, 48), st.integers(1, 48))
 
 
 class TestBlockBuildersMatchScalarLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.one_of(geometry, wide_geometry),
+        cycles=st.integers(1, 1000),
+        cached=st.booleans(),
+    )
+    def test_uniform(self, seed, bits, cycles, cached):
+        addr_bits, data_bits = bits
+        rng, ref_rng = _pair(seed, cached)
+        got = RandomTestGenerator(addr_bits=addr_bits, data_bits=data_bits)\
+            ._build_uniform(rng, cycles)
+        want = ScalarBuilders(addr_bits=addr_bits, data_bits=data_bits)\
+            ._build_uniform(ref_rng, cycles)
+        assert _lists(got) == _lists(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 50),
+           cached=st.booleans())
+    def test_style_draw(self, seed, draws, cached):
+        rng, ref_rng = _pair(seed, cached)
+        fast, reference = RandomTestGenerator(), ScalarBuilders()
+        for _ in range(draws):
+            assert fast._draw_style(rng) == reference._draw_style(ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -104,9 +147,10 @@ class TestBlockBuildersMatchScalarLoops:
         assert _lists(got) == _lists(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("style", ["burst", "hammer"])
+    @pytest.mark.parametrize("style", ["uniform", "burst", "hammer", None])
     def test_generated_streams_match(self, style):
-        """Whole tests, names and the stream after 20 of them."""
+        """Whole tests, names and the stream after 20 of them (``None``:
+        styles drawn from the mixing weights)."""
         for seed in range(10):
             fast = RandomTestGenerator(seed=seed, addr_bits=12, data_bits=16)
             reference = ScalarBuilders(seed=seed, addr_bits=12, data_bits=16)
