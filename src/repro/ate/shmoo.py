@@ -23,9 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ate.measurement import MeasurementModel
 from repro.ate.tester import ATE
-from repro.device.memory_chip import MemoryTestChip
 from repro.device.parameters import DeviceParameter
 from repro.device.process import ProcessInstance
 from repro.farm.workunit import UnitOutcome, WorkUnit, derive_seed
@@ -152,18 +150,21 @@ class ShmooPlotter:
     ) -> ShmooPlot:
         """Overlaid multi-test shmoo via per-row boundary search.
 
-        For every test and Vdd row, a binary search locates the strobe trip
-        point; each cell then counts the tests whose boundary lies at or
-        beyond the cell's strobe.  Tests that fail the whole row (functional
-        failure or boundary below the window) contribute no passes.
+        For every test and Vdd row, a binary search locates the trip point
+        of the compare level on the chip parameter's pass side; each cell
+        then counts the tests whose pass region holds the cell's level.
+        Tests that fail the whole row (functional failure or boundary
+        outside the window) contribute no passes.
         """
         if not tests:
             raise ValueError("overlay needs at least one test")
         vdds = np.asarray(list(vdd_values), dtype=float)
         strobes = np.arange(strobe_start, strobe_stop + 1e-9, strobe_step)
         counts = np.zeros((len(vdds), len(strobes)), dtype=int)
+        pass_region = PassRegion.of(self.ate.chip.parameter)
+        low_passes = pass_region is PassRegion.LOW
         searcher = BinarySearch(
-            resolution=search_resolution, pass_region=PassRegion.LOW
+            resolution=search_resolution, pass_region=pass_region
         )
         boundaries: List[Tuple[str, Tuple[Optional[float], ...]]] = []
         for test in tests:
@@ -174,9 +175,10 @@ class ShmooPlotter:
                 )
                 oracle = make_ate_oracle(self.ate, conditioned)
                 outcome = searcher.search(oracle, strobe_start, strobe_stop)
-                per_row.append(outcome.trip_point)
-                if outcome.trip_point is not None:
-                    counts[i, :] += strobes <= outcome.trip_point
+                trip = outcome.trip_point
+                per_row.append(trip)
+                if trip is not None:
+                    counts[i, :] += strobes <= trip if low_passes else strobes >= trip
             boundaries.append((test.name or "unnamed", tuple(per_row)))
         return ShmooPlot(
             vdds,
@@ -236,15 +238,13 @@ def shmoo_overlay_units(
 def run_shmoo_unit(unit: WorkUnit) -> UnitOutcome:
     """Execute one ``shmoo_test`` work unit: one test's overlay rows.
 
-    Module-level and self-contained (fresh chip and tester, noise stream
-    from the unit seed) so it can run in a farm worker process.
+    Module-level and self-contained (fresh insertion, noise stream from
+    the unit seed) so it can run in a farm worker process.
     """
     cfg = unit.payload
-    chip = MemoryTestChip(die=cfg["die"], parameter=cfg["parameter"])
-    chip.reset_state()
-    ate = ATE(
-        chip,
-        measurement=MeasurementModel(cfg["noise_sigma"], seed=unit.seed),
+    ate = ATE.fresh_insertion(
+        cfg["die"], cfg["parameter"],
+        noise_sigma=cfg["noise_sigma"], seed=unit.seed,
     )
     plot = ShmooPlotter(ate).overlay(
         [cfg["test"]],

@@ -24,7 +24,8 @@ from repro.ate.measurement import MeasurementModel
 from repro.ate.pattern_memory import PatternMemory
 from repro.ate.timing_generator import TimingGenerator
 from repro.device.memory_chip import FunctionalResult, MemoryTestChip
-from repro.device.parameters import SpecDirection
+from repro.device.parameters import T_DQ_PARAMETER, DeviceParameter, SpecDirection
+from repro.device.process import NOMINAL_DIE, ProcessInstance
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.patterns.testcase import TestCase
@@ -69,6 +70,24 @@ class ATE:
         self._measurement_count = 0
         self._functional_count = 0
         self._executed_cycles = 0
+
+    @classmethod
+    def fresh_insertion(
+        cls,
+        die: ProcessInstance = NOMINAL_DIE,
+        parameter: DeviceParameter = T_DQ_PARAMETER,
+        *,
+        noise_sigma: float,
+        seed: int,
+    ) -> "ATE":
+        """A tester holding a newly inserted chip of ``die``.
+
+        A new chip is already cool with a cleared array, and the noise
+        stream starts from ``seed``: every farm unit and every one-call
+        setup starts its session here.
+        """
+        chip = MemoryTestChip(die=die, parameter=parameter)
+        return cls(chip, measurement=MeasurementModel(noise_sigma, seed=seed))
 
     # -- cost accounting -------------------------------------------------------
     @property

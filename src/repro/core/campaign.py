@@ -26,7 +26,6 @@ from repro.ate.shmoo import (
 from repro.core.characterizer import DeviceCharacterizer
 from repro.core.database import WorstCaseDatabase
 from repro.core.learning import LearningConfig
-from repro.core.lot import _resolve_checkpoint
 from repro.core.optimization import OptimizationConfig
 from repro.farm.executor import make_executor
 from repro.obs.events import event
@@ -220,11 +219,9 @@ def run_campaign(
                 f"campaign-shmoo:seed={characterizer.seed}"
                 f":tests={len(units)}:vdds={len(vdd_values)}"
             )
-            store = _resolve_checkpoint(checkpoint, campaign_id)
-            farm = make_executor(workers, executor)
             with span("shmoo"):
-                results = farm.run(
-                    units, run_shmoo_unit, checkpoint=store,
+                results = make_executor(workers, executor).run(
+                    units, run_shmoo_unit, checkpoint=checkpoint,
                     campaign=campaign_id,
                 )
             shmoo = merge_overlays([r.value for r in results])

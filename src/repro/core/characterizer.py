@@ -32,8 +32,8 @@ from repro.core.trip_point import (
     MultipleTripPointRunner,
     TripPointValue,
 )
-from repro.device.memory_chip import MemoryTestChip
-from repro.device.process import ProcessInstance
+from repro.device.parameters import T_DQ_PARAMETER, DeviceParameter
+from repro.device.process import NOMINAL_DIE, ProcessInstance
 from repro.obs.timing import span
 from repro.patterns.conditions import (
     ConditionSpace,
@@ -87,24 +87,15 @@ class DeviceCharacterizer:
         self.objective = CharacterizationObjective.worst_case_for(
             ate.chip.parameter
         )
-        # Boundary orientation follows the parameter: a min-limited timing
-        # parameter passes below its trip point (eq. 3); a max-limited
-        # current passes above its clamp trip point (eq. 4).
-        from repro.device.parameters import SpecDirection
-
-        self.pass_region = (
-            PassRegion.LOW
-            if ate.chip.parameter.direction is SpecDirection.MIN_IS_WORST
-            else PassRegion.HIGH
-        )
+        self.pass_region = PassRegion.of(ate.chip.parameter)
 
     @classmethod
     def with_default_setup(
         cls,
         seed: int = 0,
-        die: Optional[ProcessInstance] = None,
+        die: ProcessInstance = NOMINAL_DIE,
         noise_sigma_ns: float = 0.04,
-        parameter=None,
+        parameter: DeviceParameter = T_DQ_PARAMETER,
         **kwargs,
     ) -> "DeviceCharacterizer":
         """Build a nominal chip + tester + characterizer in one call.
@@ -113,15 +104,9 @@ class DeviceCharacterizer:
         to ``T_DQ``); pass a matching ``search_range`` for non-timing
         parameters (e.g. ``(40.0, 120.0)`` mA for peak supply current).
         """
-        from repro.ate.measurement import MeasurementModel
-
-        chip_kwargs = {}
-        if die is not None:
-            chip_kwargs["die"] = die
-        if parameter is not None:
-            chip_kwargs["parameter"] = parameter
-        chip = MemoryTestChip(**chip_kwargs)
-        ate = ATE(chip, measurement=MeasurementModel(noise_sigma_ns, seed=seed))
+        ate = ATE.fresh_insertion(
+            die, parameter, noise_sigma=noise_sigma_ns, seed=seed
+        )
         return cls(ate, seed=seed, **kwargs)
 
     # -- runner factory -------------------------------------------------------
@@ -133,7 +118,6 @@ class DeviceCharacterizer:
             strategy=strategy,
             search_factor=self.search_factor,
             resolution=self.resolution,
-            pass_region=self.pass_region,
         )
 
     def measure_single(

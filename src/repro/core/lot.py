@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.statistics import SummaryStats, summarize
-from repro.ate.measurement import MeasurementModel
 from repro.ate.tester import ATE
 from repro.core.database import WorstCaseDatabase, WorstCaseRecord
 from repro.farm.checkpoint import CheckpointStore
@@ -39,31 +38,14 @@ from repro.obs.runtime import OBS
 from repro.obs.timing import span
 from repro.core.trip_point import MultipleTripPointRunner
 from repro.core.wcr import WCRClassifier, worst_case_ratio
-from repro.device.memory_chip import MemoryTestChip
 from repro.device.parameters import DeviceParameter, SpecDirection, T_DQ_PARAMETER
 from repro.device.process import ProcessCorner, ProcessInstance, ProcessModel
 from repro.patterns.features import fill_features
 from repro.patterns.testcase import TestCase
-from repro.search.base import PassRegion
 
 #: Work-unit kinds this module shards campaigns into.
 LOT_DIE_UNIT = "lot_die"
 ENV_CELL_UNIT = "env_cell"
-
-
-def _pass_region_for(parameter: DeviceParameter) -> PassRegion:
-    if parameter.direction is SpecDirection.MIN_IS_WORST:
-        return PassRegion.LOW
-    return PassRegion.HIGH
-
-
-def _resolve_checkpoint(
-    checkpoint: Union[None, str, Path, CheckpointStore], campaign: str
-) -> Optional[CheckpointStore]:
-    """Accept a store or a bare path (the CLI's ``--resume FILE``)."""
-    if checkpoint is None or isinstance(checkpoint, CheckpointStore):
-        return checkpoint
-    return CheckpointStore(checkpoint, campaign=campaign)
 
 
 @dataclass(frozen=True)
@@ -175,11 +157,8 @@ def run_lot_unit(unit: WorkUnit) -> UnitOutcome:
     """
     cfg = unit.payload
     parameter: DeviceParameter = cfg["parameter"]
-    chip = MemoryTestChip(die=cfg["die"], parameter=parameter)
-    chip.reset_state()  # a fresh insertion: cool die, cleared array
-    ate = ATE(
-        chip,
-        measurement=MeasurementModel(cfg["noise_sigma"], seed=unit.seed),
+    ate = ATE.fresh_insertion(
+        cfg["die"], parameter, noise_sigma=cfg["noise_sigma"], seed=unit.seed
     )
     runner = MultipleTripPointRunner(
         ate,
@@ -187,7 +166,6 @@ def run_lot_unit(unit: WorkUnit) -> UnitOutcome:
         strategy=cfg["strategy"],
         resolution=cfg["resolution"],
         search_factor=cfg["search_factor"],
-        pass_region=_pass_region_for(parameter),
     )
     if unit.rtp_hint is not None and cfg["strategy"] == "sutp":
         runner.sutp.seed_reference(unit.rtp_hint)
@@ -353,14 +331,12 @@ class LotCharacterizer:
             f"lot:seed={self.seed}:dies={n_dies}"
             f":tests={len(tests)}:param={self.parameter.name}"
         )
-        store = _resolve_checkpoint(checkpoint, campaign)
-        farm = make_executor(workers, executor)
         report = LotReport(parameter=self.parameter)
         with span("lot"):
-            results = farm.run(
+            results = make_executor(workers, executor).run(
                 units,
                 run_lot_unit,
-                checkpoint=store,
+                checkpoint=checkpoint,
                 rtp_broadcast=rtp_broadcast,
                 campaign=campaign,
             )
@@ -431,12 +407,9 @@ def run_env_unit(unit: WorkUnit) -> UnitOutcome:
     grid independent of worker count and scheduling.
     """
     cfg = unit.payload
-    parameter: DeviceParameter = cfg["parameter"]
-    chip = MemoryTestChip(die=cfg["die"], parameter=parameter)
-    chip.reset_state()
-    ate = ATE(
-        chip,
-        measurement=MeasurementModel(cfg["noise_sigma"], seed=unit.seed),
+    ate = ATE.fresh_insertion(
+        cfg["die"], cfg["parameter"],
+        noise_sigma=cfg["noise_sigma"], seed=unit.seed,
     )
     runner = MultipleTripPointRunner(
         ate,
@@ -444,7 +417,6 @@ def run_env_unit(unit: WorkUnit) -> UnitOutcome:
         strategy="sutp",
         resolution=cfg["resolution"],
         search_factor=cfg["search_factor"],
-        pass_region=_pass_region_for(parameter),
     )
     if unit.rtp_hint is not None:
         runner.sutp.seed_reference(unit.rtp_hint)
@@ -555,14 +527,12 @@ class EnvironmentalSweep:
     ) -> EnvSweepResult:
         """The single-tester sweep: one insertion, state carried across
         cells (thermal history, one noise stream, chained SUTP)."""
-        parameter = self.ate.chip.parameter
         runner = MultipleTripPointRunner(
             self.ate,
             self.search_range,
             strategy="sutp",
             resolution=self.resolution,
             search_factor=self.search_factor,
-            pass_region=_pass_region_for(parameter),
         )
         before = self.ate.measurement_count
         grid = np.full((len(vdd_values), len(temperature_values)), np.nan)
@@ -575,7 +545,7 @@ class EnvironmentalSweep:
                 if entry.value is not None:
                     grid[i, j] = entry.value
         return EnvSweepResult(
-            parameter=parameter,
+            parameter=self.ate.chip.parameter,
             vdd_values=tuple(float(v) for v in vdd_values),
             temperature_values=tuple(float(t) for t in temperature_values),
             trip_points=grid,
@@ -606,14 +576,12 @@ class EnvironmentalSweep:
             f"sweep:seed={self.seed}:grid={len(vdd_values)}"
             f"x{len(temperature_values)}:test={test.name}"
         )
-        store = _resolve_checkpoint(checkpoint, campaign)
-        farm = make_executor(workers, executor)
         grid = np.full((len(vdd_values), len(temperature_values)), np.nan)
         measurements = 0
         with span("sweep"):
-            results = farm.run(
-                units, run_env_unit, checkpoint=store, rtp_broadcast=True,
-                campaign=campaign,
+            results = make_executor(workers, executor).run(
+                units, run_env_unit, checkpoint=checkpoint,
+                rtp_broadcast=True, campaign=campaign,
             )
         for result in results:
             row, column, value = result.value

@@ -129,8 +129,6 @@ class MultipleTripPointRunner:
         conventional, expensive approach used as the fig. 3 baseline.
     search_factor, resolution:
         SUTP step base / trip-point resolution.
-    pass_region:
-        Boundary orientation of the swept parameter.
     full_searcher:
         Full-range method (successive approximation by default).
     """
@@ -142,7 +140,6 @@ class MultipleTripPointRunner:
         strategy: str = "sutp",
         search_factor: float = 0.5,
         resolution: float = 0.05,
-        pass_region: PassRegion = PassRegion.LOW,
         full_searcher: Optional[TripPointSearcher] = None,
     ) -> None:
         if strategy not in ("sutp", "full"):
@@ -150,7 +147,8 @@ class MultipleTripPointRunner:
         self.ate = ate
         self.search_range = search_range
         self.strategy = strategy
-        self.pass_region = pass_region
+        # The pass side is the swept parameter's: eq. (3) or eq. (4).
+        self.pass_region = pass_region = PassRegion.of(ate.chip.parameter)
         self.full_searcher = (
             full_searcher
             if full_searcher is not None

@@ -15,12 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lot import (
-    DieResult,
-    LotCharacterizer,
-    _resolve_checkpoint,
-    run_lot_unit,
-)
+from repro.core.lot import DieResult, LotCharacterizer, run_lot_unit
 from repro.farm.executor import make_executor
 from repro.device.parameters import DeviceParameter, T_DQ_PARAMETER
 from repro.device.wafer import DieSite, RadialVariationModel, Wafer
@@ -147,10 +142,8 @@ class WaferProber:
             f"wafer:seed={self._lot.seed}:sites={len(sites)}"
             f":tests={len(tests)}:param={self.parameter.name}"
         )
-        store = _resolve_checkpoint(checkpoint, campaign)
-        farm = make_executor(workers, executor)
-        results = farm.run(
-            units, run_lot_unit, checkpoint=store,
+        results = make_executor(workers, executor).run(
+            units, run_lot_unit, checkpoint=checkpoint,
             rtp_broadcast=rtp_broadcast, campaign=campaign,
         )
         for site, result in zip(sites, results):

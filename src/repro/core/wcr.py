@@ -290,17 +290,13 @@ def run_wcr_unit(unit) -> "UnitOutcome":
     Module-level and self-contained (fresh chip and tester, noise stream
     from the unit seed) so it can run in a farm worker process.
     """
-    from repro.ate.measurement import MeasurementModel
     from repro.ate.tester import ATE
-    from repro.device.memory_chip import MemoryTestChip
     from repro.farm.workunit import UnitOutcome
 
     cfg = unit.payload
-    chip = MemoryTestChip(die=cfg["die"], parameter=cfg["parameter"])
-    chip.reset_state()
-    ate = ATE(
-        chip,
-        measurement=MeasurementModel(cfg["noise_sigma"], seed=unit.seed),
+    ate = ATE.fresh_insertion(
+        cfg["die"], cfg["parameter"],
+        noise_sigma=cfg["noise_sigma"], seed=unit.seed,
     )
     report = WCRScreen(ate, classifier=cfg["classifier"]).run(
         cfg["tests"],
@@ -348,7 +344,6 @@ def run_screen_farm(
     order — the merged report is identical for any worker count (each
     chunk's noise stream comes from its own derived seed).
     """
-    from repro.core.lot import _resolve_checkpoint
     from repro.farm.executor import make_executor
 
     units = wcr_screen_units(
@@ -367,9 +362,7 @@ def run_screen_farm(
         f"wcr-screen:seed={campaign_seed}:tests={len(tests)}"
         f":grid=[{strobe_start},{strobe_stop},{strobe_step}]"
     )
-    store = _resolve_checkpoint(checkpoint, campaign_id)
-    farm = make_executor(workers, executor)
-    results = farm.run(
-        units, run_wcr_unit, checkpoint=store, campaign=campaign_id
+    results = make_executor(workers, executor).run(
+        units, run_wcr_unit, checkpoint=checkpoint, campaign=campaign_id
     )
     return merge_screens([r.value for r in results])

@@ -12,8 +12,9 @@ where ``runner`` is a picklable module-level callable
   submission order regardless of scheduling, worker count or completion
   order.
 * **Checkpoint/resume** — with a :class:`~repro.farm.checkpoint.
-  CheckpointStore`, completed units are recorded as they finish and
-  skipped (result loaded, nothing re-measured) on a later run.
+  CheckpointStore` (or its path, opened for the run and closed after
+  it), completed units are recorded as they finish and skipped (result
+  loaded, nothing re-measured) on a later run.
 * **Bounded retry** — a unit that times out or whose worker dies is
   re-dispatched up to ``max_attempts`` times; a broken or stalled pool is
   recycled between passes.  Exhausted units raise
@@ -69,6 +70,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
@@ -116,6 +118,9 @@ def _register_exit_hook() -> None:
 #: module-level callable so the process pool can pickle it by reference.
 UnitRunner = Callable[[WorkUnit], UnitOutcome]
 
+#: What ``run(checkpoint=...)`` accepts: no store, a store or its path.
+Checkpoint = Union[None, str, "os.PathLike[str]", CheckpointStore]
+
 
 @runtime_checkable
 class ExecutorBackend(Protocol):
@@ -139,7 +144,7 @@ class ExecutorBackend(Protocol):
         self,
         units: Sequence[WorkUnit],
         runner: "UnitRunner",
-        checkpoint: Optional[CheckpointStore] = None,
+        checkpoint: Checkpoint = None,
         rtp_broadcast: bool = False,
         campaign: str = "",
     ) -> List[WorkResult]:
@@ -185,7 +190,7 @@ class _ExecutorBase:
         self,
         units: Sequence[WorkUnit],
         runner: UnitRunner,
-        checkpoint: Optional[CheckpointStore] = None,
+        checkpoint: Checkpoint = None,
         rtp_broadcast: bool = False,
         campaign: str = "",
     ) -> List[WorkResult]:
@@ -193,11 +198,20 @@ class _ExecutorBase:
 
         ``campaign`` names the run for telemetry: it becomes the trace
         id stamped onto every worker-side event and the
-        :class:`~repro.obs.events.FarmRunStarted` announcement.
+        :class:`~repro.obs.events.FarmRunStarted` announcement.  A
+        ``checkpoint`` given as a path (the CLI's ``--resume FILE``) is
+        opened as the store of ``campaign`` and closed when the run ends;
+        a :class:`~repro.farm.checkpoint.CheckpointStore` passed in stays
+        open for its owner.
         """
         units = list(units)
         if not units:
             return []
+        opened: Optional[CheckpointStore] = None
+        if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
+            # Its append handle opens with the first record, inside the
+            # ``try`` below, whose ``finally`` closes it.
+            checkpoint = opened = CheckpointStore(checkpoint, campaign=campaign)
         results: Dict[str, WorkResult] = {}
         wanted = {unit.key for unit in units}
 
@@ -246,6 +260,8 @@ class _ExecutorBase:
             # complete flush their telemetry, in submission order.
             if collector is not None:
                 collector.merge()
+            if opened is not None:
+                opened.close()
         return [results[unit.key] for unit in units]
 
     # -- template methods -----------------------------------------------------

@@ -319,55 +319,38 @@ class FarmBroker:
         Counter and histogram families accumulate as the campaign runs
         (``farm.lease_issued``, ``farm.lease_age_seconds``, …); queue
         depth, rates and per-worker throughput are sampled at scrape
-        time, because gauges describe *now*.
+        time, because gauges describe *now*.  They come from one
+        :meth:`stats_payload` snapshot, the one ``farm-top`` reads.
         """
-        metrics = self.telemetry.metrics
-        gauge = metrics.gauge
-        now = time.monotonic()
-        with self._lock:
-            campaign = self._campaign
-            dispatched = self.stats["units_dispatched"]
-            seen = self.stats["workers_seen"]
-            gauge("farm.uptime_seconds").set(max(0.0, now - self._started_mono))
-            gauge("farm.workers_connected").set(float(len(self._workers)))
-            gauge("farm.campaign_active").set(
-                1.0 if campaign is not None and not campaign.finished else 0.0
+        stats = self.stats_payload()
+        totals = stats["totals"]
+        dispatched = totals["units_dispatched"]
+        seen = totals["workers_seen"]
+        campaign = stats["campaign"]
+        campaign_active = campaign is not None and not campaign["finished"]
+        gauge = self.telemetry.metrics.gauge
+        gauge("farm.uptime_seconds").set(stats["uptime_s"])
+        gauge("farm.workers_connected").set(float(stats["workers_connected"]))
+        gauge("farm.campaign_active").set(1.0 if campaign_active else 0.0)
+        gauge("farm.queue_depth").set(float(stats["queue_depth"]))
+        gauge("farm.leases_active").set(float(stats["leases_active"]))
+        gauge("farm.reissue_rate").set(
+            totals["reissues"] / dispatched if dispatched else 0.0
+        )
+        gauge("farm.duplicate_rate").set(
+            totals["duplicates_dropped"] / dispatched if dispatched else 0.0
+        )
+        # Churn only signals while work is outstanding: after a campaign
+        # finishes, workers idling out is normal, not an incident.
+        gauge("farm.worker_churn").set(
+            totals["workers_left"] / seen if seen and campaign_active else 0.0
+        )
+        gauge("farm.queue_stall_seconds").set(stats["queue_stall_s"])
+        for worker in stats["workers"]:
+            gauge(f"farm.worker.upm.{worker['name']}").set(
+                worker["units_per_minute"]
             )
-            queue_depth = len(campaign.pending) if campaign is not None else 0
-            leases_active = (
-                campaign.leases.active() if campaign is not None else 0
-            )
-            gauge("farm.queue_depth").set(float(queue_depth))
-            gauge("farm.leases_active").set(float(leases_active))
-            gauge("farm.reissue_rate").set(
-                self.stats["reissues"] / dispatched if dispatched else 0.0
-            )
-            gauge("farm.duplicate_rate").set(
-                self.stats["duplicates_dropped"] / dispatched
-                if dispatched else 0.0
-            )
-            # Churn only signals while work is outstanding: after a
-            # campaign finishes, workers idling out is normal, not an
-            # incident.
-            campaign_active = campaign is not None and not campaign.finished
-            gauge("farm.worker_churn").set(
-                self.stats["workers_left"] / seen
-                if seen and campaign_active else 0.0
-            )
-            stalled = (
-                queue_depth > 0
-                and not self._workers
-                and self._last_dispatch_mono is not None
-            )
-            gauge("farm.queue_stall_seconds").set(
-                max(0.0, now - self._last_dispatch_mono) if stalled else 0.0
-            )
-            for state in self._workers.values():
-                minutes = max(1e-9, (now - state.connected_mono) / 60.0)
-                gauge(f"farm.worker.upm.{state.name}").set(
-                    state.completed / minutes
-                )
-        return render_exposition(metrics)
+        return render_exposition(self.telemetry.metrics)
 
     def stats_payload(self) -> Dict[str, Any]:
         """The ``stats`` protocol frame's body (``farm-top``'s feed)."""
@@ -402,9 +385,18 @@ class FarmBroker:
                     "clock_offset_s": offsets.get(state.name, 0.0),
                     "lease": by_worker.get(state.worker_id),
                 })
+            queue_depth = len(campaign.pending) if campaign else 0
+            stalled = (
+                queue_depth > 0
+                and not self._workers
+                and self._last_dispatch_mono is not None
+            )
             payload: Dict[str, Any] = {
                 "uptime_s": max(0.0, now - self._started_mono),
-                "queue_depth": len(campaign.pending) if campaign else 0,
+                "queue_depth": queue_depth,
+                "queue_stall_s": (
+                    max(0.0, now - self._last_dispatch_mono) if stalled else 0.0
+                ),
                 "leases_active": len(leases),
                 "workers_connected": len(self._workers),
                 "workers": workers,

@@ -14,12 +14,15 @@ numpy's scalar calls would have:
   returns ``(x << k) >> 32``; a power-of-two range never rejects.  The
   halves come low first, high second: a draw on an empty cache takes a
   fresh word and caches its high half (``has_uint32``/``uinteger``), the
-  next draw takes the cached half.
+  next draw takes the cached half;
+* ``integers(0, 2**k)`` (``33 <= k <= 63``) reads one whole word ``w``,
+  leaves the cached half alone and returns ``w >> (64 - k)``
+  (:func:`bounded_words`).
 
 A caller reads :attr:`WordBlock.words`, works out how many it consumed and
 which of them fed 32-bit draws, and commits that: the Generator ends in the
 very state, cache included, that the scalar calls would have left.
-``tests/patterns/test_draws.py`` checks the three rules against numpy.
+``tests/patterns/test_draws.py`` checks the four rules against numpy.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ def bounded(halves: np.ndarray, bits: int) -> np.ndarray:
     if not 1 <= bits <= 32:
         raise ValueError(f"block draws decode 1- to 32-bit ranges, not {bits}")
     return ((halves << np.uint64(bits)) >> np.uint64(32)).astype(np.int64)
+
+
+def bounded_words(words: np.ndarray, bits: int) -> np.ndarray:
+    """``integers(0, 2**bits)`` of each whole word in ``words``, past 32 bits."""
+    if not 33 <= bits <= 63:
+        raise ValueError(f"whole-word draws decode 33- to 63-bit ranges, not {bits}")
+    return (words >> np.uint64(64 - bits)).astype(np.int64)
 
 
 class WordBlock:

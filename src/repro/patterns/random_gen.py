@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.patterns._draws import WordBlock, bounded, choice_cdf, doubles, pcg64
+from repro.patterns._draws import WordBlock, bounded, bounded_words, choice_cdf, doubles, pcg64
 from repro.patterns.conditions import ConditionSpace, NOMINAL_CONDITION
 from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
@@ -220,8 +220,10 @@ class RandomTestGenerator:
         count = int(rng.integers(1, 4))
         hot = rng.integers(0, 1 << self.addr_bits, size=count)
         # Per cycle the scalar loop draws a random() (a write iff < 0.5)
-        # and, on a write, one 32-bit data draw: every second write takes a
-        # fresh word, whose cached high half feeds the write after it.
+        # and, on a write, one data draw.  Up to 32 bits every second write
+        # takes a fresh word, whose cached high half feeds the write after
+        # it; a wider draw takes a whole word per write.
+        wide = self.data_bits > 32
         block = WordBlock(rng, 2 * cycles)
         uniforms = doubles(block.words)
         fresh: List[int] = []
@@ -231,17 +233,21 @@ class RandomTestGenerator:
                 continue  # a data word, not a cycle's random()
             if write - len(fresh) >= cycles:
                 break
-            if not cached:
+            if wide or not cached:
                 fresh.append(write + 1)
             cached = not cached
         consumed = cycles + len(fresh)
         tests = np.ones(consumed, dtype=bool)
         tests[fresh] = False
         writes = uniforms[:consumed][tests] < 0.5
-        used = int(np.count_nonzero(writes))
         data = np.zeros(cycles, dtype=np.int64)
-        data[writes] = bounded(block.halves(fresh)[:used], self.data_bits)
-        block.commit(consumed, fresh, used)
+        if wide:
+            data[writes] = bounded_words(block.words[fresh], self.data_bits)
+            block.commit(consumed)
+        else:
+            used = int(np.count_nonzero(writes))
+            data[writes] = bounded(block.halves(fresh)[:used], self.data_bits)
+            block.commit(consumed, fresh, used)
         ops = np.where(writes, WRITE_CODE, READ_CODE)
         return ops, np.tile(hot, -(-cycles // count))[:cycles], data
 

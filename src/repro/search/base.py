@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.device.parameters import DeviceParameter, SpecDirection
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 
@@ -54,6 +55,18 @@ class PassRegion(enum.Enum):
 
     LOW = "low"  # eq. (3): pass below, fail above
     HIGH = "high"  # eq. (4): pass above, fail below
+
+    @classmethod
+    def of(cls, parameter: DeviceParameter) -> "PassRegion":
+        """The pass side of ``parameter``'s compare level.
+
+        A min-limited parameter (``T_DQ``) passes below its trip point,
+        eq. (3); a max-limited one (peak supply current) passes above its
+        clamp trip point, eq. (4).
+        """
+        if parameter.direction is SpecDirection.MIN_IS_WORST:
+            return cls.LOW
+        return cls.HIGH
 
     def toward_fail(self) -> float:
         """Unit direction from pass region toward fail region."""

@@ -6,6 +6,10 @@ database bytes — and a run interrupted mid-campaign resumes from its
 checkpoint without re-measuring finished units.
 """
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,33 @@ def _lot(**kwargs):
     return LotCharacterizer(
         search_range=(15.0, 45.0), noise_sigma=0.04, seed=3, **kwargs
     )
+
+
+def _sweep():
+    chip = MemoryTestChip()
+    ate = ATE(chip, measurement=MeasurementModel(0.02, seed=11))
+    return EnvironmentalSweep(ate, (15.0, 45.0), seed=5)
+
+
+def _run_campaign(kind, tests, checkpoint):
+    if kind == "lot":
+        return _lot().run(tests, n_dies=2, checkpoint=checkpoint)
+    return _sweep().sweep(tests[0], (1.7, 1.9), (25.0,), checkpoint=checkpoint)
+
+
+def _unclosed_files(run):
+    """The ResourceWarnings raised while ``run()`` runs and its garbage
+    is collected: a file closed by the collector, not by its owner."""
+    raised = []
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error", ResourceWarning)
+        # A warning raised in a finalizer goes to the unraisable hook.
+        patch.setattr(
+            sys, "unraisablehook", lambda info: raised.append(info.exc_value)
+        )
+        run()
+        gc.collect()
+    return [error for error in raised if isinstance(error, ResourceWarning)]
 
 
 class TestLotDeterminism:
@@ -101,6 +132,18 @@ class TestLotResume:
         again = _lot().run(tests, n_dies=4, checkpoint=path)
         assert first.dies == again.dies
 
+    @pytest.mark.parametrize("kind", ["lot", "sweep"])
+    def test_checkpoint_path_is_closed_by_the_run(self, kind, tests, tmp_path):
+        path = tmp_path / f"{kind}.jsonl"
+        assert _unclosed_files(lambda: _run_campaign(kind, tests, path)) == []
+        assert len(CheckpointStore(path).load()) == 2
+
+    @pytest.mark.parametrize("kind", ["lot", "sweep"])
+    def test_caller_store_stays_open(self, kind, tests, tmp_path):
+        with CheckpointStore(tmp_path / f"{kind}.jsonl") as store:
+            _run_campaign(kind, tests, store)
+            assert store._handle is not None and not store._handle.closed
+
 
 class TestWaferDeterminism:
     def test_workers_1_vs_4_identical(self, tests):
@@ -122,17 +165,12 @@ class TestWaferDeterminism:
 
 
 class TestSweepDeterminism:
-    def _sweep(self):
-        chip = MemoryTestChip()
-        ate = ATE(chip, measurement=MeasurementModel(0.02, seed=11))
-        return EnvironmentalSweep(ate, (15.0, 45.0), seed=5)
-
     def test_workers_1_vs_4_identical(self, tests):
         test = tests[0]
         vdds = (1.5, 1.8, 2.1)
         temps = (25.0, 85.0)
-        serial = self._sweep().sweep(test, vdds, temps, workers=1)
-        parallel = self._sweep().sweep(test, vdds, temps, workers=4)
+        serial = _sweep().sweep(test, vdds, temps, workers=1)
+        parallel = _sweep().sweep(test, vdds, temps, workers=4)
         assert np.array_equal(
             serial.trip_points, parallel.trip_points, equal_nan=True
         )
@@ -141,6 +179,6 @@ class TestSweepDeterminism:
     def test_legacy_serial_path_unchanged_without_farm_args(self, tests):
         # No workers/executor/checkpoint: the shared-tester path with
         # carried-over state still runs (different semantics from farm).
-        result = self._sweep().sweep(tests[0], (1.5, 1.8), (25.0, 85.0))
+        result = _sweep().sweep(tests[0], (1.5, 1.8), (25.0, 85.0))
         assert result.trip_points.shape == (2, 2)
         assert result.measurements > 0

@@ -7,18 +7,25 @@ worst-case selection and WCR classification — on the peak-supply-current
 parameter.
 """
 
+import numpy as np
 import pytest
 
+from repro.ate.shmoo import merge_overlays, run_shmoo_unit, shmoo_overlay_units
 from repro.core.characterizer import DeviceCharacterizer
+from repro.core.trip_point import MultipleTripPointRunner
 from repro.core.wcr import WCRClass, WCRClassifier
 from repro.device.parameters import IDD_PEAK_PARAMETER
+from repro.farm.executor import SerialExecutor
+from repro.patterns.conditions import NOMINAL_CONDITION
+from repro.patterns.random_gen import RandomTestGenerator
 from repro.search.base import PassRegion
 
 IDD_RANGE = (20.0, 120.0)
+SHMOO_VDDS = (1.6, 1.8, 2.0)
+SHMOO_STEP = 5.0
 
 
-@pytest.fixture
-def idd_characterizer():
+def _idd_characterizer():
     return DeviceCharacterizer.with_default_setup(
         seed=2,
         parameter=IDD_PEAK_PARAMETER,
@@ -27,6 +34,17 @@ def idd_characterizer():
         search_factor=1.0,
         resolution=0.2,
     )
+
+
+@pytest.fixture
+def idd_characterizer():
+    return _idd_characterizer()
+
+
+@pytest.fixture
+def nominal_tests():
+    generator = RandomTestGenerator(seed=5)
+    return [t.with_condition(NOMINAL_CONDITION) for t in generator.batch(6)]
 
 
 class TestIddCharacterization:
@@ -84,3 +102,80 @@ class TestIddCharacterization:
             idd_characterizer.objective.fitness(worst.value)
         )
         assert region in (WCRClass.WEAKNESS, WCRClass.PASS)
+
+
+class TestPassSideFollowsTheParameter:
+    """Runners and shmoo overlays built without a pass side read it from
+    the chip's parameter, as the characterizer does."""
+
+    def test_plain_runner_matches_new_runner(
+        self, idd_characterizer, nominal_tests
+    ):
+        plain = MultipleTripPointRunner(
+            idd_characterizer.ate,
+            IDD_RANGE,
+            search_factor=idd_characterizer.search_factor,
+            resolution=idd_characterizer.resolution,
+        )
+        assert plain.pass_region is PassRegion.HIGH
+        got = plain.run(nominal_tests).values()
+        want = _idd_characterizer().new_runner().run(nominal_tests).values()
+        assert got == want and len(got) == len(nominal_tests)
+
+    def test_shmoo_boundaries_where_the_runner_trips(
+        self, idd_characterizer, nominal_tests
+    ):
+        plot = idd_characterizer.shmoo_overlay(
+            nominal_tests, SHMOO_VDDS, strobe_step=SHMOO_STEP
+        )
+        dsv = _idd_characterizer().new_runner().run(nominal_tests)
+        nominal_row = SHMOO_VDDS.index(1.8)
+        for (_, bounds), entry in zip(plot.boundaries, dsv):
+            assert entry.value is not None
+            assert bounds[nominal_row] == pytest.approx(entry.value, abs=0.5)
+
+    def test_shmoo_cells_count_tests_passing_at_their_level(
+        self, idd_characterizer, nominal_tests
+    ):
+        plot = idd_characterizer.shmoo_overlay(
+            nominal_tests, SHMOO_VDDS, strobe_step=SHMOO_STEP
+        )
+        # A clamp passes at and above each boundary.
+        expected = np.zeros_like(plot.counts)
+        for _, bounds in plot.boundaries:
+            for row, bound in enumerate(bounds):
+                expected[row] += plot.strobe_values >= bound
+        assert np.array_equal(plot.counts, expected)
+        assert plot.counts[:, 0].sum() == 0
+        assert (plot.counts[:, -1] == len(nominal_tests)).all()
+        # ... which is where the tester passes the test.
+        ate = _idd_characterizer().ate
+        for test, (_, bounds) in zip(nominal_tests, plot.boundaries):
+            for vdd, bound in zip(SHMOO_VDDS, bounds):
+                at_vdd = test.with_condition(test.condition.with_vdd(vdd))
+                assert ate.apply(at_vdd, bound + 2.0)
+                assert not ate.apply(at_vdd, bound - 2.0)
+
+    def test_farmed_shmoo_matches_in_process(
+        self, idd_characterizer, nominal_tests
+    ):
+        plot = idd_characterizer.shmoo_overlay(
+            nominal_tests, SHMOO_VDDS, strobe_step=SHMOO_STEP
+        )
+        units = shmoo_overlay_units(
+            nominal_tests,
+            SHMOO_VDDS,
+            strobe_start=IDD_RANGE[0],
+            strobe_stop=IDD_RANGE[1],
+            strobe_step=SHMOO_STEP,
+            search_resolution=idd_characterizer.resolution,
+            die=idd_characterizer.ate.chip.die,
+            parameter=IDD_PEAK_PARAMETER,
+            noise_sigma=0.0,
+        )
+        farmed = merge_overlays(
+            [r.value for r in SerialExecutor().run(units, run_shmoo_unit)]
+        )
+        assert np.array_equal(farmed.counts, plot.counts)
+        assert farmed.boundaries == plot.boundaries
+        assert None not in {b for _, bounds in farmed.boundaries for b in bounds}

@@ -3,7 +3,7 @@
 :mod:`repro.patterns._draws` decodes raw PCG64 words the way
 ``Generator.random``, ``Generator.choice(k, p=...)`` and
 ``Generator.integers(0, 2**k)`` consume them.  These tests run both on
-the same seeds, so a numpy release that changes any of the three rules
+the same seeds, so a numpy release that changes any of the four rules
 fails here instead of silently changing every random test and GA genome.
 """
 
@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.patterns._draws import WordBlock, bounded, choices, doubles
+from repro.patterns._draws import WordBlock, bounded, bounded_words, choices, doubles
 
 WEIGHTS = (0.45, 0.45, 0.10)
 
 #: One scalar call: ``"random"``, ``"choice"`` or the bit width of an
 #: ``integers(0, 2**bits)`` call.
 calls = st.lists(
-    st.one_of(st.sampled_from(["random", "choice"]), st.integers(1, 32)),
+    st.one_of(st.sampled_from(["random", "choice"]), st.integers(1, 63)),
     min_size=1,
     max_size=40,
 )
@@ -43,7 +43,7 @@ def block_calls(rng, sequence):
     position, cached, fresh = 0, block.cached, []
     plan = []
     for call in sequence:
-        if call in ("random", "choice"):
+        if call in ("random", "choice") or call > 32:
             plan.append((call, position))
             position += 1
         else:
@@ -59,6 +59,8 @@ def block_calls(rng, sequence):
             values.append(float(uniforms[at]))
         elif call == "choice":
             values.append(int(choices(uniforms[at : at + 1], WEIGHTS)[0]))
+        elif at is not None:
+            values.append(int(bounded_words(block.words[at : at + 1], call)[0]))
         else:
             values.append(int(bounded(halves[used : used + 1], call)[0]))
             used += 1
@@ -109,6 +111,12 @@ def test_uncached_commit_keeps_the_stale_high_half():
 def test_bounded_rejects_unsupported_widths(bits):
     with pytest.raises(ValueError, match="32-bit"):
         bounded(np.zeros(1, dtype=np.uint64), bits)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_bounded_words_rejects_unsupported_widths(bits):
+    with pytest.raises(ValueError, match="63-bit"):
+        bounded_words(np.zeros(1, dtype=np.uint64), bits)
 
 
 def test_non_pcg64_generator_raises_type_error():

@@ -77,6 +77,9 @@ def _pair(seed, cached):
 geometry = st.tuples(st.integers(1, 16), st.integers(1, 16))
 #: Buses wider than 32 bits take numpy's ``integers`` path.
 wide_geometry = st.tuples(st.integers(1, 48), st.integers(1, 48))
+#: Past 32 data bits a ``hammer`` write draws one whole word, and the
+#: cached 32-bit half stays where it was.
+wide_data = st.sampled_from([(36, 40), (12, 63), (8, 33)])
 
 
 class TestBlockBuildersMatchScalarLoops:
@@ -133,7 +136,7 @@ class TestBlockBuildersMatchScalarLoops:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        bits=geometry,
+        bits=st.one_of(geometry, wide_data),
         cycles=st.integers(1, 1000),
         cached=st.booleans(),
     )
@@ -162,7 +165,8 @@ class TestBlockBuildersMatchScalarLoops:
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), bits=geometry)
+@given(seed=st.integers(0, 2**32 - 1),
+       bits=st.one_of(geometry, wide_data))
 def test_every_style_builds_valid_tests_on_narrow_and_wide_buses(seed, bits):
     addr_bits, data_bits = bits
     generator = RandomTestGenerator(
