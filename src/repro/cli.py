@@ -7,7 +7,7 @@ Exposes the characterization campaigns as subcommands::
     repro-characterize table1  [--random-tests 300] [--fast]
     repro-characterize hunt    [--weights out.json] [--database db.json]
     repro-characterize shmoo   [--tests 40]
-    repro-characterize screen  [--tests 40] [--engine batched]
+    repro-characterize screen  [--tests 40] [--step 0.25]
     repro-characterize sweep
     repro-characterize lot     [--dies 8] [--tests 10]
 
@@ -32,15 +32,18 @@ Global telemetry flags (before the subcommand):
   the sampling cadence);
 * ``-v`` / ``-vv`` — phase-level / per-event stdlib logging.
 
-Global tester-farm flags (``lot``, ``wafer``, ``sweep``, ``campaign``):
+Global tester-farm flags (``lot``, ``wafer``, ``sweep``, ``screen``,
+``campaign``).  These commands always run their work units on a farm
+executor, serial by default; the flags pick another and never change
+what is printed:
 
-* ``--workers N`` — shard the campaign over N worker processes
-  (results are identical to a serial run for lot/wafer);
+* ``--workers N`` — shard the campaign over N worker processes;
 * ``--resume FILE`` — record finished work units to a JSONL checkpoint
   and skip them when the same command is re-run after an interruption;
 * ``--backend serial|process|remote`` — pick the executor backend
-  explicitly; ``remote`` sends units to a farm broker's socket workers
-  and needs ``--broker HOST:PORT``.
+  explicitly;
+* ``--broker HOST:PORT`` — send units to a farm broker's socket workers
+  (implies ``--backend remote``).
 
 The distributed farm itself (see docs/parallelism.md, "Remote farm")::
 
@@ -110,6 +113,7 @@ from repro.ga.engine import GAConfig
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.march import available_march_tests
 from repro.patterns.random_gen import RandomTestGenerator
+from repro.service.spec import FARM_JOB_COMMANDS as _FARM_COMMANDS
 
 
 def _add_telemetry_arguments(parser, suppress_defaults: bool = False) -> None:
@@ -191,10 +195,6 @@ def _add_telemetry_arguments(parser, suppress_defaults: bool = False) -> None:
     )
 
 
-#: Subcommands that route their work through the tester farm.
-_FARM_COMMANDS = ("lot", "wafer", "sweep", "campaign", "screen")
-
-
 def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
     """The global tester-farm flags (same dual-registration trick as the
     telemetry flags, so they work before or after the subcommand)."""
@@ -232,20 +232,32 @@ def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
         "--broker",
         metavar="HOST:PORT",
         default=suppress if suppress_defaults else None,
-        help="farm broker address for --backend remote",
+        help="farm broker address; selects the remote backend",
     )
 
 
 def _farm_kwargs(args) -> dict:
-    """``workers=``/``checkpoint=``/``executor=`` keywords from the flags."""
+    """``workers=``/``checkpoint=``/``executor=`` keywords from the flags.
+
+    ``--broker`` selects the remote backend; with ``--backend serial`` or
+    ``process`` it is an error rather than a silently ignored address.
+    """
     kwargs = {"workers": args.workers, "checkpoint": args.resume}
-    if args.backend:
+    backend = args.backend
+    if args.broker:
+        if backend not in (None, "remote"):
+            raise SystemExit(
+                f"error: --broker needs the remote backend, "
+                f"not --backend {backend}"
+            )
+        backend = "remote"
+    if backend:
         from repro.farm.executor import make_executor
 
         try:
             kwargs["executor"] = make_executor(
                 workers=args.workers,
-                backend=args.backend,
+                backend=backend,
                 broker=args.broker,
             )
         except ValueError as exc:
@@ -331,12 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--tests", type=int, default=40)
     screen.add_argument(
         "--step", type=float, default=0.25, help="strobe grid spacing in ns"
-    )
-    screen.add_argument(
-        "--engine",
-        default="batched",
-        choices=("batched", "scalar"),
-        help="row evaluation engine (results are identical; batched is faster)",
     )
 
     commands.add_parser(
@@ -941,15 +947,16 @@ def _cmd_shmoo(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    from repro.core.wcr import run_screen_farm
+    from repro.obs.timing import span
+
     characterizer = DeviceCharacterizer.with_default_setup(seed=args.seed)
     tests = [
         t.with_condition(NOMINAL_CONDITION)
         for t in RandomTestGenerator(seed=args.seed).batch(args.tests)
     ]
-    if args.workers or args.resume or args.backend:
-        from repro.core.wcr import run_screen_farm
-
-        low, high = characterizer.search_range
+    low, high = characterizer.search_range
+    with span("screen"):
         report = run_screen_farm(
             tests,
             low,
@@ -960,10 +967,6 @@ def _cmd_screen(args) -> int:
             noise_sigma=characterizer.ate.measurement.noise_sigma_ns,
             campaign_seed=args.seed,
             **_farm_kwargs(args),
-        )
-    else:
-        report = characterizer.wcr_screen(
-            tests, strobe_step=args.step, engine=args.engine
         )
     print(report.render())
     worst = report.worst()

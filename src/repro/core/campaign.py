@@ -155,12 +155,12 @@ def run_campaign(
     found against the ordinary population.
 
     The learning and GA phases are adaptive — each measurement decides
-    the next — so they stay on the characterizer's single tester.  With
-    ``workers=``/``executor=`` the embarrassingly parallel shmoo overlay
-    is sharded one work unit per test across a :mod:`repro.farm`
-    executor instead (fresh insertion and derived noise seed per test;
-    deterministic for any worker count).  ``checkpoint`` lets an
-    interrupted farm overlay resume.
+    the next — so they stay on the characterizer's single tester.  The
+    embarrassingly parallel shmoo overlay always runs as work units, one
+    per test, each with a fresh insertion and a derived noise seed, on
+    the executor ``workers=``/``executor=`` choose (serial by default);
+    the overlay is the same for any worker count or backend.
+    ``checkpoint`` lets an interrupted overlay resume.
     """
     before = characterizer.ate.measurement_count
     with span("campaign"):
@@ -198,34 +198,30 @@ def run_campaign(
                 "nnga_worst"
             )
         )
-        farm_measurements = 0
-        if workers is None and executor is None and checkpoint is None:
-            shmoo = characterizer.shmoo_overlay(shmoo_sample, vdd_values)
-        else:
-            low, high = characterizer.search_range
-            units = shmoo_overlay_units(
-                shmoo_sample,
-                vdd_values,
-                strobe_start=low,
-                strobe_stop=high,
-                strobe_step=0.5,
-                search_resolution=characterizer.resolution,
-                die=characterizer.ate.chip.die,
-                parameter=characterizer.ate.chip.parameter,
-                noise_sigma=characterizer.ate.measurement.noise_sigma_ns,
-                campaign_seed=characterizer.seed,
+        low, high = characterizer.search_range
+        units = shmoo_overlay_units(
+            shmoo_sample,
+            vdd_values,
+            strobe_start=low,
+            strobe_stop=high,
+            strobe_step=0.5,
+            search_resolution=characterizer.resolution,
+            die=characterizer.ate.chip.die,
+            parameter=characterizer.ate.chip.parameter,
+            noise_sigma=characterizer.ate.measurement.noise_sigma_ns,
+            campaign_seed=characterizer.seed,
+        )
+        campaign_id = (
+            f"campaign-shmoo:seed={characterizer.seed}"
+            f":tests={len(units)}:vdds={len(vdd_values)}"
+        )
+        with span("shmoo"):
+            results = make_executor(workers, executor).run(
+                units, run_shmoo_unit, checkpoint=checkpoint,
+                campaign=campaign_id,
             )
-            campaign_id = (
-                f"campaign-shmoo:seed={characterizer.seed}"
-                f":tests={len(units)}:vdds={len(vdd_values)}"
-            )
-            with span("shmoo"):
-                results = make_executor(workers, executor).run(
-                    units, run_shmoo_unit, checkpoint=checkpoint,
-                    campaign=campaign_id,
-                )
-            shmoo = merge_overlays([r.value for r in results])
-            farm_measurements = sum(r.measurements for r in results)
+        shmoo = merge_overlays([r.value for r in results])
+        shmoo_measurements = sum(r.measurements for r in results)
 
     return CampaignReport(
         table1=table1,
@@ -234,6 +230,6 @@ def run_campaign(
         shmoo=shmoo,
         database=optimization.database,
         total_measurements=(
-            characterizer.ate.measurement_count - before + farm_measurements
+            characterizer.ate.measurement_count - before + shmoo_measurements
         ),
     )

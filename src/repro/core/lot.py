@@ -269,27 +269,6 @@ class LotCharacterizer:
             cost_hint=float(sum(t.cycles for t in tests)),
         )
 
-    def characterize_die(
-        self,
-        die: ProcessInstance,
-        tests: Sequence[TestCase],
-        noise_seed: Optional[int] = None,
-        rtp_hint: Optional[float] = None,
-    ) -> DieResult:
-        """Run the test set on one die (one insertion), in this process.
-
-        ``noise_seed`` overrides the measurement-noise seed (defaults to
-        the legacy ``seed + die_id`` stream for direct callers);
-        ``rtp_hint`` seeds the SUTP reference as a farm RTP broadcast
-        would.
-        """
-        if noise_seed is None:
-            noise_seed = self.seed + die.die_id
-        unit = replace(
-            self.die_unit(die, tests), seed=noise_seed, rtp_hint=rtp_hint
-        )
-        return run_lot_unit(unit).value
-
     def run(
         self,
         tests: Sequence[TestCase],
@@ -401,10 +380,9 @@ class EnvSweepResult:
 def run_env_unit(unit: WorkUnit) -> UnitOutcome:
     """Execute one ``env_cell`` work unit: one grid cell, fresh insertion.
 
-    Farm sweeps trade the serial sweep's carried-over thermal state for
-    cell independence: every cell measures a freshly inserted (cool)
-    device with its own derived noise stream, which is what makes the
-    grid independent of worker count and scheduling.
+    Every cell measures a freshly inserted (cool) device with its own
+    derived noise stream, so no cell reads another's thermal or noise
+    state and the grid is independent of worker count and scheduling.
     """
     cfg = unit.payload
     ate = ATE.fresh_insertion(
@@ -437,16 +415,17 @@ class EnvironmentalSweep:
 
     The classic characterization matrix of section 1: the same test is
     repeated at each (Vdd, temperature) grid point and its trip point
-    recorded.  SUTP is used along the sweep, so neighbouring cells reuse
-    the reference trip point.
+    recorded.
 
-    With ``workers=``/``executor=`` the grid is sharded into one work
-    unit per cell; the first cell's trip point is RTP-broadcast to all
-    others (the farm form of "SUTP along the sweep").  Farm cells each
-    get a fresh insertion and a seed derived from ``(seed, cell_key)``,
-    so a farm sweep is deterministic for any worker count — but not
-    byte-identical to the serial sweep, whose single tester carries
-    thermal and noise state from cell to cell.
+    :meth:`sweep` shards the grid into one work unit per cell and runs
+    them on a :mod:`repro.farm` executor (a
+    :class:`~repro.farm.executor.SerialExecutor` unless ``workers=`` or
+    ``executor=`` picks another).  The first cell's trip point is
+    RTP-broadcast to all others, the farm form of SUTP along the sweep.
+    Each cell gets a fresh insertion and a seed derived from
+    ``(seed, cell_key)``, so the grid is the same for any worker count or
+    backend.  Of ``ate`` only the die, the parameter and the noise sigma
+    are read; the sweep never measures on it.
     """
 
     def __init__(
@@ -509,58 +488,14 @@ class EnvironmentalSweep:
         executor=None,
         checkpoint: Union[None, str, Path, CheckpointStore] = None,
     ) -> EnvSweepResult:
-        """Measure the full grid for one test."""
+        """Measure the full grid for one test, one work unit per cell.
+
+        ``workers``/``executor`` choose the executor as for
+        :meth:`LotCharacterizer.run`; ``checkpoint`` records finished
+        cells and skips them when the same sweep is re-run.
+        """
         if not vdd_values or not temperature_values:
             raise ValueError("both axes need at least one value")
-        if workers is None and executor is None and checkpoint is None:
-            return self._sweep_serial(test, vdd_values, temperature_values)
-        return self._sweep_farm(
-            test, vdd_values, temperature_values, workers, executor,
-            checkpoint,
-        )
-
-    def _sweep_serial(
-        self,
-        test: TestCase,
-        vdd_values: Sequence[float],
-        temperature_values: Sequence[float],
-    ) -> EnvSweepResult:
-        """The single-tester sweep: one insertion, state carried across
-        cells (thermal history, one noise stream, chained SUTP)."""
-        runner = MultipleTripPointRunner(
-            self.ate,
-            self.search_range,
-            strategy="sutp",
-            resolution=self.resolution,
-            search_factor=self.search_factor,
-        )
-        before = self.ate.measurement_count
-        grid = np.full((len(vdd_values), len(temperature_values)), np.nan)
-        for i, vdd in enumerate(vdd_values):
-            for j, temperature in enumerate(temperature_values):
-                condition = replace(
-                    test.condition, vdd=float(vdd), temperature=float(temperature)
-                )
-                entry = runner.measure_one(test.with_condition(condition))
-                if entry.value is not None:
-                    grid[i, j] = entry.value
-        return EnvSweepResult(
-            parameter=self.ate.chip.parameter,
-            vdd_values=tuple(float(v) for v in vdd_values),
-            temperature_values=tuple(float(t) for t in temperature_values),
-            trip_points=grid,
-            measurements=self.ate.measurement_count - before,
-        )
-
-    def _sweep_farm(
-        self,
-        test: TestCase,
-        vdd_values: Sequence[float],
-        temperature_values: Sequence[float],
-        workers: Optional[int],
-        executor,
-        checkpoint: Union[None, str, Path, CheckpointStore],
-    ) -> EnvSweepResult:
         # Every cell measures the same pattern: its features ship with it.
         fill_features([test.sequence])
         units = []

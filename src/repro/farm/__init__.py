@@ -13,16 +13,17 @@ testers at once over a lot.  This package is the second lever:
 * :mod:`repro.farm.scheduler` — longest-first dispatch by each unit's
   static cost hint, plus the section-4 reference-trip-point broadcast;
 * :mod:`repro.farm.checkpoint` — JSONL checkpoint store so an
-  interrupted lot, wafer or sweep resumes without re-measuring finished
-  units;
+  interrupted lot, wafer, sweep, screen or shmoo resumes without
+  re-measuring finished units;
 * :mod:`repro.farm.remote` — the distributed farm: a TCP broker with
   work-stealing dispatch, leases and heartbeats, elastic socket workers
   (``repro farm-worker``) and the :class:`~repro.farm.remote.
   RemoteExecutor` backend, all behind the same
   :class:`~repro.farm.executor.ExecutorBackend` contract.
 
-``LotCharacterizer``, ``EnvironmentalSweep``, ``WaferProber`` and
-``run_campaign`` accept ``workers=`` / ``executor=`` / ``checkpoint=``;
+``LotCharacterizer``, ``EnvironmentalSweep``, ``WaferProber``,
+``run_screen_farm`` and ``run_campaign`` always run as work units and
+accept ``workers=`` / ``executor=`` / ``checkpoint=``;
 the CLI exposes the same as global ``--workers N``, ``--resume FILE``
 and ``--backend/--broker`` flags.  See ``docs/parallelism.md``.
 """

@@ -96,7 +96,7 @@ def timed(name: Optional[str] = None) -> Callable[[F], F]:
     ``name`` defaults to the function's qualified name::
 
         @timed("lot.die")
-        def characterize_die(...): ...
+        def measure_die(...): ...
     """
 
     def decorate(function: F) -> F:

@@ -28,27 +28,40 @@ restarted server lists and serves completed work and fails whatever the
 dead process left in flight.  See ``docs/service.md``.
 """
 
-from repro.service.client import TERMINAL_STATES, ServiceClient, ServiceError
-from repro.service.dashboard import build_dashboard
-from repro.service.manager import (
-    JobManager,
-    JobOutcome,
-    SubprocessJobRunner,
-)
-from repro.service.progress import job_progress, read_events_page
-from repro.service.server import (
-    DEFAULT_READY_QUEUE_LIMIT,
-    CharacterizationServer,
-    create_server,
-    route_template,
-    serve_in_thread,
-)
-from repro.service.spec import (
-    FARM_JOB_COMMANDS,
-    JOB_COMMANDS,
-    JobSpec,
-    SpecError,
-)
+# Exports resolve lazily (PEP 562): the CLI reads the farm command list
+# from repro.service.spec on every start, and an eager import here would
+# load the HTTP server, the client and the result store with it.
+_LAZY_EXPORTS = {
+    "TERMINAL_STATES": "repro.service.client",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "build_dashboard": "repro.service.dashboard",
+    "JobManager": "repro.service.manager",
+    "JobOutcome": "repro.service.manager",
+    "SubprocessJobRunner": "repro.service.manager",
+    "job_progress": "repro.service.progress",
+    "read_events_page": "repro.service.progress",
+    "DEFAULT_READY_QUEUE_LIMIT": "repro.service.server",
+    "CharacterizationServer": "repro.service.server",
+    "create_server": "repro.service.server",
+    "route_template": "repro.service.server",
+    "serve_in_thread": "repro.service.server",
+    "FARM_JOB_COMMANDS": "repro.service.spec",
+    "JOB_COMMANDS": "repro.service.spec",
+    "JobSpec": "repro.service.spec",
+    "SpecError": "repro.service.spec",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
 
 __all__ = [
     "CharacterizationServer",

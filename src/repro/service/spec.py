@@ -28,7 +28,7 @@ JOB_COMMANDS: Dict[str, Dict[str, type]] = {
     "table1": {"random_tests": int, "fast": bool},
     "hunt": {},
     "shmoo": {"tests": int},
-    "screen": {"tests": int, "step": float, "engine": str},
+    "screen": {"tests": int, "step": float},
     "sweep": {},
     "lot": {"dies": int, "tests": int},
     "wafer": {"grid": int, "tests": int},
@@ -43,7 +43,8 @@ _WCDB_EXPORTS: Dict[str, Tuple[str, str]] = {
     "campaign": ("--out", "worst_case_db.json"),  # directory export
 }
 
-#: Commands that honour the farm flags (mirrors ``cli._FARM_COMMANDS``).
+#: Commands that run as farm work units and honour the farm flags; the
+#: CLI reads this tuple too.
 FARM_JOB_COMMANDS = ("lot", "wafer", "sweep", "campaign", "screen")
 
 

@@ -1,7 +1,7 @@
 """End-to-end determinism of farmed campaigns.
 
-The farm's contract: a lot/wafer/sweep run sharded over N worker processes
-is *identical* to the serial run — same trip points, same WCRs, same
+The farm's contract: a lot/wafer/sweep/screen/campaign-shmoo run sharded
+over N worker processes is *identical* to the serial run — same trip points, same WCRs, same
 database bytes — and a run interrupted mid-campaign resumes from its
 checkpoint without re-measuring finished units.
 """
@@ -20,6 +20,7 @@ from repro.core.wafer_probe import WaferProber
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.wafer import RadialVariationModel, Wafer
 from repro.farm.checkpoint import CheckpointStore
+from repro.farm.executor import ParallelExecutor, SerialExecutor
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
@@ -176,9 +177,62 @@ class TestSweepDeterminism:
         )
         assert serial.measurements == parallel.measurements
 
-    def test_legacy_serial_path_unchanged_without_farm_args(self, tests):
-        # No workers/executor/checkpoint: the shared-tester path with
-        # carried-over state still runs (different semantics from farm).
-        result = _sweep().sweep(tests[0], (1.5, 1.8), (25.0, 85.0))
-        assert result.trip_points.shape == (2, 2)
-        assert result.measurements > 0
+
+def _screen(**farm):
+    from repro.core.wcr import run_screen_farm
+
+    chip = MemoryTestChip()
+    generator = RandomTestGenerator(seed=62)
+    tests = [t.with_condition(NOMINAL_CONDITION) for t in generator.batch(5)]
+    return run_screen_farm(
+        tests, 15.0, 45.0, 1.0, die=chip.die, parameter=chip.parameter,
+        noise_sigma=0.04, campaign_seed=5, chunk_size=2, **farm,
+    )
+
+
+def _campaign_shmoo(**farm):
+    from repro.core.campaign import run_campaign
+    from repro.core.characterizer import DeviceCharacterizer
+    from repro.core.learning import LearningConfig
+    from repro.core.optimization import OptimizationConfig
+    from repro.ga.engine import GAConfig
+
+    report = run_campaign(
+        DeviceCharacterizer.with_default_setup(seed=7),
+        random_tests=40,
+        shmoo_tests=3,
+        vdd_values=(1.6, 2.0),
+        learning_config=LearningConfig(
+            tests_per_round=40, max_rounds=1, max_epochs=10, n_networks=2,
+            pin_condition=NOMINAL_CONDITION, seed=7,
+        ),
+        optimization_config=OptimizationConfig(
+            ga=GAConfig(population_size=6, n_populations=1, max_generations=2),
+            n_seeds=3, seed_pool_size=20,
+            pin_condition=NOMINAL_CONDITION, seed=7,
+        ),
+        **farm,
+    )
+    return report.shmoo.render(), report.total_measurements
+
+
+def _sweep_grid(test, **farm):
+    result = _sweep().sweep(test, (1.5, 1.8), (25.0, 85.0), **farm)
+    return result.trip_points.tolist(), result.measurements
+
+
+class TestNoFarmArguments:
+    """Without farm arguments a sweep, a screen and a campaign's shmoo run
+    their work units on a serial executor: the answer is the one any
+    executor gives."""
+
+    @pytest.mark.parametrize("kind", ["sweep", "screen", "campaign"])
+    def test_equal_to_serial_and_two_workers(self, kind, tests):
+        run = {
+            "sweep": lambda **farm: _sweep_grid(tests[0], **farm),
+            "screen": _screen,
+            "campaign": _campaign_shmoo,
+        }[kind]
+        plain = run()
+        assert plain == run(executor=SerialExecutor())
+        assert plain == run(executor=ParallelExecutor(workers=2))

@@ -42,6 +42,9 @@ class TestValidation:
             # workers on a non-farm command is a spec error, like the
             # CLI's own "--workers is ignored" note but strict
             ({"command": "march", "workers": 2}, "does not honour workers"),
+            # the screen has one engine: its work units
+            ({"command": "screen", "params": {"engine": "scalar"}},
+             "unknown parameter"),
         ],
     )
     def test_rejections(self, payload, match):

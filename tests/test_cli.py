@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _farm_kwargs, main
 
 
 class TestArgumentParsing:
@@ -119,3 +119,38 @@ class TestCommands:
         assert "worst case test" in out
         assert weights.exists()
         assert database.exists()
+
+
+class TestFarmFlags:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep"],
+            ["screen", "--tests", "6"],
+            ["campaign", "--random-tests", "40"],
+        ],
+    )
+    def test_output_does_not_depend_on_workers_flag(self, command, capsys):
+        assert main(command) == 0
+        plain = capsys.readouterr().out
+        assert main(["--workers", "1"] + command) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_broker_alone_selects_remote_backend(self):
+        from repro.farm.remote.executor import RemoteExecutor
+
+        args = _build_parser().parse_args(
+            ["--broker", "127.0.0.1:9", "lot", "--dies", "2", "--tests", "2"]
+        )
+        executor = _farm_kwargs(args)["executor"]
+        assert isinstance(executor, RemoteExecutor)
+        assert executor.address == ("127.0.0.1", 9)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_broker_with_a_local_backend_is_an_error(self, backend):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["--broker", "127.0.0.1:9", "--backend", backend,
+                 "lot", "--dies", "2", "--tests", "2"]
+            )
+        assert str(exc.value.code).startswith("error:")
