@@ -1852,6 +1852,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.perf_counter()
     try:
         return _COMMANDS[args.command](args)
+    except RuntimeError as exc:
+        # An unreachable or lost farm broker is an operating error, not a
+        # bug: one line on stderr, no traceback.
+        from repro.farm.remote.executor import RemoteFarmError
+
+        if not isinstance(exc, RemoteFarmError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         _teardown_observability(args, wall_s=time.perf_counter() - started)
 

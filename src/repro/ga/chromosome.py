@@ -15,7 +15,7 @@ Fitness is attached after ATE evaluation; individuals are immutable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,8 @@ from repro.patterns.vectors import VectorSequence
 
 #: Number of condition genes (vdd, temperature, clock period).
 CONDITION_GENES = 3
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,31 @@ class TestIndividual:
     origin: str = "ga"
 
     def __post_init__(self) -> None:
-        genes = np.asarray(self.condition_genes, dtype=float)
+        genes = self.condition_genes
+        # Genes that cannot change are adopted: a read-only float64 array
+        # that owns its data.  Anything else is stored as a read-only copy;
+        # the caller's array stays writable.
+        if not (
+            type(genes) is np.ndarray
+            and genes.dtype == _FLOAT64
+            and not genes.flags.writeable
+            and genes.base is None
+        ):
+            genes = np.array(genes, dtype=float)
+            genes.flags.writeable = False
         if genes.shape != (CONDITION_GENES,):
             raise ValueError(
                 f"expected {CONDITION_GENES} condition genes, got {genes.shape}"
             )
-        if np.any(genes < 0.0) or np.any(genes > 1.0):
+        # Compared as Python floats: a NaN gene passes both bounds.
+        if any(gene < 0.0 or gene > 1.0 for gene in genes.tolist()):
             raise ValueError("condition genes must lie in [0, 1]")
         object.__setattr__(self, "condition_genes", genes)
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled or deep-copied array is writable again.
+        self.__dict__.update(state)
+        self.condition_genes.flags.writeable = False
 
     @property
     def evaluated(self) -> bool:
@@ -54,7 +73,11 @@ class TestIndividual:
 
     def with_fitness(self, fitness: float) -> "TestIndividual":
         """Copy with fitness attached."""
-        return replace(self, fitness=float(fitness))
+        # The genome was checked when this individual was made, and its
+        # genes cannot change since: copy the fields without a second check.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, fitness=float(fitness))
+        return twin
 
     def to_test_case(
         self,

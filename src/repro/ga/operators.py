@@ -19,12 +19,14 @@ characterization objective's worst case).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ga.chromosome import TestIndividual
-from repro.patterns._draws import WordBlock, bounded, choices, doubles, pcg64
+from repro.patterns._draws import DOUBLE_SCALE, choice_cdf, doubles, pcg64
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
@@ -73,28 +75,72 @@ def crossover_sequences(
 
 #: Op-code weights of a uniform random cycle, indexed like ``OPS``.
 _OP_WEIGHTS = (0.45, 0.45, 0.10)
+#: The cdf that ``choice(3, p=_OP_WEIGHTS)`` searches, as Python floats.
+_OP_CDF = choice_cdf(_OP_WEIGHTS).tolist()
+
+
+@lru_cache(maxsize=None)
+def _cycle_steps(addr_bits: int, data_bits: int) -> Tuple[Tuple[int, bool], ...]:
+    """``[cached]``: the words one uniform random cycle reads, and whether a
+    32-bit half is cached after it.
+
+    The cycle reads one word for its op-code double, then draws its
+    address and its data: a bus of up to 32 bits reads a 32-bit half, the
+    cached one if any, else the low half of a fresh word whose high half it
+    caches; a wider bus reads one whole word and leaves the cache alone.
+    """
+    steps = []
+    for cached in (False, True):
+        words = 1
+        for bits in (addr_bits, data_bits):
+            if bits > 32:
+                words += 1
+            else:
+                words += not cached
+                cached = not cached
+        steps.append((words, cached))
+    return tuple(steps)
 
 
 def _random_cycles(
-    block: WordBlock,
-    at: np.ndarray,
-    consumed: int,
+    bit_generator: np.random.PCG64,
+    words: Sequence[int],
+    count: int,
+    cached: bool,
+    half: int,
     addr_bits: int,
     data_bits: int,
 ) -> Columns:
-    """Uniform random cycles decoded from ``block``, which is then committed
-    after ``consumed`` words.
+    """``count`` uniform random cycles decoded from ``words``, the words
+    they read as :func:`_cycle_steps` says, in order, from a Generator whose
+    cache held ``half`` if ``cached``.
 
-    Cycle k reads its op code, ``choice(3, p=_OP_WEIGHTS)``, from word
-    ``at[k]`` and its address and data from the halves of word ``at[k] + 1``.
+    ``bit_generator`` stands after the words; it is left with the cache
+    that the scalar calls would leave, stale high half included.
     """
-    halves = block.halves(at + 1)
-    block.commit(consumed, at + 1, 2 * len(at))
-    return (
-        choices(doubles(block.words[at]), _OP_WEIGHTS),
-        bounded(halves[0 : 2 * len(at) : 2], addr_bits),
-        bounded(halves[1 : 2 * len(at) : 2], data_bits),
-    )
+    ops: List[int] = []
+    addresses: List[int] = []
+    data: List[int] = []
+    buses = ((addr_bits, addresses), (data_bits, data))
+    start = (cached, half)
+    take = iter(words).__next__
+    for _ in range(count):
+        ops.append(bisect_right(_OP_CDF, (take() >> 11) * DOUBLE_SCALE))
+        for bits, column in buses:
+            if bits > 32:
+                column.append(take() >> (64 - bits))
+            elif cached:
+                column.append((half << bits) >> 32)
+                cached = False
+            else:
+                word = take()
+                column.append(((word & 0xFFFFFFFF) << bits) >> 32)
+                half, cached = word >> 32, True
+    if (cached, half) != start:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(cached), half
+        bit_generator.state = state
+    return ops, addresses, data
 
 
 def point_mutate_sequence(
@@ -105,27 +151,39 @@ def point_mutate_sequence(
     """Rewrite each cycle independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
-    # Per cycle the scalar loop draws one random() and, when it hits, one
-    # more word for the op code and one for address and data: at most
-    # three words a cycle.  A hit's test double is followed by two words
-    # that are not test doubles.
+    bit_generator = pcg64(rng)
+    state = bit_generator.state
+    cached, half = bool(state["has_uint32"]), state["uinteger"]
+    addr_bits, data_bits = sequence.addr_bits, sequence.data_bits
+    steps = _cycle_steps(addr_bits, data_bits)
+    # Per cycle the scalar loop reads one test double; a hit then reads its
+    # random cycle.  Draw the n test words, then the words the hits read,
+    # and again for the hits among those, until no new word is a hit.
     n = len(sequence)
-    block = WordBlock(rng, 3 * n)
-    hits: List[int] = []
-    for position in np.flatnonzero(doubles(block.words) < rate).tolist():
-        if hits and position < hits[-1] + 3:
-            continue
-        if position - 2 * len(hits) >= n:
+    words = block = bit_generator.random_raw(n)
+    cycles: List[int] = []
+    reads: List[int] = []  # the positions of the words that hits read
+    flag = cached
+    scanned = after = 0
+    while True:
+        for position in (doubles(block) < rate).nonzero()[0].tolist():
+            position += scanned
+            if position < after:
+                continue  # a word of the previous hit's cycle
+            cycles.append(position - len(reads))
+            cost, flag = steps[flag]
+            after = position + 1 + cost
+            reads.extend(range(position + 1, after))
+        if n + len(reads) == len(words):
             break
-        hits.append(position)
-    if not hits:
-        block.commit(n)
+        scanned = len(words)
+        block = bit_generator.random_raw(n + len(reads) - scanned)
+        words = np.concatenate((words, block))
+    if not cycles:
         return sequence
-    # Word ``hits[k]`` is the test double of cycle ``hits[k] - 2k``.
-    at = np.array(hits)
-    cycles = at - 2 * np.arange(len(hits))
     rewritten = _random_cycles(
-        block, at + 1, n + 2 * len(hits), sequence.addr_bits, sequence.data_bits
+        bit_generator, words[reads].tolist(), len(cycles),
+        cached, half, addr_bits, data_bits,
     )
     columns = [column.copy() for column in sequence.columns]
     for column, values in zip(columns, rewritten):
@@ -206,7 +264,8 @@ def motif_mutate_sequence(
     max_length: int = 96,
 ) -> VectorSequence:
     """Overwrite a random segment with a random stimulus motif."""
-    name = str(rng.choice(MOTIF_NAMES))
+    # ``rng.choice(MOTIF_NAMES)`` draws this index, through a string array.
+    name = MOTIF_NAMES[int(rng.integers(0, len(MOTIF_NAMES)))]
     length = int(rng.integers(min_length, max_length + 1))
     length = min(length, len(sequence))
     start = int(rng.integers(0, len(sequence) - length + 1))
@@ -226,18 +285,24 @@ def resize_mutate_sequence(
     max_change: int = 64,
 ) -> VectorSequence:
     """Grow or shrink the sequence within the paper's 100-1000 cycle bounds."""
-    pcg64(rng)
+    bit_generator = pcg64(rng)
     change = int(rng.integers(-max_change, max_change + 1))
     target = min(max(len(sequence) + change, MIN_SEQUENCE_CYCLES), MAX_SEQUENCE_CYCLES)
     columns = [column[:target] for column in sequence.columns]
     grow = target - len(sequence)
     if grow > 0:
-        # Each grown cycle reads two words: its op-code double, then one
-        # word whose halves give address and data.
-        block = WordBlock(rng, 2 * grow)
+        state = bit_generator.state
+        cached, half = bool(state["has_uint32"]), state["uinteger"]
+        addr_bits, data_bits = sequence.addr_bits, sequence.data_bits
+        # Grown cycles read their words back to back.
+        steps = _cycle_steps(addr_bits, data_bits)
+        flag, count = cached, 0
+        for _ in range(grow):
+            cost, flag = steps[flag]
+            count += cost
         grown = _random_cycles(
-            block, np.arange(0, 2 * grow, 2), 2 * grow,
-            sequence.addr_bits, sequence.data_bits,
+            bit_generator, bit_generator.random_raw(count).tolist(), grow,
+            cached, half, addr_bits, data_bits,
         )
         ops, addresses, data = (
             np.concatenate((column, added))

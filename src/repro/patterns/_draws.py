@@ -2,9 +2,9 @@
 
 The random test builders and the GA's point and resize mutation draw a few
 numbers per cycle.  A scalar ``Generator`` call costs from about 0.6 µs
-(``random()``) to 12 µs (``choice`` with ``p``), so this module pulls the
-raw 64-bit words of a whole call in one block and decodes them the way
-numpy's scalar calls would have:
+(``random()``) to 12 µs (``choice`` with ``p``), so they pull the raw
+64-bit words of a whole call at once and decode them the way numpy's
+scalar calls would have:
 
 * ``random()`` reads one word ``w`` as ``(w >> 11) * 2**-53``;
 * ``choice(k, p=p)`` reads one ``random()`` double ``u`` and returns
@@ -19,20 +19,20 @@ numpy's scalar calls would have:
   leaves the cached half alone and returns ``w >> (64 - k)``
   (:func:`bounded_words`).
 
-A caller reads :attr:`WordBlock.words`, works out how many it consumed and
+A builder reads :attr:`WordBlock.words`, works out how many it consumed and
 which of them fed 32-bit draws, and commits that: the Generator ends in the
-very state, cache included, that the scalar calls would have left.
+very state, cache included, that the scalar calls would have left.  Point
+and resize mutation draw only the words they consume and decode the few
+cycles they rewrite as Python ints (``repro.ga.operators``).
 ``tests/patterns/test_draws.py`` checks the four rules against numpy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from numpy.typing import ArrayLike
 
-_DOUBLE_SCALE = 2.0 ** -53
+DOUBLE_SCALE = 2.0 ** -53
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
@@ -49,7 +49,7 @@ def pcg64(rng: np.random.Generator) -> np.random.PCG64:
 
 def doubles(words: np.ndarray) -> np.ndarray:
     """The ``random()`` doubles of raw words."""
-    return (words >> np.uint64(11)) * _DOUBLE_SCALE
+    return (words >> np.uint64(11)) * DOUBLE_SCALE
 
 
 def choice_cdf(p: ArrayLike) -> np.ndarray:
@@ -57,11 +57,6 @@ def choice_cdf(p: ArrayLike) -> np.ndarray:
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
     return cdf
-
-
-def choices(uniforms: np.ndarray, p: Sequence[float]) -> np.ndarray:
-    """``choice(len(p), p=p)`` of each ``random()`` double in ``uniforms``."""
-    return choice_cdf(p).searchsorted(uniforms, side="right")
 
 
 def bounded(halves: np.ndarray, bits: int) -> np.ndarray:

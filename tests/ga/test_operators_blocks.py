@@ -96,7 +96,7 @@ def _assert_same(got, want, rng, ref_rng):
 
 cases = dict(
     seed=st.integers(0, 2**32 - 1),
-    bits=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    bits=st.tuples(st.integers(1, 63), st.integers(1, 63)),
     cycles=st.integers(1, 1000),
     cached=st.booleans(),
 )

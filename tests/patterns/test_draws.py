@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.patterns._draws import WordBlock, bounded, bounded_words, choices, doubles
+from repro.patterns._draws import WordBlock, bounded, bounded_words, choice_cdf, doubles
 
 WEIGHTS = (0.45, 0.45, 0.10)
 
@@ -58,7 +58,9 @@ def block_calls(rng, sequence):
         if call == "random":
             values.append(float(uniforms[at]))
         elif call == "choice":
-            values.append(int(choices(uniforms[at : at + 1], WEIGHTS)[0]))
+            values.append(
+                int(choice_cdf(WEIGHTS).searchsorted(uniforms[at], side="right"))
+            )
         elif at is not None:
             values.append(int(bounded_words(block.words[at : at + 1], call)[0]))
         else:

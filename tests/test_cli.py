@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import _build_parser, _farm_kwargs, main
 
 
@@ -145,6 +152,24 @@ class TestFarmFlags:
         executor = _farm_kwargs(args)["executor"]
         assert isinstance(executor, RemoteExecutor)
         assert executor.address == ("127.0.0.1", 9)
+
+    def test_unreachable_broker_is_a_one_line_error(self):
+        # A port that was just free: nothing listens there.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--broker", f"127.0.0.1:{port}",
+             "lot", "--dies", "2", "--tests", "2"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(
+            f"error: cannot reach farm broker at 127.0.0.1:{port}"
+        )
+        assert "Traceback" not in done.stderr + done.stdout
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_broker_with_a_local_backend_is_an_error(self, backend):
