@@ -39,7 +39,8 @@ what is printed:
 
 * ``--workers N`` — shard the campaign over N worker processes;
 * ``--resume FILE`` — record finished work units to a JSONL checkpoint
-  and skip them when the same command is re-run after an interruption;
+  and skip them when the same command is re-run after an interruption
+  (a lost broker included: the checkpoint is the farm's only record);
 * ``--backend serial|process|remote`` — pick the executor backend
   explicitly;
 * ``--broker HOST:PORT`` — send units to a farm broker's socket workers
@@ -47,8 +48,8 @@ what is printed:
 
 The distributed farm itself (see docs/parallelism.md, "Remote farm")::
 
-    repro-characterize farm-broker [--port 0] [--spool DIR]
-                                   [--metrics-port 0] [--trace FILE]
+    repro-characterize farm-broker [--port 0] [--metrics-port 0]
+                                   [--trace FILE]
     repro-characterize farm-worker --connect HOST:PORT [--name w1]
     repro-characterize farm-top    --broker HOST:PORT [--once]
 
@@ -593,13 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "seconds a silent worker may hold a unit before it is "
             "re-issued (default: 30)"
-        ),
-    )
-    farm_broker.add_argument(
-        "--spool", metavar="DIR",
-        help=(
-            "spool accepted results to per-campaign JSONL files in DIR "
-            "so a restarted broker serves finished units from disk"
         ),
     )
     farm_broker.add_argument(
@@ -1328,7 +1322,6 @@ def _cmd_farm_broker(args) -> int:
         host=args.host,
         port=args.port,
         lease_timeout_s=args.lease_timeout,
-        spool_dir=args.spool,
         metrics_port=args.metrics_port,
     )
     host, port = broker.start()

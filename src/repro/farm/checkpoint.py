@@ -26,11 +26,13 @@ everything else is kept.
 from __future__ import annotations
 
 import base64
+import json
 import logging
 import pickle
-from typing import Dict, Optional
+from pathlib import Path
+from typing import IO, Dict, Optional, Union
 
-from repro.ioutil import JsonlLog
+from repro.ioutil import durable_append_line, iter_jsonl
 from repro.farm.workunit import WorkResult
 from repro.obs.events import event
 from repro.obs.runtime import OBS
@@ -42,7 +44,7 @@ class CheckpointMismatch(RuntimeError):
     """The checkpoint on disk belongs to a different campaign."""
 
 
-class CheckpointStore(JsonlLog):
+class CheckpointStore:
     """Append-only JSONL store of completed work-unit results.
 
     Parameters
@@ -57,6 +59,11 @@ class CheckpointStore(JsonlLog):
 
     kind = "repro.farm.checkpoint"
 
+    def __init__(self, path: Union[str, Path], campaign: str = "") -> None:
+        self.path = Path(path)
+        self.campaign = campaign
+        self._handle: Optional[IO[str]] = None
+
     # -- loading -----------------------------------------------------------------
     def load(self) -> Dict[str, WorkResult]:
         """Completed results on disk, keyed by unit key.
@@ -64,14 +71,25 @@ class CheckpointStore(JsonlLog):
         Corrupt, truncated or non-object lines are skipped with a
         warning — and, with telemetry enabled, counted on the
         ``farm.checkpoint.dropped_lines`` counter and announced by one
-        :class:`~repro.obs.events.FarmCheckpointDropped` event, so a
-        resume that silently lost results is visible in the trace.  A
-        campaign header that does not match raises
-        :class:`CheckpointMismatch`.
+        ``farm_checkpoint_dropped`` event, so a resume that silently
+        lost results is visible in the trace.  A campaign header that
+        does not match raises :class:`CheckpointMismatch`.
         """
         results: Dict[str, WorkResult] = {}
         dropped = 0
-        for number, payload in self.records():
+        if not self.path.exists():
+            return results
+        for number, payload in iter_jsonl(self.path):
+            payload = payload or {}
+            if payload.get("kind") == self.kind:
+                recorded = str(payload.get("campaign", ""))
+                if self.campaign and recorded and recorded != self.campaign:
+                    raise CheckpointMismatch(
+                        f"checkpoint {self.path} was written by campaign "
+                        f"{recorded!r}, refusing to resume campaign "
+                        f"{self.campaign!r}"
+                    )
+                continue
             result = self._decode(payload, number)
             if result is not None:
                 results[result.unit_key] = result
@@ -90,15 +108,6 @@ class CheckpointStore(JsonlLog):
     def completed_keys(self) -> "set[str]":
         """Unit keys already recorded in the checkpoint."""
         return set(self.load())
-
-    def _check_header(self, header: Dict[str, object]) -> None:
-        recorded = str(header.get("campaign", ""))
-        if self.campaign and recorded and recorded != self.campaign:
-            raise CheckpointMismatch(
-                f"checkpoint {self.path} was written by campaign "
-                f"{recorded!r}, refusing to resume campaign "
-                f"{self.campaign!r}"
-            )
 
     def _decode(
         self, payload: Dict[str, object], number: int
@@ -129,10 +138,17 @@ class CheckpointStore(JsonlLog):
     # -- recording ---------------------------------------------------------------
     def record(self, result: WorkResult) -> None:
         """Append one completed unit, flushed immediately."""
+        if self._handle is None or self._handle.closed:
+            is_new = not self.path.exists() or self.path.stat().st_size == 0
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a")
+            if is_new:
+                header = {"schema": 1, "kind": self.kind, "campaign": self.campaign}
+                durable_append_line(self._handle, json.dumps(header, sort_keys=True))
         # The append is fsynced: a unit the executor believes is
         # checkpointed must survive a crash — a torn line here would
         # silently re-run (or drop) the unit on resume.
-        self.append({
+        durable_append_line(self._handle, json.dumps({
             "unit": result.unit_key,
             "index": result.index,
             "measurements": result.measurements,
@@ -143,4 +159,15 @@ class CheckpointStore(JsonlLog):
             "value_b64": base64.b64encode(
                 pickle.dumps(result.value)
             ).decode("ascii"),
-        })
+        }, sort_keys=True))
+
+    def close(self) -> None:
+        """Close the append handle (idempotent; reading stays possible)."""
+        if self._handle is not None and not self._handle.closed:
+            self._handle.close()
+
+    def __enter__(self) -> "CheckpointStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

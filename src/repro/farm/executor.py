@@ -198,10 +198,10 @@ class _ExecutorBase:
 
         ``campaign`` names the run for telemetry: it becomes the trace
         id stamped onto every worker-side event and the
-        :class:`~repro.obs.events.FarmRunStarted` announcement.  A
-        ``checkpoint`` given as a path (the CLI's ``--resume FILE``) is
-        opened as the store of ``campaign`` and closed when the run ends;
-        a :class:`~repro.farm.checkpoint.CheckpointStore` passed in stays
+        ``farm_run_started`` announcement.  A ``checkpoint`` given as a
+        path (the CLI's ``--resume FILE``) is opened as the store of
+        ``campaign`` and closed when the run ends; a
+        :class:`~repro.farm.checkpoint.CheckpointStore` passed in stays
         open for its owner.
         """
         units = list(units)
@@ -246,14 +246,16 @@ class _ExecutorBase:
                 # unit, so the broadcast value cannot depend on scheduling.
                 pilot, pending = pending[0], pending[1:]
                 self._execute(
-                    [pilot], runner, results, checkpoint, broadcast, collector
+                    [pilot], runner, results, checkpoint, broadcast,
+                    collector, campaign,
                 )
             if pending:
                 ordered = [
                     broadcast.apply(unit) for unit in dispatch_order(pending)
                 ]
                 self._execute(
-                    ordered, runner, results, checkpoint, broadcast, collector
+                    ordered, runner, results, checkpoint, broadcast,
+                    collector, campaign,
                 )
         finally:
             # Merge even on FarmExecutionError: the units that did
@@ -273,7 +275,9 @@ class _ExecutorBase:
         checkpoint: Optional[CheckpointStore],
         broadcast: RTPBroadcast,
         collector: Optional[FarmCollector],
+        campaign: str,
     ) -> None:
+        """Run one batch (the pilot, or the rest) of the run ``campaign``."""
         raise NotImplementedError
 
     def _complete(
@@ -350,7 +354,7 @@ class SerialExecutor(_ExecutorBase):
     name = "serial"
 
     def _execute(self, units, runner, results, checkpoint, broadcast,
-                 collector):
+                 collector, campaign):
         failures: List[Tuple[WorkUnit, str]] = []
         for unit in units:
             reason = ""
@@ -560,7 +564,7 @@ class ParallelExecutor(_ExecutorBase):
             )
 
     def _execute(self, units, runner, results, checkpoint, broadcast,
-                 collector):
+                 collector, campaign):
         pending: List[WorkUnit] = list(units)
         failures: List[Tuple[WorkUnit, str]] = []
         config = collector.worker_config() if collector is not None else None

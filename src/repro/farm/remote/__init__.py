@@ -4,8 +4,9 @@ The remote farm stretches :mod:`repro.farm` past one host:
 
 * :class:`FarmBroker` (CLI: ``repro farm-broker``) — the hub.  Holds the
   campaign's pending queue, leases units to workers that pull them
-  (work-stealing), expires silent leases, suppresses duplicate results
-  and spools accepted ones for broker-restart resume.
+  (work-stealing), expires silent leases and suppresses duplicate
+  results.  It keeps nothing across a restart: the client's
+  ``--resume FILE`` checkpoint is the record of finished units.
 * :func:`run_worker` (CLI: ``repro farm-worker --connect HOST:PORT``) —
   a socket worker.  Joins and leaves at any time; heartbeats while
   executing; ships outcome + :class:`~repro.obs.collector.
@@ -27,7 +28,6 @@ from repro.farm.remote.broker import (
     DEFAULT_LEASE_TIMEOUT_S,
     DEFAULT_POLL_S,
     FarmBroker,
-    ResultSpool,
 )
 from repro.farm.remote.executor import RemoteExecutor, RemoteFarmError
 from repro.farm.remote.leases import Lease, LeaseTable
@@ -68,7 +68,6 @@ __all__ = [
     "ProtocolError",
     "RemoteExecutor",
     "RemoteFarmError",
-    "ResultSpool",
     "WorkerRejected",
     "pack",
     "parse_address",

@@ -23,12 +23,10 @@ which may join and leave at any point:
   presumed-dead worker delivering late, or a worker delivering the same
   frame twice, gets ``ack accepted=false`` and the result is dropped,
   so a unit can never be double-merged.
-* **Shared result spool** — with a spool directory, accepted results
-  are appended to a per-campaign JSONL file (same torn-line-tolerant
-  discipline as the checkpoint layer).  A restarted broker serves those
-  results straight from the spool when the same campaign is submitted
-  again — any worker can resume any shard, and none of the finished
-  ones re-run.
+
+The broker keeps no record of finished units across restarts: the
+client's checkpoint (``--resume FILE``) is that record, so a re-run
+against a fresh broker submits only the units it does not hold.
 
 Pushes to the client happen under a per-campaign send lock from
 whichever thread accepted the result; the client executor is always
@@ -38,14 +36,12 @@ frames are small and the peer reads eagerly).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import socket
 import threading
 import time
 from collections import deque
-from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.farm.remote.leases import LeaseTable
 from repro.farm.remote.protocol import (
@@ -55,7 +51,6 @@ from repro.farm.remote.protocol import (
     send_frame,
 )
 from repro.farm.remote.telemetry import BrokerTelemetry, MetricsHTTPServer
-from repro.ioutil import JsonlLog
 from repro.obs.events import event
 from repro.obs.exposition import render_exposition
 
@@ -67,44 +62,6 @@ DEFAULT_POLL_S = 0.25
 #: Default lease lifetime; generous against heartbeat jitter, small
 #: enough that a SIGKILLed worker's units re-issue promptly.
 DEFAULT_LEASE_TIMEOUT_S = 30.0
-
-
-class ResultSpool(JsonlLog):
-    """Broker-side shared checkpoint: accepted results, one JSON line each.
-
-    Stores the pickled-outcome payload exactly as it arrived (base64 in
-    JSON) without ever unpickling it — the broker stays agnostic of the
-    domain types inside.  Telemetry is *not* spooled: a spool-restored
-    unit behaves like a checkpoint-skipped one (result present, worker
-    trace absent), which is the existing resume semantics.
-    """
-
-    kind = "repro.farm.remote.spool"
-
-    #: Append one accepted result, fsynced like a checkpoint line.
-    record = JsonlLog.append
-
-    def load(self) -> Tuple[Dict[str, Dict[str, Any]], int]:
-        """Spooled results keyed by unit key, plus the dropped-line count.
-
-        Tolerant reader (:meth:`~repro.ioutil.JsonlLog.records`): a torn or
-        corrupt line (truncated JSON from a crash mid-append, a payload
-        that is not a result record) is counted and skipped, never
-        fatal — the campaign re-runs those units instead of refusing to
-        start.  The count surfaces in the ``spool_restored`` event so a
-        recovering operator can see how much the spool lost.
-        """
-        results: Dict[str, Dict[str, Any]] = {}
-        dropped = 0
-        for number, payload in self.records():
-            if "key" in payload and "outcome" in payload:
-                results[str(payload["key"])] = payload
-            else:
-                logger.warning(
-                    "spool %s: dropping corrupt line %d", self.path, number
-                )
-                dropped += 1
-        return results, dropped
 
 
 class _WorkerState:
@@ -137,7 +94,6 @@ class _Campaign:
         max_attempts: int,
         lease_timeout_s: float,
         client: socket.socket,
-        spool: Optional[ResultSpool],
     ) -> None:
         self.id = campaign_id
         self.units = units          # key -> packed WorkUnit
@@ -156,7 +112,6 @@ class _Campaign:
         self.client = client
         self.client_lock = threading.Lock()
         self.client_alive = True
-        self.spool = spool
         self.reissues = 0
         #: The hello name of the submitting client — keys its clock
         #: offset estimate in the broker telemetry.
@@ -191,9 +146,6 @@ class FarmBroker:
     poll_s:
         Back-off told to idle workers, and the granularity of the
         lease-expiry sweep.
-    spool_dir:
-        Directory for per-campaign result spools (shared checkpoint);
-        ``None`` disables spooling.
     metrics_port:
         When given, :meth:`start` also binds a tiny HTTP endpoint on
         this port (0 picks a free one; see :attr:`metrics_address`)
@@ -206,7 +158,6 @@ class FarmBroker:
         port: int = 0,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         poll_s: float = DEFAULT_POLL_S,
-        spool_dir: Union[None, str, Path] = None,
         metrics_port: Optional[int] = None,
     ) -> None:
         if lease_timeout_s <= 0:
@@ -215,7 +166,6 @@ class FarmBroker:
         self.port = port
         self.lease_timeout_s = lease_timeout_s
         self.poll_s = poll_s
-        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.metrics_port = metrics_port
         self.telemetry = BrokerTelemetry()
         self._metrics_server: Optional[MetricsHTTPServer] = None
@@ -233,8 +183,6 @@ class FarmBroker:
             "units_dispatched": 0,
             "units_completed": 0,
             "units_failed": 0,
-            "units_restored": 0,
-            "spool_dropped": 0,
             "reissues": 0,
             "duplicates_dropped": 0,
             "stale_heartbeats": 0,
@@ -293,10 +241,7 @@ class FarmBroker:
         """Stop accepting, drop the campaign, join the service threads."""
         self._stop.set()
         with self._lock:
-            campaign = self._campaign
             self._campaign = None
-        if campaign is not None and campaign.spool is not None:
-            campaign.spool.close()
         if self._metrics_server is not None:
             self._metrics_server.shutdown()
             self._metrics_server = None
@@ -570,16 +515,6 @@ class FarmBroker:
                             - len(campaign.failed),
                         )
                     self._campaign = None
-            if campaign.spool is not None:
-                campaign.spool.close()
-
-    def _spool_for(self, campaign_id: str) -> Optional[ResultSpool]:
-        if self.spool_dir is None:
-            return None
-        digest = hashlib.sha256(campaign_id.encode("utf-8")).hexdigest()[:16]
-        return ResultSpool(
-            self.spool_dir / f"spool-{digest}.jsonl", campaign_id
-        )
 
     def _accept_submit(
         self,
@@ -602,7 +537,6 @@ class FarmBroker:
             order.append(key)
         max_attempts = max(1, int(submit.get("max_attempts") or 1))
         lease_s = float(submit.get("lease_s") or self.lease_timeout_s)
-        spool = self._spool_for(campaign_id)
         campaign = _Campaign(
             campaign_id=campaign_id,
             units=units,
@@ -612,82 +546,33 @@ class FarmBroker:
             max_attempts=max_attempts,
             lease_timeout_s=lease_s,
             client=conn,
-            spool=spool,
         )
         campaign.client_name = client_name
-        restored: List[Dict[str, Any]] = []
-        spool_dropped = 0
-        if spool is not None:
-            spooled, spool_dropped = spool.load()
-            for key, payload in spooled.items():
-                if key in units and key not in campaign.leases.completed:
-                    campaign.leases.completed[key] = int(
-                        payload.get("attempt", 1)
-                    )
-                    restored.append(payload)
-            if restored:
-                done = set(campaign.leases.completed)
-                campaign.pending = deque(
-                    key for key in order if key not in done
-                )
-        metrics = self.telemetry.metrics
-        metrics.counter("farm.campaigns").inc()
+        self.telemetry.metrics.counter("farm.campaigns").inc()
         self.telemetry.emit(
             event(
                 "broker_campaign_started",
                 campaign=campaign_id,
                 units=len(units),
-                restored=len(restored),
                 max_attempts=max_attempts,
                 lease_s=lease_s,
             ),
             campaign=campaign_id,
         )
-        if spool is not None and (restored or spool_dropped):
-            metrics.counter("farm.spool_restored").inc(len(restored))
-            metrics.counter("farm.spool_dropped").inc(spool_dropped)
-            self.telemetry.emit(
-                event(
-                    "spool_restored",
-                    campaign=campaign_id,
-                    restored=len(restored),
-                    dropped=spool_dropped,
-                ),
-                campaign=campaign_id,
-            )
-        logger.info(
-            "campaign %r accepted: %d unit(s), %d restored from spool "
-            "(%d spool line(s) dropped)",
-            campaign_id, len(units), len(restored), spool_dropped,
-        )
-        # Publish the campaign, accept it and replay its restored results
-        # under one lock hold.  Workers lease (and their "leased", "done"
-        # and "campaign_done" frames reach the client) only afterwards, so
-        # the client reads "accepted" first and every restored result
-        # before "campaign_done".
+        logger.info("campaign %r accepted: %d unit(s)", campaign_id, len(units))
+        # Publish the campaign and accept it under one lock hold.  Workers
+        # lease (and their "leased", "done" and "campaign_done" frames
+        # reach the client) only afterwards, so the client reads
+        # "accepted" first.
         with self._lock:
             self._campaign = campaign
             self.stats["campaigns"] += 1
-            self.stats["units_restored"] += len(restored)
-            self.stats["spool_dropped"] += spool_dropped
             send_frame(conn, {
                 "type": "accepted",
                 "campaign": campaign_id,
                 "pending": len(campaign.pending),
-                "restored": len(restored),
             })
-            for payload in restored:
-                campaign.push({
-                    "type": "done",
-                    "key": payload["key"],
-                    "attempt": int(payload.get("attempt", 1)),
-                    "worker": str(payload.get("worker", "spool")),
-                    "elapsed_s": float(payload.get("elapsed_s", 0.0)),
-                    "outcome": payload["outcome"],
-                    "telemetry": None,
-                    "restored": True,
-                })
-                campaign.delivered.add(payload["key"])
+            # A submit of no units is finished as soon as it is accepted.
             self._maybe_finish(campaign)
         return campaign
 
@@ -865,23 +750,12 @@ class FarmBroker:
             self.stats["units_completed"] += 1
             if state is not None:
                 state.completed += 1
-            payload = {
-                "key": key,
-                "attempt": attempt,
-                "worker": name,
-                "elapsed_s": float(frame.get("elapsed_s") or 0.0),
-                "outcome": str(frame.get("outcome")),
-            }
-            if campaign.spool is not None:
-                try:
-                    campaign.spool.record(payload)
-                except OSError as exc:
-                    logger.warning("spool write failed: %s", exc)
+        elapsed_s = float(frame.get("elapsed_s") or 0.0)
         metrics = self.telemetry.metrics
         metrics.counter("farm.units_completed").inc()
         metrics.counter("farm.worker_units").inc(label=name)
         metrics.histogram("farm.lease_age_seconds").observe(lease_age_s)
-        metrics.histogram("farm.unit_seconds").observe(payload["elapsed_s"])
+        metrics.histogram("farm.unit_seconds").observe(elapsed_s)
         self.telemetry.emit(
             event(
                 "lease_completed",
@@ -896,8 +770,8 @@ class FarmBroker:
             "key": key,
             "attempt": attempt,
             "worker": name,
-            "elapsed_s": payload["elapsed_s"],
-            "outcome": payload["outcome"],
+            "elapsed_s": elapsed_s,
+            "outcome": str(frame.get("outcome")),
             "telemetry": frame.get("telemetry"),
         })
         with self._lock:

@@ -15,9 +15,8 @@ and delegates only the *scheduling* to the broker's work-stealing queue:
   the checkpoint, and the merged trace — are byte-identical to a serial
   run with the same seeds.
 * Retries are broker-side (lease expiry, worker death, runner errors);
-  the client only narrates them as the usual
-  :class:`~repro.obs.events.FarmUnitRetried` events.  A unit that
-  exhausts ``max_attempts`` raises the same
+  the client only narrates them as the usual ``farm_unit_retried``
+  events.  A unit that exhausts ``max_attempts`` raises the same
   :class:`~repro.farm.executor.FarmExecutionError`.
 
 Losing the broker mid-campaign raises :class:`RemoteFarmError`; every
@@ -95,21 +94,6 @@ class RemoteExecutor(_ExecutorBase):
         self.connect_timeout_s = connect_timeout_s
         #: Elastic pool: the worker count is whatever joins the broker.
         self.workers = 0
-        self._campaign_id = ""
-        self._batch = 0
-
-    def run(self, units, runner, checkpoint=None, rtp_broadcast=False,
-            campaign=""):
-        # The base template may call _execute twice (pilot batch, then
-        # the broadcast-stamped rest).  Each batch is one broker
-        # campaign; suffixing keeps their ids — and therefore their
-        # spool files — distinct while staying stable across re-runs.
-        self._campaign_id = campaign or "farm"
-        self._batch = 0
-        return super().run(
-            units, runner, checkpoint=checkpoint,
-            rtp_broadcast=rtp_broadcast, campaign=campaign,
-        )
 
     # -- wire plumbing ----------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -166,12 +150,11 @@ class RemoteExecutor(_ExecutorBase):
 
     # -- campaign loop ----------------------------------------------------------
     def _execute(self, units, runner, results, checkpoint, broadcast,
-                 collector):
-        self._batch += 1
-        campaign_id = (
-            self._campaign_id if self._batch == 1
-            else f"{self._campaign_id}#b{self._batch}"
-        )
+                 collector, campaign):
+        # The pilot and the broadcast-stamped rest of one run are two
+        # broker campaigns under the run's one id, so a worker pinned to
+        # it serves both.
+        campaign_id = campaign or "farm"
         by_key = {unit.key: unit for unit in units}
         failures: List[Tuple] = []
         sock = self._connect()

@@ -21,7 +21,7 @@ frame            direction  meaning
 ``reject``       broker  →  hello refused (version/campaign mismatch)
 ``submit``       client  →  a batch of units + runner reference + capture
                             config + retry/lease policy
-``accepted``     broker  →  submit acknowledged (pending/restored counts)
+``accepted``     broker  →  submit acknowledged (pending count)
 ``request``      worker  →  pull one unit (work-stealing: workers ask,
                             the broker never pushes ahead of demand)
 ``unit``         broker  →  one leased unit (key, attempt, lease seconds)

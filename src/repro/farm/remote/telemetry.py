@@ -12,12 +12,13 @@ surfaces the rest of the repo already speaks:
   Prometheus text by :class:`MetricsHTTPServer` for
   ``farm-broker --metrics-port`` and for the ``serve --broker`` proxy.
 * **Events** — :mod:`repro.obs.events` payloads
-  (``lease_issued`` … ``spool_restored``), pre-stamped with ``ts`` and
-  trace context (trace_id=campaign, span_id=unit key, worker=worker
-  name) because the broker emits from many connection threads and the
-  process-global trace context is not thread-safe.  Payloads are
-  buffered per campaign so the ``campaign_done`` frame can ship them to
-  the submitting client, whose trace then tells the broker-side story.
+  (``broker_campaign_started`` … ``duplicate_suppressed``), pre-stamped
+  with ``ts`` and trace context (trace_id=campaign, span_id=unit key,
+  worker=worker name) because the broker emits from many connection
+  threads and the process-global trace context is not thread-safe.
+  Payloads are buffered per campaign so the ``campaign_done`` frame can
+  ship them to the submitting client, whose trace then tells the
+  broker-side story.
 * **Clock skew** — :class:`ClockEstimator` turns the paired
   wall+monotonic stamps carried by hello/heartbeat frames into a
   min-filtered per-worker offset (the classic min-RTT argument: the

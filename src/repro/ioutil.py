@@ -1,8 +1,8 @@
 """Crash-safe JSONL and file primitives: one writer pair, one reader.
 
 Campaign state is persisted as it happens — the ``runs.jsonl`` run
-history, the farm's checkpoint store, the broker's result spool, the
-telemetry trace and the worst-case database export.  All of them feed
+history, the farm's checkpoint store, the telemetry trace and the
+worst-case database export.  All of them feed
 the :mod:`repro.store` migration path, so a torn line or half-written
 file is not just a local nuisance: it is a corrupt record a later
 ``repro store import`` would have to forgive.  This module centralizes
@@ -22,9 +22,6 @@ definition of what reading "tolerantly" means:
   line that is not a UTF-8 JSON object.  Each caller decides what a
   ``None`` costs (a counted drop, or a typed error); none of them can
   be crashed by a stray byte.
-
-:class:`JsonlLog` composes the append and read halves into the one
-durable result log behind the farm checkpoint and the broker spool.
 
 Deliberately dependency-free (stdlib only, no ``repro`` imports) so any
 layer — ``repro.obs``, ``repro.farm``, ``repro.core``, ``repro.store``
@@ -127,57 +124,3 @@ def iter_jsonl(
             if yielded == limit:
                 return
 
-
-class JsonlLog:
-    """Append-only JSONL record log behind one header line.
-
-    The first append to an empty file writes the header
-    ``{"campaign": ..., "kind": ..., "schema": 1}``; every line is a
-    :func:`durable_append_line` of sorted-key JSON.  :meth:`records`
-    reads tolerantly: header lines go to :meth:`_check_header`, and a
-    damaged line comes back as ``{}`` for the caller to count and drop.
-    Subclasses set :attr:`kind`.
-    """
-
-    kind = ""
-
-    def __init__(self, path: Union[str, Path], campaign: str = "") -> None:
-        self.path = Path(path)
-        self.campaign = campaign
-        self._handle: Optional[IO[str]] = None
-
-    def records(self) -> Iterator[Tuple[int, Dict[str, object]]]:
-        """``(line_number, record)`` for every non-header line on disk."""
-        if not self.path.exists():
-            return
-        for number, record in iter_jsonl(self.path):
-            record = record or {}
-            if record.get("kind") == self.kind:
-                self._check_header(record)
-            else:
-                yield number, record
-
-    def _check_header(self, header: Dict[str, object]) -> None:
-        """Validate a header line; the default accepts any."""
-
-    def append(self, record: Dict[str, object]) -> None:
-        """Append one record, flushed and fsynced before returning."""
-        if self._handle is None or self._handle.closed:
-            is_new = not self.path.exists() or self.path.stat().st_size == 0
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-            if is_new:
-                header = {"schema": 1, "kind": self.kind, "campaign": self.campaign}
-                durable_append_line(self._handle, json.dumps(header, sort_keys=True))
-        durable_append_line(self._handle, json.dumps(record, sort_keys=True))
-
-    def close(self) -> None:
-        """Close the append handle (idempotent; reading stays possible)."""
-        if self._handle is not None and not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -244,8 +244,8 @@ EVENT_FIELDS: Dict[str, Dict[str, Coerce]] = {
         # -- remote farm: the broker's control plane, stamped with ``ts``
         # and trace context by ``BrokerTelemetry.emit``; the client emits
         # the closing ``broker_clock_sync``
-        "broker_campaign_started": "campaign:str units:int restored:int "
-        "max_attempts:int lease_s:float",
+        "broker_campaign_started": "campaign:str units:int max_attempts:int "
+        "lease_s:float",
         "worker_joined": "worker:str worker_id:str",
         "worker_left": "worker:str worker_id:str completed:int failed:int",
         "lease_issued": "key:str attempt:int worker:str",
@@ -255,7 +255,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Coerce]] = {
         "lease_completed": "key:str attempt:int worker:str age_s:float "
         "ok:bool",
         "duplicate_suppressed": "key:str attempt:int worker:str",
-        "spool_restored": "campaign:str restored:int dropped:int",
         "broker_clock_sync": "campaign:str offsets:{finite} "
         "client_offset_s:finite",
     }.items()
@@ -408,7 +407,6 @@ _INFO_EVENT_TYPES = frozenset(
         "broker_campaign_started",
         "worker_joined",
         "worker_left",
-        "spool_restored",
         "broker_clock_sync",
     }
 )

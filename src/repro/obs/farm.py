@@ -35,7 +35,6 @@ BROKER_EVENT_TYPES = frozenset(
         "lease_reissued",
         "lease_completed",
         "duplicate_suppressed",
-        "spool_restored",
     }
 )
 

@@ -224,7 +224,6 @@ def build_chrome_trace(
             "worker_joined",
             "worker_left",
             "broker_campaign_started",
-            "spool_restored",
         ):
             saw_broker = True
             if kind == "lease_reissued":
@@ -237,18 +236,9 @@ def build_chrome_trace(
                 verb = "join" if kind == "worker_joined" else "leave"
                 name = f"{verb} {record.get('worker')}"
                 args = {"worker_id": record.get("worker_id", "")}
-            elif kind == "spool_restored":
-                name = (
-                    f"spool restored {record.get('restored')} "
-                    f"(dropped {record.get('dropped')})"
-                )
-                args = {"campaign": record.get("campaign", "")}
             else:
                 name = f"campaign {record.get('campaign')}"
-                args = {
-                    "units": record.get("units", 0),
-                    "restored": record.get("restored", 0),
-                }
+                args = {"units": record.get("units", 0)}
             events.append(
                 {
                     "name": name,

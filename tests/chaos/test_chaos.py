@@ -9,6 +9,9 @@ data.  Scenarios:
 * a silent worker that leases a unit and never heartbeats (lease
   expiry → re-issue; its late result is suppressed);
 * duplicate delivery of the same result frame;
+* a ``repro.cli farm-broker`` SIGKILLed mid-campaign: the client raises
+  ``RemoteFarmError``, and a re-run against a fresh broker resumes from
+  the client's checkpoint without re-running the finished units;
 * a full ``repro.cli lot`` campaign over subprocess workers with one
   worker killed mid-campaign, compared byte-for-byte (``cmp``-style)
   against the serial export.
@@ -25,11 +28,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.farm.checkpoint import CheckpointStore
 from repro.farm.executor import SerialExecutor
 from repro.farm.remote import (
     PROTOCOL_VERSION,
     FarmBroker,
     RemoteExecutor,
+    RemoteFarmError,
     pack,
     recv_frame,
     run_worker,
@@ -71,12 +76,12 @@ def _serial_bytes(units):
     return _merged_bytes(SerialExecutor().run(units, deterministic_runner))
 
 
-def _start_thread_worker(address, name, delay_s=0.0):
+def _start_thread_worker(address, name, delay_s=0.0, max_units=None):
     def serve():
         if delay_s:
             time.sleep(delay_s)
         try:
-            run_worker(address, name=name)
+            run_worker(address, name=name, max_units=max_units)
         except OSError:
             pass
 
@@ -105,6 +110,36 @@ def _spawn_worker_process(address, name):
         cwd=str(REPO_ROOT), env=_worker_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
+
+
+def _spawn_broker_process():
+    """A ``repro.cli farm-broker`` subprocess and the address it printed."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "farm-broker", "--port", "0"],
+        cwd=str(REPO_ROOT), env=_worker_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    line = proc.stdout.readline()
+    assert line.startswith("broker listening on "), line
+    host, port = line.split()[-1].rsplit(":", 1)
+    return proc, (host, int(port))
+
+
+class _KillBrokerAfter(CheckpointStore):
+    """A checkpoint that SIGKILLs the broker once it holds ``k`` units."""
+
+    def __init__(self, path, broker, k):
+        super().__init__(path)
+        self.broker = broker
+        self.k = k
+        self.recorded = 0
+
+    def record(self, result):
+        super().record(result)
+        self.recorded += 1
+        if self.recorded == self.k:
+            self.broker.send_signal(signal.SIGKILL)
+            self.broker.wait(timeout=10.0)
 
 
 class _FakeWorker:
@@ -284,6 +319,55 @@ class TestDuplicateDelivery:
             assert _merged_bytes(merged["results"]) == expected
             assert broker.stats["duplicates_dropped"] == 1
         healthy.join(timeout=5.0)
+
+
+class TestKilledBroker:
+    def test_rerun_against_fresh_broker_resumes_from_checkpoint(
+        self, tmp_path
+    ):
+        """The client's checkpoint is the farm's only record of finished
+        units: a broker killed after ``k`` results fails the run, and a
+        re-run against a fresh broker takes those ``k`` from the
+        checkpoint without executing them again."""
+        k = 2
+        log = tmp_path / "executed.log"
+        units = _units(5, log=str(log))
+        expected = _serial_bytes(_units(5))
+        path = tmp_path / "resume.jsonl"
+        broker, address = _spawn_broker_process()
+        try:
+            # One worker that stops after k units: no result can reach
+            # the client between the k-th and the kill.
+            worker = _start_thread_worker(address, "w1", max_units=k)
+            with _KillBrokerAfter(path, broker, k) as store:
+                with pytest.raises(RemoteFarmError):
+                    RemoteExecutor(address).run(
+                        units, deterministic_runner, checkpoint=store
+                    )
+        finally:
+            if broker.poll() is None:
+                broker.kill()
+            broker.wait(timeout=10.0)
+        worker.join(timeout=10.0)
+        first = log.read_text().split()
+        assert len(first) == k
+
+        with FarmBroker(port=0, poll_s=0.02) as fresh:
+            worker = _start_thread_worker(fresh.address, "w2")
+            with CheckpointStore(path) as store:
+                results = RemoteExecutor(fresh.address).run(
+                    units, deterministic_runner, checkpoint=store
+                )
+            assert fresh.stats["units_dispatched"] == len(units) - k
+        worker.join(timeout=5.0)
+        assert sorted(
+            r.unit_key for r in results if r.from_checkpoint
+        ) == sorted(first)
+        executed = log.read_text().split()
+        assert sorted(executed[k:]) == sorted(
+            unit.key for unit in units if unit.key not in first
+        )
+        assert _merged_bytes(results) == expected
 
 
 class TestChaoticLotCampaign:

@@ -2,8 +2,8 @@
 
 These talk the wire protocol directly (no RemoteExecutor, no
 run_worker) so each broker decision — version rejection, stale
-campaign pins, duplicate suppression, retry exhaustion, spool
-restore — is observable frame by frame.
+campaign pins, duplicate suppression, retry exhaustion — is
+observable frame by frame.
 """
 
 import socket
@@ -153,7 +153,6 @@ class TestCampaignFlow:
             accepted = _submit(client, "camp", ["u/1", "u/2"])
             assert accepted["type"] == "accepted"
             assert accepted["pending"] == 2
-            assert accepted["restored"] == 0
 
             assert _hello(worker, "worker", worker="w1")["type"] == "welcome"
             for expected_key in ("u/1", "u/2"):
@@ -360,76 +359,3 @@ class TestCompletionOrdering:
             first.close()
             second.close()
 
-
-class TestSpoolRestore:
-    def test_broker_restart_restores_completed_units(self, tmp_path):
-        spool_dir = tmp_path / "spool"
-        keys = ["u/1", "u/2", "u/3"]
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            worker = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                assert _submit(client, "resume-camp", keys)["type"] == \
-                    "accepted"
-                assert _hello(worker, "worker",
-                              worker="w1")["type"] == "welcome"
-                # Complete only two of three units, then the broker dies.
-                for _ in range(2):
-                    unit = _pull(worker)
-                    _deliver(worker, unit["key"], unit["attempt"])
-            finally:
-                client.close()
-                worker.close()
-        assert list(spool_dir.glob("spool-*.jsonl"))
-
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            worker = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                accepted = _submit(client, "resume-camp", keys)
-                assert accepted["type"] == "accepted"
-                assert accepted["restored"] == 2
-                assert accepted["pending"] == 1
-                assert _hello(worker, "worker",
-                              worker="w1")["type"] == "welcome"
-                unit = _pull(worker)
-                assert unit["type"] == "unit"
-                assert unit["key"] == "u/3"
-                _deliver(worker, "u/3", unit["attempt"])
-                frames = _drain_until(client, "campaign_done")
-                restored = [f for f in frames if f["type"] == "done"
-                            and f.get("restored")]
-                assert sorted(f["key"] for f in restored) == ["u/1", "u/2"]
-                assert frames[-1]["completed"] == 3
-            finally:
-                client.close()
-                worker.close()
-            assert live.stats["units_restored"] == 2
-
-    def test_spool_for_other_campaign_not_reused(self, tmp_path):
-        spool_dir = tmp_path / "spool"
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            worker = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                assert _submit(client, "camp-a", ["u/1"])["type"] == "accepted"
-                assert _hello(worker, "worker",
-                              worker="w1")["type"] == "welcome"
-                unit = _pull(worker)
-                _deliver(worker, unit["key"], unit["attempt"])
-                _drain_until(client, "campaign_done")
-            finally:
-                client.close()
-                worker.close()
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                accepted = _submit(client, "camp-b", ["u/1"])
-                assert accepted["restored"] == 0
-                assert accepted["pending"] == 1
-            finally:
-                client.close()

@@ -15,9 +15,14 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.ate.measurement import MeasurementModel
+from repro.ate.tester import ATE
+from repro.core.lot import EnvironmentalSweep
+from repro.device.memory_chip import MemoryTestChip
 from repro.farm import executor as executor_module
 from repro.farm.checkpoint import CheckpointStore
 from repro.farm.executor import (
@@ -37,6 +42,8 @@ from repro.farm.remote import (
     send_frame,
 )
 from repro.farm.workunit import WorkUnit
+from repro.patterns.conditions import NOMINAL_CONDITION
+from repro.patterns.random_gen import RandomTestGenerator
 
 from tests.farm.runners import (
     echo_runner,
@@ -123,8 +130,50 @@ class TestRemoteExecution:
             )
         assert [r.value for r in remote] == [r.value for r in serial]
         assert [r.rtp for r in remote] == [r.rtp for r in serial]
-        # Two batches (pilot + broadcast rest) means two broker campaigns.
+        # Two batches (pilot + broadcast rest) are two broker campaigns.
         assert broker.stats["campaigns"] == 2
+
+    def test_pinned_worker_serves_every_batch_of_a_sweep(self):
+        """A worker pinned to a sweep's campaign id runs the pilot cell
+        and then the broadcast-stamped rest: both batches are submitted
+        under the sweep's one id.  The client is waited for with a
+        bound, so a pinned worker left idling fails the test."""
+        ate = ATE(MemoryTestChip(), measurement=MeasurementModel(0.02, seed=11))
+        sweep = EnvironmentalSweep(ate, (15.0, 45.0), seed=5)
+        test = RandomTestGenerator(seed=61).batch(1)[0].with_condition(
+            NOMINAL_CONDITION
+        )
+        axes = ((1.7, 1.9), (25.0, 85.0))
+        serial = sweep.sweep(test, *axes)
+        # The id EnvironmentalSweep.sweep gives its farm run.
+        campaign = f"sweep:seed=5:grid=2x2:test={test.name}"
+        remote = {}
+        with FarmBroker(port=0, poll_s=0.02) as broker:
+            worker = threading.Thread(
+                target=_quiet_worker, args=(broker.address,),
+                kwargs={"name": "pinned", "campaign": campaign},
+                daemon=True,
+            )
+            worker.start()
+            client = threading.Thread(
+                target=lambda: remote.update(result=sweep.sweep(
+                    test, *axes, executor=RemoteExecutor(broker.address)
+                )),
+                daemon=True,
+            )
+            client.start()
+            client.join(timeout=30.0)
+            pending = broker.stats_payload()["queue_depth"]
+        # The broker is down: a stalled client and the worker both exit.
+        client.join(timeout=10.0)
+        worker.join(timeout=10.0)
+        assert "result" in remote, (
+            f"pinned worker stalled with {pending} unit(s) pending"
+        )
+        np.testing.assert_array_equal(
+            remote["result"].trip_points, serial.trip_points
+        )
+        assert remote["result"].measurements == serial.measurements
 
     def test_broker_side_retry_of_flaky_unit(self, tmp_path):
         units = [

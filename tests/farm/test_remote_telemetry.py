@@ -3,9 +3,8 @@
 Covers the observability layer the broker grew around the wire
 protocol: the min-filter clock-skew estimator fed by paired
 wall+monotonic stamps, the pre-stamped event payloads shipped in
-``campaign_done``, the tolerant spool reader's dropped-line accounting,
-duplicate suppression across a spool restore, the ``stats`` protocol
-role behind ``repro farm-top``, and the embedded Prometheus endpoint.
+``campaign_done``, the ``stats`` protocol role behind
+``repro farm-top``, and the embedded Prometheus endpoint.
 """
 
 import json
@@ -26,7 +25,6 @@ from repro.farm.remote import (
     recv_frame,
     send_frame,
 )
-from repro.farm.remote.broker import ResultSpool
 from repro.farm.remote.telemetry import (
     BrokerTelemetry,
     ClockEstimator,
@@ -192,94 +190,6 @@ class TestBrokerTelemetry:
         telemetry.observe_clock("b", clock_stamp())
         telemetry.forget_clock("a")
         assert set(telemetry.clock_offsets()) == {"b"}
-
-
-class TestResultSpoolLoad:
-    def test_missing_file_is_empty(self, tmp_path):
-        spool = ResultSpool(tmp_path / "absent.jsonl", "camp")
-        assert spool.load() == ({}, 0)
-
-    def test_counts_torn_and_malformed_lines(self, tmp_path):
-        path = tmp_path / "spool.jsonl"
-        good = {"key": "u/1", "attempt": 1, "outcome": "payload"}
-        lines = [
-            json.dumps({"schema": 1, "kind": "repro.farm.remote.spool",
-                        "campaign": "camp"}),
-            json.dumps(good),
-            '{"key": "u/2", "attempt": 1, "outc',   # torn mid-append
-            "[1, 2, 3]",                            # JSON but not a record
-            json.dumps({"key": "u/3"}),             # missing outcome
-            json.dumps({"key": "u/4", "attempt": 2, "outcome": "p4"}),
-            "",                                     # blank line: not counted
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        results, dropped = ResultSpool(path, "camp").load()
-        assert sorted(results) == ["u/1", "u/4"]
-        assert results["u/1"] == good
-        assert dropped == 3
-
-    def test_round_trip_records_count_nothing_dropped(self, tmp_path):
-        path = tmp_path / "spool.jsonl"
-        spool = ResultSpool(path, "camp")
-        spool.record({"key": "u/1", "attempt": 1, "outcome": "p"})
-        spool.record({"key": "u/2", "attempt": 1, "outcome": "q"})
-        spool.close()
-        results, dropped = ResultSpool(path, "camp").load()
-        assert sorted(results) == ["u/1", "u/2"]
-        assert dropped == 0
-
-
-class TestDuplicateAfterSpoolRestore:
-    def test_late_delivery_of_restored_unit_is_suppressed(self, tmp_path):
-        """A unit restored from the spool is *completed*: a worker that
-        re-delivers it after the broker restart gets the duplicate
-        treatment, counted in both stats and the metrics registry."""
-        spool_dir = tmp_path / "spool"
-        keys = ["u/1", "u/2"]
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            worker = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                assert _submit(client, "dup-camp", keys)["type"] == "accepted"
-                assert _hello(worker, "worker",
-                              worker="w1")["type"] == "welcome"
-                unit = _pull(worker)
-                first_key, first_attempt = unit["key"], unit["attempt"]
-                _deliver(worker, first_key, first_attempt)
-            finally:
-                client.close()
-                worker.close()
-
-        with FarmBroker(port=0, poll_s=0.05, spool_dir=spool_dir) as live:
-            client = _connect(live.address)
-            worker = _connect(live.address)
-            try:
-                assert _hello(client, "client")["type"] == "welcome"
-                accepted = _submit(client, "dup-camp", keys)
-                assert accepted["restored"] == 1
-                assert _hello(worker, "worker",
-                              worker="w1")["type"] == "welcome"
-                # The presumed-lost worker re-delivers the restored unit.
-                ack = _deliver(worker, first_key, first_attempt)
-                assert ack["accepted"] is False
-                assert "duplicate" in ack["reason"]
-                assert live.stats["duplicates_dropped"] == 1
-                counters = live.telemetry.metrics.snapshot()["counters"]
-                assert counters["farm.duplicate_suppressed"]["value"] == 1
-                assert counters["farm.spool_restored"]["value"] == 1
-                # The restore itself was announced as an event.
-                drained = live.telemetry.drain_events()
-                restored = [p for p in drained
-                            if p["type"] == "spool_restored"]
-                assert restored and restored[0]["restored"] == 1
-                assert restored[0]["dropped"] == 0
-                suppressed = [p for p in drained
-                              if p["type"] == "duplicate_suppressed"]
-                assert suppressed and suppressed[0]["key"] == first_key
-            finally:
-                client.close()
-                worker.close()
 
 
 class TestHeartbeatSkewStamps:

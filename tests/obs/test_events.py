@@ -52,7 +52,7 @@ class TestEventSchema:
             event("farm_unit_skipped", key="u/0", colour="red")
 
     def test_schema_fields_are_distinct_and_never_stamps(self):
-        assert len(EVENT_FIELDS) == 36
+        assert len(EVENT_FIELDS) == 35
         for name, fields in EVENT_FIELDS.items():
             assert len(set(fields)) == len(fields), name
             assert not {"type", "ts"} & set(fields), name

@@ -74,6 +74,16 @@ DAMAGED_LINES = (
 )
 
 
+#: Lines of a broker event type and an event field the broker no longer
+#: writes.  Each is one kept event by the rules every line follows: an
+#: unknown type keeps its fields, and an undeclared field passes through.
+REMOVED_SCHEMA_LINES = (
+    json.dumps({"type": "spool_restored", "campaign": "c", "restored": 2,
+                "dropped": 1, "ts": 2e9}),
+    _line("broker_campaign_started", restored=2),
+)
+
+
 def _footer_count(summary):
     marker = " malformed line(s) skipped)"
     lines = [line for line in summary.splitlines() if line.endswith(marker)]
@@ -83,12 +93,23 @@ def _footer_count(summary):
 @pytest.mark.parametrize("name", ("serial", "lot"))
 def test_damaged_lines_are_counted_and_change_no_other_view(name, tmp_path):
     clean = tmp_path / "clean.jsonl"
-    clean.write_bytes(fixture_bytes(name))
+    clean.write_bytes(
+        fixture_bytes(name)
+        + "".join(f"{line}\n" for line in REMOVED_SCHEMA_LINES).encode()
+    )
     damaged = tmp_path / "damaged.jsonl"
     damaged.write_bytes(
-        fixture_bytes(name) + "".join(f"{line}\n" for line in DAMAGED_LINES).encode()
+        clean.read_bytes()
+        + "".join(f"{line}\n" for line in DAMAGED_LINES).encode()
     )
+    fixture = TraceFold.of(map(json.loads, fixture_bytes(name).splitlines()))
+    old = TraceFold.load(clean)
+    assert old.events == fixture.events + len(REMOVED_SCHEMA_LINES)
+    assert old.dropped_lines == fixture.dropped_lines == 0
+    assert old.unknown_types == {"spool_restored": 1}
     before = cli_views(clean, tmp_path)
+    for view in ("summary", "report", "timeline"):
+        assert before[view].startswith("exit=0\n")
     after = cli_views(damaged, tmp_path)
     assert _footer_count(after["summary"]) == (
         _footer_count(before["summary"]) + len(DAMAGED_LINES)

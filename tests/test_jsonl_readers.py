@@ -1,11 +1,10 @@
 """Every JSONL reader survives arbitrary bytes between valid records.
 
-Traces, the run history, farm checkpoints and the broker's result spool
-are all read through :func:`repro.ioutil.iter_jsonl`.  Whatever lands
-between two valid records — a torn write, a stray byte that is not
-UTF-8, valid JSON that is not an object — each reader must recover every
-valid record and either count the bad lines or raise only its own typed
-error.  ``UnicodeDecodeError``, ``AttributeError`` and ``KeyError`` are
+Traces, the run history and farm checkpoints are all read through
+:func:`repro.ioutil.iter_jsonl`.  Whatever lands between two valid
+records — a torn write, a stray byte that is not UTF-8, valid JSON that
+is not an object — each reader must recover every valid record and
+either count the bad lines or raise only its own typed error.  ``UnicodeDecodeError``, ``AttributeError`` and ``KeyError`` are
 never acceptable.
 """
 
@@ -18,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.farm.checkpoint import CheckpointMismatch, CheckpointStore
-from repro.farm.remote.broker import ResultSpool
 from repro.ioutil import iter_jsonl
 from repro.obs.history import RUN_KIND, RUN_SCHEMA, RunHistory
 from repro.obs.report import TraceFold
@@ -166,22 +164,6 @@ class TestTraceReaders:
 
 
 class TestStoreReaders:
-    @settings(max_examples=150, deadline=None)
-    @given(PARTS)
-    @example(TORN)
-    def test_spool_recovers_and_counts(self, scratch, parts):
-        header = {"schema": 1, "kind": "repro.farm.remote.spool",
-                  "campaign": "c"}
-        data, valid = _file_bytes(
-            parts,
-            lambda index: {"key": f"u{index}", "outcome": "AAAA"},
-            header=json.dumps(header).encode("ascii") + b"\n",
-        )
-        results, dropped = ResultSpool(scratch(data), "c").load()
-        for record in valid:
-            assert results[record["key"]] == record
-        assert len(results) + dropped + 1 == _nonblank_lines(data)
-
     @settings(max_examples=150, deadline=None)
     @given(PARTS)
     @example(TORN)
