@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -37,6 +38,37 @@ class SummaryStats:
         )
 
 
+def _linear_quantiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """numpy's default ("linear") quantiles of a sample, bit for bit.
+
+    The float operations of ``numpy.quantile(values, q)`` on one sort of the
+    sample as Python floats: virtual index ``(n - 1) * q``, and numpy's
+    two-sided lerp, which steps from the nearer neighbour.  At or past the
+    last index numpy lerps the last element with itself at weight
+    ``index + 1``; that is kept, so an infinite maximum gives NaN and a
+    ``-0.0`` sign survives exactly as numpy's does.  A sample holding a NaN
+    gives NaN.  Pure Python, so a farm worker summarizing a die imports
+    nothing (``numpy.percentile`` pulls in ``numpy.ma`` lazily).
+    """
+    ordered = sorted(values)
+    if any(map(math.isnan, ordered)):
+        return [math.nan] * len(qs)
+    last = len(ordered) - 1
+    result: List[float] = []
+    for q in qs:
+        index = last * q
+        if index >= last:
+            a = b = ordered[-1]
+            gamma = index + 1  # numpy's index - (-1)
+        else:
+            lo = int(index)
+            a, b = ordered[lo], ordered[lo + 1]
+            gamma = index - lo
+        d = b - a
+        result.append(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
+    return result
+
+
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Compute :class:`SummaryStats` of a non-empty sample.
 
@@ -50,15 +82,16 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     mean = float(np.mean(data))
     std = float(np.std(data, ddof=1)) if data.size > 1 else 0.0
     half_width = 1.96 * std / np.sqrt(data.size) if data.size > 1 else 0.0
+    p05, p50, p95 = _linear_quantiles(data.tolist(), (0.05, 0.5, 0.95))
     return SummaryStats(
         count=int(data.size),
         mean=mean,
         std=std,
         minimum=float(np.min(data)),
         maximum=float(np.max(data)),
-        p05=float(np.percentile(data, 5)),
-        p50=float(np.percentile(data, 50)),
-        p95=float(np.percentile(data, 95)),
+        p05=p05,
+        p50=p50,
+        p95=p95,
         ci95=(mean - half_width, mean + half_width),
     )
 

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.statistics import _linear_quantiles
 from repro.core.wcr import worst_case_ratio
 from repro.device.parameters import DeviceParameter
 from repro.fuzzy.variables import LinguisticVariable
@@ -93,7 +94,7 @@ class TripPointFuzzyCoder:
         span = max(hi - lo, 1e-3)
         universe = (lo - 0.05 * span, hi + 0.25 * span)
         quantiles = np.linspace(0.05, 1.0, len(labels))
-        centers = [float(np.quantile(wcrs, q)) for q in quantiles[:-1]]
+        centers = _linear_quantiles(wcrs.tolist(), quantiles[:-1].tolist())
         centers.append(hi + 0.10 * span)
         centers = sorted(set(centers))
         while len(centers) < len(labels):  # degenerate distributions

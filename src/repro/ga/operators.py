@@ -319,9 +319,12 @@ def crossover_conditions(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Arithmetic blend with a uniform mixing coefficient per child."""
     alpha = rng.random()
-    child1 = alpha * a + (1.0 - alpha) * b
-    child2 = (1.0 - alpha) * a + alpha * b
-    return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
+    beta = 1.0 - alpha
+    # Three genes: Python floats in numpy's operation order beat six array ops.
+    pairs = list(zip(a.tolist(), b.tolist()))
+    child1 = [min(max(alpha * x + beta * y, 0.0), 1.0) for x, y in pairs]
+    child2 = [min(max(beta * x + alpha * y, 0.0), 1.0) for x, y in pairs]
+    return np.array(child1), np.array(child2)
 
 
 def mutate_conditions(

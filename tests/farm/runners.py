@@ -7,6 +7,7 @@ importable module rather than inside a test function.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from repro.farm.workunit import UnitOutcome, WorkUnit
@@ -110,3 +111,19 @@ def stall_once_runner(unit: WorkUnit) -> UnitOutcome:
             handle.write(unit.key)
         time.sleep(30.0)
     return UnitOutcome(value=unit.payload["shared"], measurements=1)
+
+
+def import_probe_runner(unit: WorkUnit) -> UnitOutcome:
+    """Runs the runner in ``payload["inner"]`` and lists what it imported.
+
+    The outcome's value is ``(new_modules, inner_value)``: the sorted names
+    the inner runner added to ``sys.modules`` in this worker, then its own
+    value.  Measurements and RTP pass through unchanged.
+    """
+    before = set(sys.modules)
+    outcome = unit.payload["inner"](unit)
+    return UnitOutcome(
+        value=(sorted(set(sys.modules) - before), outcome.value),
+        measurements=outcome.measurements,
+        rtp=outcome.rtp,
+    )

@@ -185,6 +185,28 @@ class TestConditionOperators:
         c1, c2 = crossover_conditions(a, b, rng)
         assert np.allclose(c1 + c2, a + b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_blend_crossover_equals_numpy_form(self, genes, alpha):
+        """The Python-float blend is the array blend, bit for bit."""
+
+        class FixedDraw:
+            def random(self):
+                return alpha
+
+        a, b = np.array(genes[:3]), np.array(genes[3:])
+        a.flags.writeable = b.flags.writeable = False
+        numpy_form = (
+            np.clip(alpha * a + (1.0 - alpha) * b, 0.0, 1.0),
+            np.clip((1.0 - alpha) * a + alpha * b, 0.0, 1.0),
+        )
+        for child, expected in zip(crossover_conditions(a, b, FixedDraw()), numpy_form):
+            assert child.dtype == np.float64 and child.shape == (3,)
+            assert child.tobytes() == expected.tobytes()
+
     def test_mutation_clips(self, rng):
         genes = np.array([0.0, 1.0, 0.5])
         for _ in range(30):
