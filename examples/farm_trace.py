@@ -29,6 +29,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.lot import LotCharacterizer
+from repro.farm.executor import make_executor
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
@@ -45,7 +46,7 @@ def run_traced_lot(trace_path, seed):
     ]
     lot = LotCharacterizer(search_range=(15.0, 45.0), seed=seed)
     start = time.perf_counter()
-    report = lot.run(tests, n_dies=N_DIES, workers=4)
+    report = lot.run(tests, n_dies=N_DIES, executor=make_executor(4))
     return report, time.perf_counter() - start
 
 

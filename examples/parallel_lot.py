@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.core.lot import LotCharacterizer
 from repro.farm.checkpoint import CheckpointStore
+from repro.farm.executor import SerialExecutor, make_executor
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
@@ -40,8 +41,8 @@ def main() -> None:
 
     # 1. Serial vs 4-worker farm: identical results.
     print(f"== {N_DIES}-die lot: serial vs 4-worker farm ==")
-    serial = make_lot().run(tests, n_dies=N_DIES, workers=1)
-    farm = make_lot().run(tests, n_dies=N_DIES, workers=4)
+    serial = make_lot().run(tests, n_dies=N_DIES)
+    farm = make_lot().run(tests, n_dies=N_DIES, executor=make_executor(4))
     print(f"identical die reports: {serial.dies == farm.dies}")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -62,7 +63,7 @@ def main() -> None:
     print()
     print("== RTP pilot broadcast ==")
     broadcast = make_lot().run(
-        tests, n_dies=N_DIES, workers=4, rtp_broadcast=True
+        tests, n_dies=N_DIES, executor=make_executor(4), rtp_broadcast=True
     )
     plain_cost = sum(d.measurements for d in serial.dies)
     broadcast_cost = sum(d.measurements for d in broadcast.dies)
@@ -73,17 +74,19 @@ def main() -> None:
     )
 
     # 3. Checkpoint/resume: write a checkpoint, truncate it to simulate a
-    #    kill after 3 dies, and resume.
+    #    kill after 3 dies, and resume.  The executor opens the file for
+    #    each run and closes it after.
     print()
     print("== checkpoint / resume ==")
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "lot.jsonl"
-        make_lot().run(tests, n_dies=N_DIES, checkpoint=ckpt)
+        executor = SerialExecutor(checkpoint=ckpt)
+        make_lot().run(tests, n_dies=N_DIES, executor=executor)
         lines = ckpt.read_text().splitlines(keepends=True)
         ckpt.write_text("".join(lines[:4]))  # header + 3 completed dies
         done = len(CheckpointStore(ckpt).load())
         print(f"simulated kill: checkpoint holds {done}/{N_DIES} dies")
-        resumed = make_lot().run(tests, n_dies=N_DIES, checkpoint=ckpt)
+        resumed = make_lot().run(tests, n_dies=N_DIES, executor=executor)
         remeasured = N_DIES - done
         print(
             f"resumed run re-measured {remeasured} dies, "

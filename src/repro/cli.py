@@ -41,10 +41,8 @@ what is printed:
 * ``--resume FILE`` — record finished work units to a JSONL checkpoint
   and skip them when the same command is re-run after an interruption
   (a lost broker included: the checkpoint is the farm's only record);
-* ``--backend serial|process|remote`` — pick the executor backend
-  explicitly;
 * ``--broker HOST:PORT`` — send units to a farm broker's socket workers
-  (implies ``--backend remote``).
+  (wins over ``--workers``).
 
 The distributed farm itself (see docs/parallelism.md, "Remote farm")::
 
@@ -221,49 +219,12 @@ def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
         ),
     )
     group.add_argument(
-        "--backend",
-        choices=("serial", "process", "remote"),
-        default=suppress if suppress_defaults else None,
-        help=(
-            "executor backend (default: process pool when --workers > 1, "
-            "serial otherwise); 'remote' needs --broker"
-        ),
-    )
-    group.add_argument(
         "--broker",
         metavar="HOST:PORT",
         default=suppress if suppress_defaults else None,
-        help="farm broker address; selects the remote backend",
+        help="farm broker address; runs work units on its socket workers "
+        "(wins over --workers)",
     )
-
-
-def _farm_kwargs(args) -> dict:
-    """``workers=``/``checkpoint=``/``executor=`` keywords from the flags.
-
-    ``--broker`` selects the remote backend; with ``--backend serial`` or
-    ``process`` it is an error rather than a silently ignored address.
-    """
-    kwargs = {"workers": args.workers, "checkpoint": args.resume}
-    backend = args.backend
-    if args.broker:
-        if backend not in (None, "remote"):
-            raise SystemExit(
-                f"error: --broker needs the remote backend, "
-                f"not --backend {backend}"
-            )
-        backend = "remote"
-    if backend:
-        from repro.farm.executor import make_executor
-
-        try:
-            kwargs["executor"] = make_executor(
-                workers=args.workers,
-                backend=backend,
-                broker=args.broker,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-    return kwargs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -960,7 +921,7 @@ def _cmd_screen(args) -> int:
             parameter=characterizer.ate.chip.parameter,
             noise_sigma=characterizer.ate.measurement.noise_sigma_ns,
             campaign_seed=args.seed,
-            **_farm_kwargs(args),
+            executor=args.executor,
         )
     print(report.render())
     worst = report.worst()
@@ -983,7 +944,7 @@ def _cmd_sweep(args) -> int:
         test,
         vdd_values=[1.5, 1.65, 1.8, 1.95, 2.1],
         temperature_values=[-40.0, 25.0, 85.0, 125.0],
-        **_farm_kwargs(args),
+        executor=args.executor,
     )
     print(result.render())
     i, j, value = result.worst_cell()
@@ -1001,7 +962,7 @@ def _cmd_lot(args) -> int:
         t.with_condition(NOMINAL_CONDITION)
         for t in RandomTestGenerator(seed=args.seed).batch(args.tests)
     ]
-    report = lot.run(tests, n_dies=args.dies, **_farm_kwargs(args))
+    report = lot.run(tests, n_dies=args.dies, executor=args.executor)
     print(report.describe())
     if args.database:
         database = report.to_database(tests)
@@ -1023,7 +984,7 @@ def _cmd_wafer(args) -> int:
         t.with_condition(NOMINAL_CONDITION)
         for t in RandomTestGenerator(seed=args.seed).batch(args.tests)
     ]
-    report = prober.probe(tests, **_farm_kwargs(args))
+    report = prober.probe(tests, executor=args.executor)
     print(report.render_map())
     site, result = report.worst_site()
     center, edge = report.center_vs_edge()
@@ -1058,7 +1019,7 @@ def _cmd_campaign(args) -> int:
             pin_condition=NOMINAL_CONDITION,
             seed=args.seed,
         ),
-        **_farm_kwargs(args),
+        executor=args.executor,
     )
     print(report.to_markdown())
     if args.out:
@@ -1451,6 +1412,13 @@ def _job_line(job: dict) -> str:
     )
 
 
+#: The words ``jobs submit -p KEY=VALUE`` reads as a bool, lower-cased.
+_BOOLS = {
+    "true": True, "yes": True, "1": True,
+    "false": False, "no": False, "0": False,
+}
+
+
 def _cmd_jobs(args) -> int:
     import json
 
@@ -1482,10 +1450,10 @@ def _cmd_jobs(args) -> int:
                     return 2
                 try:
                     if kind is bool:
-                        params[key] = raw.lower() in ("1", "true", "yes")
+                        params[key] = _BOOLS[raw.lower()]
                     else:
                         params[key] = kind(raw)
-                except ValueError:
+                except (KeyError, ValueError):
                     print(
                         f"error: parameter {key!r} must be "
                         f"{kind.__name__}, got {raw!r}",
@@ -1833,17 +1801,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.close()
             return 0
     if (
-        (args.workers or args.resume or args.backend or args.broker)
+        (args.workers or args.resume or args.broker)
         and args.command not in _FARM_COMMANDS
     ):
         print(
-            f"note: --workers/--resume/--backend/--broker are ignored by "
+            f"note: --workers/--resume/--broker are ignored by "
             f"{args.command!r} (honoured by: {', '.join(_FARM_COMMANDS)})",
             file=sys.stderr,
         )
     _setup_observability(args)
     started = time.perf_counter()
     try:
+        if args.command in _FARM_COMMANDS:
+            # The one place the farm flags become an executor.
+            from repro.farm.executor import make_executor
+
+            try:
+                args.executor = make_executor(
+                    args.workers, args.broker, checkpoint=args.resume
+                )
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         return _COMMANDS[args.command](args)
     except RuntimeError as exc:
         # An unreachable or lost farm broker is an operating error, not a

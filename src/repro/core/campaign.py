@@ -27,7 +27,7 @@ from repro.core.characterizer import DeviceCharacterizer
 from repro.core.database import WorstCaseDatabase
 from repro.core.learning import LearningConfig
 from repro.core.optimization import OptimizationConfig
-from repro.farm.executor import make_executor
+from repro.farm.executor import Executor, SerialExecutor
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 from repro.obs.timing import span
@@ -144,9 +144,7 @@ def run_campaign(
     report_condition: TestCondition = NOMINAL_CONDITION,
     spec_k_sigma: float = 1.0,
     spec_guard_band: float = 0.25,
-    workers: Optional[int] = None,
-    executor=None,
-    checkpoint=None,
+    executor: Optional[Executor] = None,
 ) -> CampaignReport:
     """Run the full campaign on a characterizer and assemble the report.
 
@@ -158,9 +156,9 @@ def run_campaign(
     the next — so they stay on the characterizer's single tester.  The
     embarrassingly parallel shmoo overlay always runs as work units, one
     per test, each with a fresh insertion and a derived noise seed, on
-    the executor ``workers=``/``executor=`` choose (serial by default);
-    the overlay is the same for any worker count or backend.
-    ``checkpoint`` lets an interrupted overlay resume.
+    ``executor`` (serial by default); the overlay is the same for any
+    worker count or backend, and an executor built with a checkpoint
+    lets an interrupted overlay resume.
     """
     before = characterizer.ate.measurement_count
     with span("campaign"):
@@ -216,9 +214,8 @@ def run_campaign(
             f":tests={len(units)}:vdds={len(vdd_values)}"
         )
         with span("shmoo"):
-            results = make_executor(workers, executor).run(
-                units, run_shmoo_unit, checkpoint=checkpoint,
-                campaign=campaign_id,
+            results = (executor or SerialExecutor()).run(
+                units, run_shmoo_unit, campaign=campaign_id
             )
         shmoo = merge_overlays([r.value for r in results])
         shmoo_measurements = sum(r.measurements for r in results)

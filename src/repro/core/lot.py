@@ -23,16 +23,14 @@ resumes from a :class:`~repro.farm.checkpoint.CheckpointStore`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.statistics import SummaryStats, summarize
 from repro.ate.tester import ATE
 from repro.core.database import WorstCaseDatabase, WorstCaseRecord
-from repro.farm.checkpoint import CheckpointStore
-from repro.farm.executor import make_executor
+from repro.farm.executor import Executor, SerialExecutor
 from repro.farm.workunit import UnitOutcome, WorkUnit, derive_seed
 from repro.obs.runtime import OBS
 from repro.obs.timing import span
@@ -193,8 +191,9 @@ class LotCharacterizer:
     thermal state); measurement cost is tracked per die.  :meth:`run`
     shards the lot into one work unit per die, so the same call scales
     from one tester (the default :class:`~repro.farm.executor.
-    SerialExecutor`) to a farm of worker processes (``workers=N``) with
-    identical results.
+    SerialExecutor`) to a farm of worker processes (a
+    :class:`~repro.farm.executor.ParallelExecutor`) with identical
+    results.
 
     Parameters
     ----------
@@ -274,23 +273,18 @@ class LotCharacterizer:
         tests: Sequence[TestCase],
         n_dies: int,
         corner: Optional[ProcessCorner] = None,
-        workers: Optional[int] = None,
-        executor=None,
-        checkpoint: Union[None, str, Path, CheckpointStore] = None,
+        executor: Optional[Executor] = None,
         rtp_broadcast: bool = False,
     ) -> LotReport:
         """Characterize ``n_dies`` sampled dies with the same test set.
 
         Parameters
         ----------
-        workers / executor:
-            ``workers=N`` fans the lot out over N worker processes; an
-            explicit :mod:`repro.farm` executor overrides it.  Results
-            are bit-identical for any worker count.
-        checkpoint:
-            A :class:`~repro.farm.checkpoint.CheckpointStore` (or path):
-            completed dies are recorded as they finish and skipped when
-            the same lot is re-run after an interruption.
+        executor:
+            The :mod:`repro.farm` executor the dies run on (a
+            :class:`~repro.farm.executor.SerialExecutor` when omitted).
+            Results are bit-identical for any worker count; an executor
+            built with a checkpoint skips the dies a re-run finds in it.
         rtp_broadcast:
             Share the first die's reference trip point with every other
             die's SUTP bootstrap (section 4 across the farm).  Cheaper,
@@ -312,10 +306,9 @@ class LotCharacterizer:
         )
         report = LotReport(parameter=self.parameter)
         with span("lot"):
-            results = make_executor(workers, executor).run(
+            results = (executor or SerialExecutor()).run(
                 units,
                 run_lot_unit,
-                checkpoint=checkpoint,
                 rtp_broadcast=rtp_broadcast,
                 campaign=campaign,
             )
@@ -419,8 +412,8 @@ class EnvironmentalSweep:
 
     :meth:`sweep` shards the grid into one work unit per cell and runs
     them on a :mod:`repro.farm` executor (a
-    :class:`~repro.farm.executor.SerialExecutor` unless ``workers=`` or
-    ``executor=`` picks another).  The first cell's trip point is
+    :class:`~repro.farm.executor.SerialExecutor` unless ``executor=``
+    gives another).  The first cell's trip point is
     RTP-broadcast to all others, the farm form of SUTP along the sweep.
     Each cell gets a fresh insertion and a seed derived from
     ``(seed, cell_key)``, so the grid is the same for any worker count or
@@ -484,15 +477,10 @@ class EnvironmentalSweep:
         test: TestCase,
         vdd_values: Sequence[float],
         temperature_values: Sequence[float],
-        workers: Optional[int] = None,
-        executor=None,
-        checkpoint: Union[None, str, Path, CheckpointStore] = None,
+        executor: Optional[Executor] = None,
     ) -> EnvSweepResult:
-        """Measure the full grid for one test, one work unit per cell.
-
-        ``workers``/``executor`` choose the executor as for
-        :meth:`LotCharacterizer.run`; ``checkpoint`` records finished
-        cells and skips them when the same sweep is re-run.
+        """Measure the full grid for one test, one work unit per cell,
+        on ``executor`` as for :meth:`LotCharacterizer.run`.
         """
         if not vdd_values or not temperature_values:
             raise ValueError("both axes need at least one value")
@@ -514,9 +502,8 @@ class EnvironmentalSweep:
         grid = np.full((len(vdd_values), len(temperature_values)), np.nan)
         measurements = 0
         with span("sweep"):
-            results = make_executor(workers, executor).run(
-                units, run_env_unit, checkpoint=checkpoint,
-                rtp_broadcast=True, campaign=campaign,
+            results = (executor or SerialExecutor()).run(
+                units, run_env_unit, rtp_broadcast=True, campaign=campaign,
             )
         for result in results:
             row, column, value = result.value

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.lot import DieResult, LotCharacterizer, run_lot_unit
-from repro.farm.executor import make_executor
+from repro.farm.executor import Executor, SerialExecutor
 from repro.device.parameters import DeviceParameter, T_DQ_PARAMETER
 from repro.device.wafer import DieSite, RadialVariationModel, Wafer
 from repro.patterns.testcase import TestCase
@@ -108,19 +108,18 @@ class WaferProber:
     def probe(
         self,
         tests: Sequence[TestCase],
-        workers: Optional[int] = None,
-        executor=None,
-        checkpoint=None,
+        executor: Optional[Executor] = None,
         rtp_broadcast: bool = False,
     ) -> WaferProbeReport:
         """Touch down on every site and characterize the test set.
 
         Dies are sampled from the variation model in site order in the
-        calling process, then sharded one work unit per site; with
-        ``workers=N`` the sites run on a probe-card farm.  Each site's
-        noise stream is derived from ``(seed, site_key)``, so results are
-        identical for any worker count, and an interrupted probe resumes
-        from ``checkpoint`` without re-touching finished sites.
+        calling process, then sharded one work unit per site on
+        ``executor`` (serial when omitted; a process pool is a probe-card
+        farm).  Each site's noise stream is derived from
+        ``(seed, site_key)``, so results are identical for any worker
+        count, and an executor built with a checkpoint resumes an
+        interrupted probe without re-touching finished sites.
         """
         if not tests:
             raise ValueError("need at least one test")
@@ -142,9 +141,9 @@ class WaferProber:
             f"wafer:seed={self._lot.seed}:sites={len(sites)}"
             f":tests={len(tests)}:param={self.parameter.name}"
         )
-        results = make_executor(workers, executor).run(
-            units, run_lot_unit, checkpoint=checkpoint,
-            rtp_broadcast=rtp_broadcast, campaign=campaign,
+        results = (executor or SerialExecutor()).run(
+            units, run_lot_unit, rtp_broadcast=rtp_broadcast,
+            campaign=campaign,
         )
         for site, result in zip(sites, results):
             report.results[site] = result.value

@@ -22,6 +22,7 @@ import numpy as np
 from repro.device.parameters import DeviceParameter, SpecDirection
 
 if TYPE_CHECKING:  # lazy at runtime: repro.farm pulls in repro.ate
+    from repro.farm.executor import Executor
     from repro.farm.workunit import UnitOutcome, WorkUnit
 
 
@@ -333,18 +334,16 @@ def run_screen_farm(
     campaign_seed: int = 0,
     classifier: WCRClassifier = WCRClassifier(),
     chunk_size: int = 25,
-    workers: Optional[int] = None,
-    executor=None,
-    checkpoint=None,
+    executor: Optional[Executor] = None,
 ) -> ScreenReport:
     """Run a classification screen through the tester farm.
 
-    Shards the tests into chunked work units, executes them serially or on
-    ``workers`` processes, and merges the per-chunk reports in submission
-    order — the merged report is identical for any worker count (each
-    chunk's noise stream comes from its own derived seed).
+    Shards the tests into chunked work units, executes them on
+    ``executor`` (serial when omitted), and merges the per-chunk reports
+    in submission order — the merged report is identical for any worker
+    count (each chunk's noise stream comes from its own derived seed).
     """
-    from repro.farm.executor import make_executor
+    from repro.farm.executor import SerialExecutor
 
     units = wcr_screen_units(
         tests,
@@ -362,7 +361,7 @@ def run_screen_farm(
         f"wcr-screen:seed={campaign_seed}:tests={len(tests)}"
         f":grid=[{strobe_start},{strobe_stop},{strobe_step}]"
     )
-    results = make_executor(workers, executor).run(
-        units, run_wcr_unit, checkpoint=checkpoint, campaign=campaign_id
+    results = (executor or SerialExecutor()).run(
+        units, run_wcr_unit, campaign=campaign_id
     )
     return merge_screens([r.value for r in results])

@@ -19,18 +19,19 @@ testers at once over a lot.  This package is the second lever:
   work-stealing dispatch, leases and heartbeats, elastic socket workers
   (``repro farm-worker``) and the :class:`~repro.farm.remote.
   RemoteExecutor` backend, all behind the same
-  :class:`~repro.farm.executor.ExecutorBackend` contract.
+  :class:`~repro.farm.executor.Executor` contract.
 
 ``LotCharacterizer``, ``EnvironmentalSweep``, ``WaferProber``,
-``run_screen_farm`` and ``run_campaign`` always run as work units and
-accept ``workers=`` / ``executor=`` / ``checkpoint=``;
-the CLI exposes the same as global ``--workers N``, ``--resume FILE``
-and ``--backend/--broker`` flags.  See ``docs/parallelism.md``.
+``run_screen_farm`` and ``run_campaign`` always run as work units on the
+one ``executor=`` they are given (a :class:`SerialExecutor` when it is
+omitted).  The CLI's global ``--workers N``, ``--broker HOST:PORT`` and
+``--resume FILE`` flags become that executor in
+:func:`~repro.farm.executor.make_executor`.  See ``docs/parallelism.md``.
 """
 
 from repro.farm.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.farm.executor import (
-    ExecutorBackend,
+    Executor,
     FarmExecutionError,
     ParallelExecutor,
     SerialExecutor,
@@ -47,7 +48,7 @@ from repro.farm.workunit import (
 __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
-    "ExecutorBackend",
+    "Executor",
     "FarmExecutionError",
     "ParallelExecutor",
     "RTPBroadcast",

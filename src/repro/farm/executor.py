@@ -1,8 +1,9 @@
 """Serial and multi-process execution of work units behind one interface.
 
-Both executors implement the same contract::
+Every executor — serial, process pool, remote — is an :class:`Executor`
+and keeps the same contract::
 
-    executor.run(units, runner, checkpoint=None, rtp_broadcast=False)
+    executor.run(units, runner, rtp_broadcast=False, campaign="")
         -> List[WorkResult]   # one per unit, in submission order
 
 where ``runner`` is a picklable module-level callable
@@ -11,10 +12,11 @@ where ``runner`` is a picklable module-level callable
 * **Deterministic merge** — results come back ordered by the units'
   submission order regardless of scheduling, worker count or completion
   order.
-* **Checkpoint/resume** — with a :class:`~repro.farm.checkpoint.
-  CheckpointStore` (or its path, opened for the run and closed after
-  it), completed units are recorded as they finish and skipped (result
-  loaded, nothing re-measured) on a later run.
+* **Checkpoint/resume** — an executor built with ``checkpoint=`` (a
+  :class:`~repro.farm.checkpoint.CheckpointStore`, or its path, opened
+  for each run and closed after it) records completed units as they
+  finish and skips them (result loaded, nothing re-measured) on a later
+  run.
 * **Bounded retry** — a unit that times out or whose worker dies is
   re-dispatched up to ``max_attempts`` times; a broken or stalled pool is
   recycled between passes.  Exhausted units raise
@@ -67,11 +69,9 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 from repro.farm.checkpoint import CheckpointStore
@@ -118,38 +118,8 @@ def _register_exit_hook() -> None:
 #: module-level callable so the process pool can pickle it by reference.
 UnitRunner = Callable[[WorkUnit], UnitOutcome]
 
-#: What ``run(checkpoint=...)`` accepts: no store, a store or its path.
+#: What ``checkpoint=`` accepts: no store, a store or its path.
 Checkpoint = Union[None, str, "os.PathLike[str]", CheckpointStore]
-
-
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """What every farm backend — serial, process pool, remote — promises.
-
-    A backend executes a batch of work units and returns one
-    :class:`~repro.farm.workunit.WorkResult` per unit **in submission
-    order**, honouring the checkpoint-skip, pilot-RTP-broadcast and
-    telemetry-merge conventions described in this module's docstring.
-    ``name`` identifies the backend in events and traces
-    (``"serial"``/``"parallel"``/``"remote"``).
-
-    The protocol is ``runtime_checkable`` so call sites that accept an
-    ``executor=`` override can validate it with ``isinstance`` without
-    importing a concrete class.
-    """
-
-    name: str
-
-    def run(
-        self,
-        units: Sequence[WorkUnit],
-        runner: "UnitRunner",
-        checkpoint: Checkpoint = None,
-        rtp_broadcast: bool = False,
-        campaign: str = "",
-    ) -> List[WorkResult]:
-        """Execute every unit; results in submission order."""
-        ...
 
 
 class FarmExecutionError(RuntimeError):
@@ -176,21 +146,26 @@ def _observe_unit(result: WorkResult, kind: str) -> None:
     )
 
 
-class _ExecutorBase:
-    """Shared orchestration: checkpoint skip, pilot broadcast, merge."""
+class Executor:
+    """What every farm backend shares: checkpoint skip, pilot broadcast,
+    merge.  Subclasses supply :meth:`_execute`; ``name`` identifies the
+    backend in events and traces (``"serial"``/``"parallel"``/``"remote"``).
+    """
 
     name = "farm"
 
-    def __init__(self, max_attempts: int = 2) -> None:
+    def __init__(
+        self, max_attempts: int = 2, checkpoint: Checkpoint = None
+    ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.max_attempts = max_attempts
+        self.checkpoint = checkpoint
 
     def run(
         self,
         units: Sequence[WorkUnit],
         runner: UnitRunner,
-        checkpoint: Checkpoint = None,
         rtp_broadcast: bool = False,
         campaign: str = "",
     ) -> List[WorkResult]:
@@ -200,13 +175,14 @@ class _ExecutorBase:
         id stamped onto every worker-side event and the
         ``farm_run_started`` announcement.  A ``checkpoint`` given as a
         path (the CLI's ``--resume FILE``) is opened as the store of
-        ``campaign`` and closed when the run ends; a
-        :class:`~repro.farm.checkpoint.CheckpointStore` passed in stays
-        open for its owner.
+        ``campaign`` for each run and closed when the run ends; a
+        :class:`~repro.farm.checkpoint.CheckpointStore` stays open for
+        its owner.
         """
         units = list(units)
         if not units:
             return []
+        checkpoint = self.checkpoint
         opened: Optional[CheckpointStore] = None
         if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
             # Its append handle opens with the first record, inside the
@@ -342,7 +318,7 @@ class _ExecutorBase:
             )
 
 
-class SerialExecutor(_ExecutorBase):
+class SerialExecutor(Executor):
     """Runs every unit in the parent process, longest-first.
 
     The degenerate farm: same sharding, same merge, same checkpointing —
@@ -486,7 +462,7 @@ def _worker_call(
     return outcome, time.perf_counter() - start, worker, telemetry
 
 
-class ParallelExecutor(_ExecutorBase):
+class ParallelExecutor(Executor):
     """Fans units out over a ``concurrent.futures.ProcessPoolExecutor``.
 
     Parameters
@@ -500,6 +476,9 @@ class ParallelExecutor(_ExecutorBase):
         default) waits indefinitely.
     max_attempts:
         Total dispatches allowed per unit (first try + retries).
+    checkpoint:
+        Store (or path) that records finished units and skips them on a
+        re-run.
     """
 
     name = "parallel"
@@ -509,8 +488,9 @@ class ParallelExecutor(_ExecutorBase):
         workers: int,
         timeout_s: Optional[float] = None,
         max_attempts: int = 2,
+        checkpoint: Checkpoint = None,
     ) -> None:
-        super().__init__(max_attempts=max_attempts)
+        super().__init__(max_attempts=max_attempts, checkpoint=checkpoint)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
@@ -667,45 +647,32 @@ def _pool_size(workers: int) -> int:
 
 def make_executor(
     workers: Optional[int] = None,
-    executor: Optional[ExecutorBackend] = None,
-    backend: Optional[str] = None,
     broker: Optional[str] = None,
-    **kwargs,
-) -> ExecutorBackend:
-    """Resolve the executor convenience parameters to a backend.
+    checkpoint: Checkpoint = None,
+) -> Executor:
+    """The executor the farm flags ``--workers``, ``--broker`` and
+    ``--resume`` name.
 
-    Precedence:
-
-    1. An explicit ``executor`` instance wins outright.
-    2. ``backend`` names one of ``"serial"``, ``"process"`` or
-       ``"remote"`` (the latter requires ``broker="host:port"``).
-    3. Otherwise ``workers`` > 1 builds a :class:`ParallelExecutor` and
-       anything else a :class:`SerialExecutor` — the historical default.
+    ``broker="host:port"`` builds a
+    :class:`~repro.farm.remote.executor.RemoteExecutor` whatever
+    ``workers`` says; otherwise ``workers`` > 1 builds a
+    :class:`ParallelExecutor` and anything else a :class:`SerialExecutor`.
+    ``workers`` < 1 raises :class:`ValueError`.  ``checkpoint`` goes to
+    the executor as is.
 
     A process pool gets at most :func:`available_cpus` workers; a smaller
     pool than asked for emits a ``farm_workers_clamped`` event.  Build a
     :class:`ParallelExecutor` directly to choose the size regardless.
     """
-    if executor is not None:
-        return executor
-    if backend:
-        if backend == "remote":
-            # Imported lazily: repro.farm.remote imports this module.
-            from repro.farm.remote.executor import RemoteExecutor
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if broker is not None:
+        # Imported lazily: repro.farm.remote imports this module.
+        from repro.farm.remote.executor import RemoteExecutor
 
-            if not broker:
-                raise ValueError(
-                    "backend 'remote' needs a broker address (HOST:PORT)"
-                )
-            return RemoteExecutor(broker=broker, **kwargs)
-        if backend == "process":
-            return ParallelExecutor(workers=_pool_size(workers or 2), **kwargs)
-        if backend == "serial":
-            return SerialExecutor(**kwargs)
-        raise ValueError(
-            f"unknown farm backend {backend!r}; "
-            f"expected serial, process or remote"
-        )
+        return RemoteExecutor(broker=broker, checkpoint=checkpoint)
     if workers is not None and workers > 1:
-        return ParallelExecutor(workers=_pool_size(workers), **kwargs)
-    return SerialExecutor(**kwargs)
+        return ParallelExecutor(
+            workers=_pool_size(workers), checkpoint=checkpoint
+        )
+    return SerialExecutor(checkpoint=checkpoint)

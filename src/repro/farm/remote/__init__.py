@@ -11,8 +11,8 @@ The remote farm stretches :mod:`repro.farm` past one host:
   a socket worker.  Joins and leaves at any time; heartbeats while
   executing; ships outcome + :class:`~repro.obs.collector.
   WorkerTelemetry` back over the wire.
-* :class:`RemoteExecutor` (CLI: ``--backend remote --broker HOST:PORT``)
-  — the client-side :class:`~repro.farm.executor.ExecutorBackend`.
+* :class:`RemoteExecutor` (CLI: ``--broker HOST:PORT``) — the
+  client-side :class:`~repro.farm.executor.Executor`.
   Same deterministic-merge/checkpoint/RTP/telemetry contract as the
   serial and process-pool executors.
 * :mod:`~repro.farm.remote.telemetry` — the broker's observability:

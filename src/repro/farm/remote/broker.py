@@ -63,6 +63,20 @@ DEFAULT_POLL_S = 0.25
 #: enough that a SIGKILLed worker's units re-issue promptly.
 DEFAULT_LEASE_TIMEOUT_S = 30.0
 
+#: ``stats_payload()["totals"]`` keys and the broker counters they read.
+_TOTALS = {
+    "campaigns": "farm.campaigns",
+    "units_dispatched": "farm.lease_issued",
+    "units_completed": "farm.units_completed",
+    "units_failed": "farm.units_failed",
+    "reissues": "farm.lease_reissued",
+    "duplicates_dropped": "farm.duplicate_suppressed",
+    "stale_heartbeats": "farm.stale_heartbeats",
+    "workers_seen": "farm.workers_joined",
+    "workers_left": "farm.workers_left",
+    "workers_rejected": "farm.workers_rejected",
+}
+
 
 class _WorkerState:
     """Per-connection worker bookkeeping for stats and throughput."""
@@ -178,18 +192,6 @@ class FarmBroker:
         self._started_mono = time.monotonic()
         self._last_dispatch_mono: Optional[float] = None
         self._workers: Dict[str, _WorkerState] = {}
-        self.stats = {
-            "campaigns": 0,
-            "units_dispatched": 0,
-            "units_completed": 0,
-            "units_failed": 0,
-            "reissues": 0,
-            "duplicates_dropped": 0,
-            "stale_heartbeats": 0,
-            "workers_seen": 0,
-            "workers_left": 0,
-            "workers_rejected": 0,
-        }
 
     # -- lifecycle --------------------------------------------------------------
     @property
@@ -297,6 +299,14 @@ class FarmBroker:
             )
         return render_exposition(self.telemetry.metrics)
 
+    def _totals(self) -> Dict[str, int]:
+        """The ``totals`` of :meth:`stats_payload`, read off the counters."""
+        counters = self.telemetry.metrics.counters
+        return {
+            key: counters[name].value if name in counters else 0
+            for key, name in _TOTALS.items()
+        }
+
     def stats_payload(self) -> Dict[str, Any]:
         """The ``stats`` protocol frame's body (``farm-top``'s feed)."""
         now = time.monotonic()
@@ -345,7 +355,7 @@ class FarmBroker:
                 "leases_active": len(leases),
                 "workers_connected": len(self._workers),
                 "workers": workers,
-                "totals": dict(self.stats),
+                "totals": self._totals(),
                 "campaign": None,
             }
             if campaign is not None:
@@ -566,7 +576,6 @@ class FarmBroker:
         # "accepted" first.
         with self._lock:
             self._campaign = campaign
-            self.stats["campaigns"] += 1
             send_frame(conn, {
                 "type": "accepted",
                 "campaign": campaign_id,
@@ -591,7 +600,7 @@ class FarmBroker:
                 and not active.finished
                 and active.id != pin
             ):
-                self.stats["workers_rejected"] += 1
+                self.telemetry.metrics.counter("farm.workers_rejected").inc()
                 send_frame(conn, {
                     "type": "reject",
                     "reason": (
@@ -600,7 +609,6 @@ class FarmBroker:
                     ),
                 })
                 return
-            self.stats["workers_seen"] += 1
             self._workers[worker_id] = _WorkerState(name, worker_id)
             campaign_id = active.id if active is not None else None
         self.telemetry.observe_clock(name, hello.get("clock"))
@@ -643,7 +651,6 @@ class FarmBroker:
             now = time.monotonic()
             key = campaign.pending.popleft()
             lease = campaign.leases.issue(key, worker_id, now)
-            self.stats["units_dispatched"] += 1
             self._last_dispatch_mono = now
             state = self._workers.get(worker_id)
             if state is not None:
@@ -724,7 +731,6 @@ class FarmBroker:
                 else 0.0
             )
             if not campaign.leases.complete(key, attempt):
-                self.stats["duplicates_dropped"] += 1
                 self.telemetry.metrics.counter(
                     "farm.duplicate_suppressed"
                 ).inc()
@@ -747,7 +753,6 @@ class FarmBroker:
             if key in campaign.pending:
                 campaign.pending.remove(key)
             campaign.failed.pop(key, None)
-            self.stats["units_completed"] += 1
             if state is not None:
                 state.completed += 1
         elapsed_s = float(frame.get("elapsed_s") or 0.0)
@@ -795,8 +800,6 @@ class FarmBroker:
             extended = campaign.leases.heartbeat(
                 key, attempt, worker_id, time.monotonic()
             )
-            if not extended:
-                self.stats["stale_heartbeats"] += 1
             campaign_id = campaign.id
         self.telemetry.metrics.counter(
             "farm.stale_heartbeats" if not extended else "farm.heartbeats"
@@ -813,8 +816,6 @@ class FarmBroker:
     def _release_worker(self, worker_id: str) -> None:
         with self._lock:
             state = self._workers.pop(worker_id, None)
-            if state is not None:
-                self.stats["workers_left"] += 1
             campaign = self._campaign
             campaign_id = campaign.id if campaign is not None else None
             dropped = (
@@ -874,13 +875,11 @@ class FarmBroker:
             return
         if campaign.leases.attempts.get(key, 0) >= campaign.max_attempts:
             campaign.failed[key] = reason
-            self.stats["units_failed"] += 1
             self.telemetry.metrics.counter("farm.units_failed").inc()
             campaign.push({"type": "unit_failed", "key": key, "reason": reason})
             return
         campaign.pending.append(key)
         campaign.reissues += 1
-        self.stats["reissues"] += 1
         self.telemetry.metrics.counter("farm.lease_reissued").inc()
         self.telemetry.emit(
             event("lease_reissued", key=key, attempt=attempt, reason=reason),

@@ -1,7 +1,7 @@
 """The client-side remote backend: submit to a broker, merge the stream.
 
 :class:`RemoteExecutor` is the third :class:`~repro.farm.executor.
-ExecutorBackend` next to :class:`~repro.farm.executor.SerialExecutor`
+Executor` next to :class:`~repro.farm.executor.SerialExecutor`
 and :class:`~repro.farm.executor.ParallelExecutor`.  It keeps every
 guarantee of the base contract — deterministic merge in submission
 order, checkpoint skip/record, pilot RTP broadcast, telemetry replay —
@@ -30,7 +30,7 @@ import os
 import socket
 from typing import List, Tuple, Union
 
-from repro.farm.executor import FarmExecutionError, _ExecutorBase
+from repro.farm.executor import Checkpoint, Executor, FarmExecutionError
 from repro.farm.remote.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -58,7 +58,7 @@ class RemoteFarmError(RuntimeError):
     """
 
 
-class RemoteExecutor(_ExecutorBase):
+class RemoteExecutor(Executor):
     """Executes a campaign on a farm broker's socket workers.
 
     Parameters
@@ -72,6 +72,9 @@ class RemoteExecutor(_ExecutorBase):
         worker may hold a unit before it is re-issued.
     connect_timeout_s:
         Dial timeout for reaching the broker.
+    checkpoint:
+        Store (or path) that records finished units and skips them on a
+        re-run.
     """
 
     name = "remote"
@@ -82,8 +85,9 @@ class RemoteExecutor(_ExecutorBase):
         max_attempts: int = 2,
         lease_timeout_s: float = DEFAULT_LEASE_S,
         connect_timeout_s: float = 10.0,
+        checkpoint: Checkpoint = None,
     ) -> None:
-        super().__init__(max_attempts=max_attempts)
+        super().__init__(max_attempts=max_attempts, checkpoint=checkpoint)
         if isinstance(broker, str):
             self.address = parse_address(broker)
         else:

@@ -159,20 +159,24 @@ class JobSpec:
         Artifacts land inside ``job_dir``: the telemetry trace at
         ``trace.jsonl`` and, for exporting commands, the worst-case
         database at ``wcdb.json`` (directly, or inside the campaign
-        output directory — see :func:`wcdb_path`).  ``broker`` is the
-        service-configured farm broker address, appended when the spec
-        targets the remote backend.
+        output directory — see :func:`wcdb_path`).  ``backend`` maps onto
+        the farm flags: ``remote`` to ``--broker`` with ``broker``, the
+        service-configured farm broker address; ``process`` to
+        ``--workers`` (``workers``, or 2); ``serial`` to no ``--workers``.
         """
         argv: List[str] = [
             "--seed", str(self.seed),
             "--trace", str(job_dir / TRACE_FILENAME),
         ]
-        if self.workers is not None:
-            argv += ["--workers", str(self.workers)]
-        if self.backend is not None:
-            argv += ["--backend", self.backend]
-            if self.backend == "remote" and broker:
-                argv += ["--broker", broker]
+        workers = self.workers
+        if self.backend == "process":
+            workers = workers or 2
+        elif self.backend == "serial":
+            workers = None
+        elif self.backend == "remote" and broker:
+            argv += ["--broker", broker]
+        if workers is not None:
+            argv += ["--workers", str(workers)]
         argv.append(self.command)
         for name in sorted(self.params):
             value = self.params[name]

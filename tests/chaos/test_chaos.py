@@ -228,8 +228,8 @@ class TestKilledWorker:
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             assert _merged_bytes(merged["results"]) == expected
-            assert broker.stats["reissues"] >= 1
-            assert broker.stats["units_completed"] == 4
+            assert broker.stats_payload()["totals"]["reissues"] >= 1
+            assert broker.stats_payload()["totals"]["units_completed"] == 4
         healthy.join(timeout=5.0)
 
 
@@ -252,7 +252,7 @@ class TestDroppedAndLateResults:
             # heartbeat.  The lease must expire and the unit re-issue.
             stolen = saboteur.pull_unit()
             deadline = time.monotonic() + 10.0
-            while broker.stats["reissues"] < 1:
+            while broker.stats_payload()["totals"]["reissues"] < 1:
                 assert time.monotonic() < deadline, "lease never expired"
                 time.sleep(0.02)
             healthy = _start_thread_worker(broker.address, "healthy")
@@ -287,7 +287,7 @@ class TestDroppedAndLateResults:
             thread.join(timeout=15.0)
             assert not thread.is_alive()
             assert _merged_bytes(merged["results"]) == expected
-            assert broker.stats["reissues"] >= 1
+            assert broker.stats_payload()["totals"]["reissues"] >= 1
         healthy.join(timeout=5.0)
 
 
@@ -317,7 +317,7 @@ class TestDuplicateDelivery:
             assert not thread.is_alive()
             saboteur.close()
             assert _merged_bytes(merged["results"]) == expected
-            assert broker.stats["duplicates_dropped"] == 1
+            assert broker.stats_payload()["totals"]["duplicates_dropped"] == 1
         healthy.join(timeout=5.0)
 
 
@@ -341,8 +341,8 @@ class TestKilledBroker:
             worker = _start_thread_worker(address, "w1", max_units=k)
             with _KillBrokerAfter(path, broker, k) as store:
                 with pytest.raises(RemoteFarmError):
-                    RemoteExecutor(address).run(
-                        units, deterministic_runner, checkpoint=store
+                    RemoteExecutor(address, checkpoint=store).run(
+                        units, deterministic_runner
                     )
         finally:
             if broker.poll() is None:
@@ -355,10 +355,11 @@ class TestKilledBroker:
         with FarmBroker(port=0, poll_s=0.02) as fresh:
             worker = _start_thread_worker(fresh.address, "w2")
             with CheckpointStore(path) as store:
-                results = RemoteExecutor(fresh.address).run(
-                    units, deterministic_runner, checkpoint=store
+                results = RemoteExecutor(fresh.address, checkpoint=store).run(
+                    units, deterministic_runner
                 )
-            assert fresh.stats["units_dispatched"] == len(units) - k
+            totals = fresh.stats_payload()["totals"]
+            assert totals["units_dispatched"] == len(units) - k
         worker.join(timeout=5.0)
         assert sorted(
             r.unit_key for r in results if r.from_checkpoint
@@ -404,7 +405,6 @@ class TestChaoticLotCampaign:
                 self._run_cli(
                     [
                         "--seed", "7",
-                        "--backend", "remote",
                         "--broker", f"{host}:{port}",
                         *lot, "--database", str(remote_db),
                     ],
@@ -503,7 +503,7 @@ class TestFarmObservabilityEndToEnd:
                 doomed.wait(timeout=10.0)
                 # 1) Scheduling chaos never reaches the data.
                 assert _merged_bytes(results) == expected
-                assert broker.stats["reissues"] >= 1
+                assert broker.stats_payload()["totals"]["reissues"] >= 1
                 # 2) The embedded endpoint speaks valid exposition text
                 # and counted the re-issue.
                 mhost, mport = broker.metrics_address

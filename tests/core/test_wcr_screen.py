@@ -16,6 +16,7 @@ from repro.core.wcr import (
 )
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.process import NOMINAL_DIE
+from repro.farm.executor import make_executor
 from repro.patterns.random_gen import RandomTestGenerator
 
 SEARCH_RANGE = (15.0, 45.0)
@@ -108,7 +109,7 @@ def test_farm_serial_vs_workers_identical():
     )
     serial = run_screen_farm(tests, *SEARCH_RANGE, 0.5, **kwargs)
     parallel = run_screen_farm(
-        tests, *SEARCH_RANGE, 0.5, workers=2, **kwargs
+        tests, *SEARCH_RANGE, 0.5, executor=make_executor(2), **kwargs
     )
     assert serial == parallel
 

@@ -68,13 +68,11 @@ class TestMakeExecutor:
         OBS.enable(sink)
         try:
             assert make_executor(workers=8).workers == 2
-            assert make_executor(backend="process", workers=5).workers == 2
             assert make_executor(workers=2).workers == 2
         finally:
             OBS.reset()
         assert sink.of_type("farm_workers_clamped") == [
             event("farm_workers_clamped", requested=8, workers=2),
-            event("farm_workers_clamped", requested=5, workers=2),
         ]
 
     def test_single_cpu_keeps_a_one_worker_pool(self, host_cpus):
@@ -92,9 +90,16 @@ class TestMakeExecutor:
             assert executor_module.available_cpus() == len(os.sched_getaffinity(0))
         assert executor_module.available_cpus() >= 1
 
-    def test_explicit_executor_wins(self):
-        executor = SerialExecutor()
-        assert make_executor(workers=8, executor=executor) is executor
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, workers):
+        with pytest.raises(ValueError):
+            make_executor(workers=workers)
+
+    def test_checkpoint_goes_to_the_executor(self, tmp_path, host_cpus):
+        host_cpus(4)
+        path = tmp_path / "ckpt.jsonl"
+        assert make_executor(checkpoint=path).checkpoint == path
+        assert make_executor(workers=3, checkpoint=path).checkpoint == path
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -229,7 +234,7 @@ class TestCheckpointIntegration:
         units = _units(4)
         # first run completes everything
         with CheckpointStore(path) as store:
-            first = SerialExecutor().run(units, echo_runner, checkpoint=store)
+            first = SerialExecutor(checkpoint=store).run(units, echo_runner)
         # second run must not re-execute any unit
         forbidden = tuple(u.key for u in units)
         rerun_units = [
@@ -240,8 +245,8 @@ class TestCheckpointIntegration:
             for u in units
         ]
         with CheckpointStore(path) as store:
-            second = SerialExecutor().run(
-                rerun_units, forbidden_key_runner, checkpoint=store
+            second = SerialExecutor(checkpoint=store).run(
+                rerun_units, forbidden_key_runner
             )
         assert [r.value for r in first] == [r.value for r in second]
         assert all(r.from_checkpoint for r in second)
@@ -250,9 +255,9 @@ class TestCheckpointIntegration:
         path = tmp_path / "ckpt.jsonl"
         units = _units(4)
         with CheckpointStore(path) as store:
-            SerialExecutor().run(units[:2], echo_runner, checkpoint=store)
+            SerialExecutor(checkpoint=store).run(units[:2], echo_runner)
         with CheckpointStore(path) as store:
-            results = SerialExecutor().run(units, echo_runner, checkpoint=store)
+            results = SerialExecutor(checkpoint=store).run(units, echo_runner)
         assert [r.from_checkpoint for r in results] == [
             True, True, False, False
         ]
@@ -264,10 +269,10 @@ class TestCheckpointIntegration:
     def test_foreign_checkpoint_keys_ignored(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         with CheckpointStore(path) as store:
-            SerialExecutor().run(_units(2), echo_runner, checkpoint=store)
+            SerialExecutor(checkpoint=store).run(_units(2), echo_runner)
         other = [WorkUnit(key="other/0", kind="k", index=0)]
-        results = SerialExecutor().run(
-            other, echo_runner, checkpoint=CheckpointStore(path)
+        results = SerialExecutor(checkpoint=CheckpointStore(path)).run(
+            other, echo_runner
         )
         assert results[0].value["key"] == "other/0"
         assert not results[0].from_checkpoint
@@ -282,9 +287,9 @@ class TestFarmTelemetry:
             path = tmp_path / "ckpt.jsonl"
             units = _units(3)
             with CheckpointStore(path) as store:
-                SerialExecutor().run(units, echo_runner, checkpoint=store)
+                SerialExecutor(checkpoint=store).run(units, echo_runner)
             with CheckpointStore(path) as store:
-                SerialExecutor().run(units, echo_runner, checkpoint=store)
+                SerialExecutor(checkpoint=store).run(units, echo_runner)
             completed = sink.of_type("farm_unit_completed")
             skipped = sink.of_type("farm_unit_skipped")
             assert len(completed) == 3

@@ -20,7 +20,7 @@ from repro.core.wafer_probe import WaferProber
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.wafer import RadialVariationModel, Wafer
 from repro.farm.checkpoint import CheckpointStore
-from repro.farm.executor import ParallelExecutor, SerialExecutor
+from repro.farm.executor import ParallelExecutor, SerialExecutor, make_executor
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
@@ -44,9 +44,10 @@ def _sweep():
 
 
 def _run_campaign(kind, tests, checkpoint):
+    executor = SerialExecutor(checkpoint=checkpoint)
     if kind == "lot":
-        return _lot().run(tests, n_dies=2, checkpoint=checkpoint)
-    return _sweep().sweep(tests[0], (1.7, 1.9), (25.0,), checkpoint=checkpoint)
+        return _lot().run(tests, n_dies=2, executor=executor)
+    return _sweep().sweep(tests[0], (1.7, 1.9), (25.0,), executor=executor)
 
 
 def _unclosed_files(run):
@@ -66,15 +67,15 @@ def _unclosed_files(run):
 
 class TestLotDeterminism:
     def test_workers_1_vs_4_identical(self, tests):
-        serial = _lot().run(tests, n_dies=8, workers=1)
-        parallel = _lot().run(tests, n_dies=8, workers=4)
+        serial = _lot().run(tests, n_dies=8, executor=make_executor(1))
+        parallel = _lot().run(tests, n_dies=8, executor=make_executor(4))
         assert serial.dies == parallel.dies
 
     def test_rtp_broadcast_identical_and_cheaper(self, tests):
         plain = _lot().run(tests, n_dies=6)
         serial = _lot().run(tests, n_dies=6, rtp_broadcast=True)
         parallel = _lot().run(
-            tests, n_dies=6, workers=4, rtp_broadcast=True
+            tests, n_dies=6, executor=make_executor(4), rtp_broadcast=True
         )
         assert serial.dies == parallel.dies
         assert sum(d.measurements for d in serial.dies) < sum(
@@ -82,8 +83,8 @@ class TestLotDeterminism:
         )
 
     def test_database_export_byte_identical(self, tests, tmp_path):
-        serial = _lot().run(tests, n_dies=8, workers=1)
-        parallel = _lot().run(tests, n_dies=8, workers=4)
+        serial = _lot().run(tests, n_dies=8, executor=make_executor(1))
+        parallel = _lot().run(tests, n_dies=8, executor=make_executor(4))
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
         serial.to_database(tests).export_json(serial_path)
@@ -119,18 +120,25 @@ class TestLotResume:
         reference = _lot().run(tests, n_dies=6)
         # Full run writing the checkpoint, then "kill" it after 3 dies by
         # truncating the file.
-        _lot().run(tests, n_dies=6, checkpoint=CheckpointStore(path))
+        _lot().run(
+            tests, n_dies=6,
+            executor=SerialExecutor(checkpoint=CheckpointStore(path)),
+        )
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:4]))  # header + 3 results
         store = CheckpointStore(path)
         assert len(store.load()) == 3
-        resumed = _lot().run(tests, n_dies=6, checkpoint=CheckpointStore(path))
+        resumed = _lot().run(
+            tests, n_dies=6,
+            executor=SerialExecutor(checkpoint=CheckpointStore(path)),
+        )
         assert resumed.dies == reference.dies
 
     def test_checkpoint_path_accepted_directly(self, tests, tmp_path):
         path = tmp_path / "lot.jsonl"
-        first = _lot().run(tests, n_dies=4, checkpoint=path)
-        again = _lot().run(tests, n_dies=4, checkpoint=path)
+        executor = SerialExecutor(checkpoint=path)
+        first = _lot().run(tests, n_dies=4, executor=executor)
+        again = _lot().run(tests, n_dies=4, executor=executor)
         assert first.dies == again.dies
 
     @pytest.mark.parametrize("kind", ["lot", "sweep"])
@@ -155,7 +163,7 @@ class TestWaferDeterminism:
                 search_range=(15.0, 45.0),
                 seed=1,
             )
-            return prober.probe(tests[:2], workers=workers)
+            return prober.probe(tests[:2], executor=make_executor(workers))
 
         serial = probe(1)
         parallel = probe(4)
@@ -170,8 +178,8 @@ class TestSweepDeterminism:
         test = tests[0]
         vdds = (1.5, 1.8, 2.1)
         temps = (25.0, 85.0)
-        serial = _sweep().sweep(test, vdds, temps, workers=1)
-        parallel = _sweep().sweep(test, vdds, temps, workers=4)
+        serial = _sweep().sweep(test, vdds, temps, executor=make_executor(1))
+        parallel = _sweep().sweep(test, vdds, temps, executor=make_executor(4))
         assert np.array_equal(
             serial.trip_points, parallel.trip_points, equal_nan=True
         )

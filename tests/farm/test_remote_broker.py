@@ -88,7 +88,7 @@ class TestHandshake:
             assert "version" in reply["reason"]
         finally:
             sock.close()
-        assert broker.stats["workers_seen"] == 0
+        assert broker.stats_payload()["totals"]["workers_seen"] == 0
 
     def test_unknown_role_rejected(self, broker):
         sock = _connect(broker.address)
@@ -141,7 +141,7 @@ class TestHandshake:
             client.close()
             pinned.close()
             matching.close()
-        assert broker.stats["workers_rejected"] == 1
+        assert broker.stats_payload()["totals"]["workers_rejected"] == 1
 
 
 class TestCampaignFlow:
@@ -176,7 +176,7 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["units_completed"] == 2
+        assert broker.stats_payload()["totals"]["units_completed"] == 2
 
     def test_duplicate_delivery_suppressed(self, broker):
         client = _connect(broker.address)
@@ -200,7 +200,7 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["duplicates_dropped"] == 1
+        assert broker.stats_payload()["totals"]["duplicates_dropped"] == 1
 
     def test_failed_attempt_retries_then_exhausts(self, broker):
         client = _connect(broker.address)
@@ -233,8 +233,8 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["units_failed"] == 1
-        assert broker.stats["reissues"] == 1
+        assert broker.stats_payload()["totals"]["units_failed"] == 1
+        assert broker.stats_payload()["totals"]["reissues"] == 1
 
     def test_worker_disconnect_requeues_leased_unit(self, broker):
         client = _connect(broker.address)

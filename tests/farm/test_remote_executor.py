@@ -23,12 +23,9 @@ from repro.ate.measurement import MeasurementModel
 from repro.ate.tester import ATE
 from repro.core.lot import EnvironmentalSweep
 from repro.device.memory_chip import MemoryTestChip
-from repro.farm import executor as executor_module
 from repro.farm.checkpoint import CheckpointStore
 from repro.farm.executor import (
-    ExecutorBackend,
     FarmExecutionError,
-    ParallelExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -111,7 +108,7 @@ class TestRemoteExecution:
             assert ours.measurements == theirs.measurements
             assert ours.index == theirs.index
         assert {r.worker for r in remote} <= {"w0", "w1"}
-        assert broker.stats["units_completed"] == 6
+        assert broker.stats_payload()["totals"]["units_completed"] == 6
 
     def test_per_unit_seeds_survive_the_wire(self):
         units = _units(4)
@@ -131,7 +128,7 @@ class TestRemoteExecution:
         assert [r.value for r in remote] == [r.value for r in serial]
         assert [r.rtp for r in remote] == [r.rtp for r in serial]
         # Two batches (pilot + broadcast rest) are two broker campaigns.
-        assert broker.stats["campaigns"] == 2
+        assert broker.stats_payload()["totals"]["campaigns"] == 2
 
     def test_pinned_worker_serves_every_batch_of_a_sweep(self):
         """A worker pinned to a sweep's campaign id runs the pilot cell
@@ -190,7 +187,7 @@ class TestRemoteExecution:
             ).run(units, flaky_runner)
         assert [r.value for r in results] == [u.key for u in units]
         assert all(r.attempts == 2 for r in results)
-        assert broker.stats["reissues"] == 3
+        assert broker.stats_payload()["totals"]["reissues"] == 3
 
     def test_exhausted_attempts_raise_farm_execution_error(self):
         with _farm(workers=1) as broker:
@@ -199,7 +196,7 @@ class TestRemoteExecution:
                     _units(2), failing_runner
                 )
         assert "unit/000" in str(info.value)
-        assert broker.stats["units_failed"] == 2
+        assert broker.stats_payload()["totals"]["units_failed"] == 2
 
     def test_elastic_worker_joins_after_submit(self):
         with FarmBroker(port=0, poll_s=0.02) as broker:
@@ -221,14 +218,17 @@ class TestRemoteExecution:
         units = _units(4)
         path = tmp_path / "ckpt.jsonl"
         with _farm(workers=2) as broker:
-            executor = RemoteExecutor(broker.address)
             with CheckpointStore(path) as store:
-                executor.run(units, echo_runner, checkpoint=store)
+                RemoteExecutor(broker.address, checkpoint=store).run(
+                    units, echo_runner
+                )
             with CheckpointStore(path) as store:
-                resumed = executor.run(units, echo_runner, checkpoint=store)
+                resumed = RemoteExecutor(broker.address, checkpoint=store).run(
+                    units, echo_runner
+                )
         assert all(r.from_checkpoint for r in resumed)
         # The second run never reached the broker: one campaign total.
-        assert broker.stats["campaigns"] == 1
+        assert broker.stats_payload()["totals"]["campaigns"] == 1
 
     def test_unreachable_broker_raises_remote_farm_error(self):
         executor = RemoteExecutor(
@@ -275,29 +275,19 @@ class TestRemoteExecution:
 
 class TestMakeExecutorRemote:
     def test_remote_backend_resolution(self):
-        executor = make_executor(backend="remote", broker="127.0.0.1:9999")
+        executor = make_executor(broker="127.0.0.1:9999")
         assert isinstance(executor, RemoteExecutor)
-        assert isinstance(executor, ExecutorBackend)
         assert executor.address == ("127.0.0.1", 9999)
 
+    def test_broker_wins_over_workers(self):
+        assert isinstance(
+            make_executor(workers=4, broker="127.0.0.1:9999"), RemoteExecutor
+        )
+
     def test_remote_backend_requires_broker(self):
-        with pytest.raises(ValueError):
-            make_executor(backend="remote")
-
-    def test_named_backends(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "available_cpus", lambda: 4)
-        assert isinstance(make_executor(backend="serial"), SerialExecutor)
-        process = make_executor(backend="process", workers=3)
-        assert isinstance(process, ParallelExecutor)
-        assert process.workers == 3
-        with pytest.raises(ValueError):
-            make_executor(backend="quantum")
-
-    def test_explicit_executor_wins(self):
-        serial = SerialExecutor()
-        assert make_executor(
-            executor=serial, backend="remote", broker="h:1"
-        ) is serial
+        for broker in ("no-port", ""):
+            with pytest.raises(ValueError):
+                make_executor(broker=broker)
 
 
 def _spawn_worker(address, name):

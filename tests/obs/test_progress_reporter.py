@@ -43,14 +43,14 @@ class TestLiveEvents:
         path = tmp_path / "ckpt.jsonl"
         units = _units(tmp_path, 2)
         with CheckpointStore(path) as store:
-            SerialExecutor().run(
-                units[:1], flaky_runner, checkpoint=store, campaign="camp"
+            SerialExecutor(checkpoint=store).run(
+                units[:1], flaky_runner, campaign="camp"
             )
         with path.open("a") as handle:
             handle.write("{broken json\n")
         with CheckpointStore(path) as store:
-            SerialExecutor().run(
-                units, flaky_runner, checkpoint=store, campaign="camp"
+            SerialExecutor(checkpoint=store).run(
+                units, flaky_runner, campaign="camp"
             )
         done = r"done in \d+\.\d\ds \(1 meas\) on serial"
         patterns = [

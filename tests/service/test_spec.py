@@ -96,6 +96,20 @@ class TestArgv:
             tmp_path / "campaign" / "worst_case_db.json"
         )
 
+    @pytest.mark.parametrize("backend, workers, flags", [
+        (None, 3, ["--workers", "3"]),
+        ("serial", 3, []),
+        ("process", None, ["--workers", "2"]),
+        ("process", 1, ["--workers", "1"]),
+        ("remote", 3, ["--broker", "h:1", "--workers", "3"]),
+    ])
+    def test_backend_maps_onto_farm_flags(
+        self, tmp_path, backend, workers, flags
+    ):
+        spec = JobSpec(command="lot", workers=workers, backend=backend)
+        argv = spec.cli_argv(tmp_path, broker="h:1")
+        assert argv[4:argv.index("lot")] == flags
+
     def test_bool_param_is_a_bare_flag(self, tmp_path):
         spec = JobSpec(command="table1", params={"fast": True})
         argv = spec.cli_argv(tmp_path)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _build_parser, _farm_kwargs, main
+from repro.cli import main
 
 
 class TestArgumentParsing:
@@ -143,13 +143,21 @@ class TestFarmFlags:
         assert main(["--workers", "1"] + command) == 0
         assert capsys.readouterr().out == plain
 
-    def test_broker_alone_selects_remote_backend(self):
+    def test_broker_alone_selects_remote_backend(self, monkeypatch):
+        from repro.core.lot import LotCharacterizer
         from repro.farm.remote.executor import RemoteExecutor
 
-        args = _build_parser().parse_args(
-            ["--broker", "127.0.0.1:9", "lot", "--dies", "2", "--tests", "2"]
-        )
-        executor = _farm_kwargs(args)["executor"]
+        class Reached(Exception):
+            pass
+
+        def run(self, tests, n_dies, executor=None):
+            raise Reached(executor)
+
+        monkeypatch.setattr(LotCharacterizer, "run", run)
+        with pytest.raises(Reached) as reached:
+            main(["--workers", "2", "--broker", "127.0.0.1:9",
+                  "lot", "--dies", "2", "--tests", "2"])
+        executor = reached.value.args[0]
         assert isinstance(executor, RemoteExecutor)
         assert executor.address == ("127.0.0.1", 9)
 
@@ -171,11 +179,47 @@ class TestFarmFlags:
         )
         assert "Traceback" not in done.stderr + done.stdout
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_broker_with_a_local_backend_is_an_error(self, backend):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["--broker", "127.0.0.1:9", "--backend", backend,
-                 "lot", "--dies", "2", "--tests", "2"]
-            )
-        assert str(exc.value.code).startswith("error:")
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_is_a_one_line_error(self, workers):
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--workers", workers,
+             "lot", "--dies", "2", "--tests", "2"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"error: workers must be >= 1, got {workers}\n"
+        assert "Traceback" not in done.stderr + done.stdout
+        assert done.stdout == ""
+
+
+class TestJobsSubmitParams:
+    def _submit(self, raw):
+        return main(["jobs", "submit", "--url", "http://127.0.0.1:9",
+                     "table1", "-p", f"fast={raw}"])
+
+    @pytest.mark.parametrize("raw", ["ture", "2", "on", ""])
+    def test_mistyped_bool_is_rejected(self, raw, capsys):
+        assert self._submit(raw) == 2
+        assert capsys.readouterr().err == (
+            f"error: parameter 'fast' must be bool, got {raw!r}\n"
+        )
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("YES", True), ("1", True),
+        ("False", False), ("no", False), ("0", False),
+    ])
+    def test_bool_words(self, raw, value, monkeypatch):
+        from repro.service.client import ServiceClient
+
+        class Submitted(Exception):
+            pass
+
+        def submit(self, spec):
+            raise Submitted(spec)
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        with pytest.raises(Submitted) as submitted:
+            self._submit(raw)
+        assert submitted.value.args[0].params == {"fast": value}
