@@ -14,9 +14,9 @@ available, so the record also keeps the pool size and the speedup per CPU
 the pool could use (``efficiency_per_cpu``; 1.0 is perfect scaling).
 
 It also records what one die unit costs to dispatch: the pickled bytes of
-each unit the pool is handed, of the same unit with its deck inline, and
-of the shared-payload table a pool worker receives once (inherited for
-free under ``fork``).
+each pool submit (the unit's index into the batch, not the unit), of one
+die unit with its deck inline, and of the batch a pool worker receives
+once (inherited for free under ``fork``).
 """
 
 import concurrent.futures
@@ -50,18 +50,18 @@ def run_lot(tests, executor, n_dies=N_DIES):
 def dispatch_bytes(tests, monkeypatch):
     """Pickled bytes a 2-die lot hands its process pool.
 
-    Returns the largest dispatched unit, the same unit with its payload
-    inline, and the shared table each pool worker receives once.
+    Returns the largest submit's arguments, one die unit with its deck
+    inline, and the batch each pool worker receives once.
     """
-    sent = {"units": [], "table": 0}
+    sent = {"submits": [], "batch": 0}
 
     class MeteredPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, initargs=(), **kwargs):
-            sent["table"] = len(pickle.dumps(initargs))
+            sent["batch"] = len(pickle.dumps(initargs))
             super().__init__(*args, initargs=initargs, **kwargs)
 
         def submit(self, fn, *args, **kwargs):
-            sent["units"].append(args[1])
+            sent["submits"].append(len(pickle.dumps(args)))
             return super().submit(fn, *args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -70,11 +70,7 @@ def dispatch_bytes(tests, monkeypatch):
     lot = LotCharacterizer(search_range=SEARCH_RANGE, seed=37)
     die = lot.process.sample_lot(1)[0]
     inline = lot.die_unit(die, tests)
-    return (
-        max(len(pickle.dumps(unit)) for unit in sent["units"]),
-        len(pickle.dumps(inline)),
-        sent["table"],
-    )
+    return max(sent["submits"]), len(pickle.dumps(inline)), sent["batch"]
 
 
 @pytest.mark.benchmark(group="farm")
@@ -106,7 +102,9 @@ def test_farm_lot_serial_vs_4_workers(
     speedup = serial_s / parallel_s
     efficiency = speedup / min(farm.workers, cpus)
     measurements = sum(d.measurements for d in serial.dies)
-    unit_bytes, inline_bytes, table_bytes = dispatch_bytes(tests, monkeypatch)
+    submit_bytes, inline_bytes, batch_bytes = dispatch_bytes(
+        tests, monkeypatch
+    )
     report_sink.json(
         dies=N_DIES,
         tests=N_TESTS,
@@ -118,9 +116,9 @@ def test_farm_lot_serial_vs_4_workers(
         speedup=round(speedup, 4),
         efficiency_per_cpu=round(efficiency, 4),
         identical_databases=True,
-        unit_bytes_dispatched=unit_bytes,
+        submit_bytes=submit_bytes,
         unit_bytes_inline=inline_bytes,
-        shared_table_bytes=table_bytes,
+        batch_bytes_per_worker=batch_bytes,
     )
     report_sink(
         f"farm — {N_DIES}-die lot x {N_TESTS} tests "
@@ -135,8 +133,8 @@ def test_farm_lot_serial_vs_4_workers(
         "  worst-case database export: byte-identical serial vs parallel"
     )
     report_sink(
-        f"  dispatched die unit {unit_bytes:,} B (deck inline: "
-        f"{inline_bytes:,} B); shared table {table_bytes:,} B once per worker"
+        f"  pool submit {submit_bytes:,} B (die unit with its deck inline: "
+        f"{inline_bytes:,} B); batch {batch_bytes:,} B once per worker"
     )
     if cpus < 2:
         report_sink(

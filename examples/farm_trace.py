@@ -22,6 +22,7 @@ Usage::
     python examples/farm_trace.py [output_dir]
 """
 
+import json
 import sys
 import tempfile
 import time
@@ -83,7 +84,8 @@ def main() -> None:
 
     # --- 4. the timeline: `repro obs timeline lot.jsonl` ----------------
     timeline = obs.build_chrome_trace(records)
-    timeline_path = obs.write_chrome_trace(records, out / "timeline.json")
+    timeline_path = out / "timeline.json"
+    timeline_path.write_text(json.dumps(timeline))
     print()
     print(f"timeline: {len(timeline['traceEvents'])} trace event(s) in "
           f"{timeline_path} — open at ui.perfetto.dev")

@@ -1171,14 +1171,15 @@ def _cmd_obs(args) -> int:
     elif args.obs_command == "slowest":
         print(obs.render_slowest(fold, count=args.count))
     elif args.obs_command == "timeline":
+        import json
+
         output = args.output or f"{args.trace_file}.timeline.json"
-        path = obs.write_chrome_trace(records, output)
+        timeline = obs.build_chrome_trace(records)
+        Path(output).write_text(json.dumps(timeline))
         spans = sum(
-            1
-            for entry in obs.build_chrome_trace(records)["traceEvents"]
-            if entry.get("ph") == "X"
+            1 for entry in timeline["traceEvents"] if entry.get("ph") == "X"
         )
-        print(f"timeline written: {path} ({spans} span(s); "
+        print(f"timeline written: {output} ({spans} span(s); "
               f"open at ui.perfetto.dev)")
     elif args.obs_command == "insight":
         print(obs.render_insight(obs.build_insight(fold)))
@@ -1800,8 +1801,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             # Inspection output piped into head/less that closed early.
             sys.stderr.close()
             return 0
+    if args.workers is not None and args.workers < 1:
+        print(f"error: workers must be >= 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     if (
-        (args.workers or args.resume or args.broker)
+        any(flag is not None for flag in (args.workers, args.resume,
+                                          args.broker))
         and args.command not in _FARM_COMMANDS
     ):
         print(

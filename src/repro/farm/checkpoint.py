@@ -105,10 +105,6 @@ class CheckpointStore:
             )
         return results
 
-    def completed_keys(self) -> "set[str]":
-        """Unit keys already recorded in the checkpoint."""
-        return set(self.load())
-
     def _decode(
         self, payload: Dict[str, object], number: int
     ) -> Optional[WorkResult]:

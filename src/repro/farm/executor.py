@@ -29,27 +29,28 @@ where ``runner`` is a picklable module-level callable
 
 :class:`SerialExecutor` runs units in the parent process;
 :class:`ParallelExecutor` fans them out over a
-``ProcessPoolExecutor``.  Telemetry crosses the process boundary: when
-the parent's switchboard is enabled, every unit — serial or remote —
-runs under a :class:`~repro.obs.collector.UnitCapture` that spools its
-events and metric observations, and the parent replays all spools in
-submission order after the batch (:class:`~repro.obs.collector.
-FarmCollector.merge`), so a 4-worker run's merged trace and metric
-histograms are identical to the serial run's.  When the parent is
-profiling (``--profile``), the capture config ships the
-:class:`~repro.obs.profile.ProfileConfig` too, so every unit runs its
-own sampling profiler and resource sampler inside the executing process
-and the profile/resource events merge with the rest.  Farm lifecycle
-events (dispatch/complete/retry, pool lifecycle) stay live on the
-parent's :mod:`repro.obs` bus in real completion order — they drive
+``ProcessPoolExecutor``.  Every executor runs a unit through the one
+call :func:`~repro.obs.collector.run_unit`.  Telemetry crosses the
+process boundary: when the parent's switchboard is enabled, every unit —
+serial, pool or remote — runs under a :class:`~repro.obs.collector.
+UnitCapture` that spools its events and metric observations, and the
+parent replays all spools in submission order after the batch
+(:class:`~repro.obs.collector.FarmCollector.merge`), so a 4-worker run's
+merged trace and metric histograms are identical to the serial run's.
+When the parent is profiling (``--profile``), the capture config ships
+the :class:`~repro.obs.profile.ProfileConfig` too, so every unit runs
+its own sampling profiler and resource sampler inside the executing
+process and the profile/resource events merge with the rest.  Farm
+lifecycle events (dispatch/complete/retry, pool lifecycle) stay live on
+the parent's :mod:`repro.obs` bus in real completion order — they drive
 progress reporting and the Perfetto timeline.
 
-A payload value that several units of one batch hold as the same object
-(a lot's deck, shared by every die) crosses the process boundary once
-per pool worker, not once per unit: :func:`hoist_shared` moves it into a
-table the pool's initializer installs in each worker — inherited for
-free under ``fork``, pickled once per worker under ``spawn`` — and
-:func:`_worker_call` puts it back before the runner sees the unit.
+A pool gets its batch once: the pool initializer
+(:func:`_install_batch`) keeps the batch's units in each worker, and a
+dispatch sends only a unit's index into it.  Under ``fork`` the workers
+inherit the batch and nothing is pickled; under ``spawn`` or
+``forkserver`` the batch is pickled once per worker, and pickle's memo
+sends a value the units share (a lot's deck) once.
 """
 
 from __future__ import annotations
@@ -58,30 +59,13 @@ import concurrent.futures
 import functools
 import os
 import threading
-import time
 import weakref
-from collections import Counter
-from dataclasses import replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.farm.checkpoint import CheckpointStore
 from repro.farm.scheduler import RTPBroadcast, dispatch_order
 from repro.farm.workunit import UnitOutcome, WorkResult, WorkUnit
-from repro.obs.collector import (
-    FarmCollector,
-    WorkerCaptureConfig,
-    run_unit_captured,
-)
+from repro.obs.collector import FarmCollector, WorkerCaptureConfig, run_unit
 from repro.obs.events import event
 from repro.obs.runtime import OBS
 
@@ -332,27 +316,26 @@ class SerialExecutor(Executor):
     def _execute(self, units, runner, results, checkpoint, broadcast,
                  collector, campaign):
         failures: List[Tuple[WorkUnit, str]] = []
+        config = collector.worker_config() if collector is not None else None
         for unit in units:
             reason = ""
             for attempt in range(1, self.max_attempts + 1):
                 self._note_dispatch(unit, attempt)
-                start = time.perf_counter()
                 try:
-                    if collector is not None:
-                        # Identical capture path to a pool worker, so the
-                        # merged trace cannot depend on the worker count.
-                        with collector.capture_unit(unit.key, attempt=attempt):
-                            outcome = runner(unit)
-                    else:
-                        outcome = runner(unit)
+                    # The pool worker's call, so the merged trace cannot
+                    # depend on the worker count.
+                    outcome, elapsed, telemetry = run_unit(
+                        runner, unit, config, "serial", attempt
+                    )
                 except Exception as error:  # noqa: BLE001 — retried below
                     reason = f"{type(error).__name__}: {error}"
                     if attempt < self.max_attempts:
                         self._note_retry(unit, attempt, reason)
                     continue
+                if collector is not None:
+                    collector.collect(telemetry)
                 self._complete(
-                    unit, outcome, attempt,
-                    time.perf_counter() - start, "serial",
+                    unit, outcome, attempt, elapsed, "serial",
                     results, checkpoint, broadcast,
                 )
                 break
@@ -362,104 +345,39 @@ class SerialExecutor(Executor):
             raise FarmExecutionError(failures)
 
 
-#: Never hoisted: a scalar pickles smaller than its placeholder would.
-_SCALARS = (str, bytes, int, float, bool, type(None))
-
-#: This pool worker's shared payload table (see :func:`hoist_shared`).
-_SHARED: Tuple[Any, ...] = ()
+#: This pool worker's batch (see :func:`_install_batch`).
+_BATCH: Tuple[WorkUnit, ...] = ()
 
 
-class _SharedRef(NamedTuple):
-    """Placeholder for the payload value in slot ``slot`` of the shared table."""
+def _install_batch(units: Tuple[WorkUnit, ...]) -> None:
+    """Pool initializer: keep the batch, detach the inherited switchboard.
 
-    slot: int
-
-
-def hoist_shared(
-    units: Sequence[WorkUnit],
-) -> Tuple[Tuple[Any, ...], List[WorkUnit]]:
-    """Split the payload values several units share from the units.
-
-    A non-scalar payload value that two or more ``units`` hold as the
-    same object (by ``id``) moves into the returned table, and each unit
-    holding it carries a small placeholder in its place.  A unit that
-    shares nothing is returned as is.  :func:`_worker_call` undoes the
-    split inside a worker that installed the table.
+    Each dispatch then names its unit by index into the batch.  Under
+    ``fork`` the worker inherits the parent's enabled switchboard and its
+    open trace files; :meth:`Observability.detach <repro.obs.runtime.
+    Observability.detach>` drops them once, for every unit the worker
+    runs.
     """
-    holders = Counter(
-        ident
-        for unit in units
-        for ident in {
-            id(value) for value in unit.payload.values()
-            if not isinstance(value, _SCALARS)
-        }
-    )
-    table: List[Any] = []
-    refs: Dict[int, _SharedRef] = {}
-
-    def ref(value: Any) -> _SharedRef:
-        if id(value) not in refs:
-            refs[id(value)] = _SharedRef(len(table))
-            table.append(value)
-        return refs[id(value)]
-
-    stubs = []
-    for unit in units:
-        hoisted = {
-            name: ref(value) for name, value in unit.payload.items()
-            if holders[id(value)] > 1
-        }
-        stubs.append(
-            replace(unit, payload={**unit.payload, **hoisted})
-            if hoisted else unit
-        )
-    return tuple(table), stubs
-
-
-def _install_shared(table: Tuple[Any, ...]) -> None:
-    """Pool initializer: keep the batch's shared payload table."""
-    global _SHARED
-    _SHARED = table
-
-
-def _resolve_shared(unit: WorkUnit) -> WorkUnit:
-    """The complete unit a :func:`hoist_shared` stub stands for."""
-    hoisted = {
-        name: _SHARED[value.slot] for name, value in unit.payload.items()
-        if isinstance(value, _SharedRef)
-    }
-    return replace(unit, payload={**unit.payload, **hoisted}) if hoisted else unit
+    global _BATCH
+    _BATCH = units
+    OBS.detach()
 
 
 def _worker_call(
     runner: UnitRunner,
-    unit: WorkUnit,
+    index: int,
     config: Optional[WorkerCaptureConfig] = None,
     attempt: int = 1,
 ):
-    """Per-unit entry point inside a pool worker.
-
-    The unit's shared payload values are put back from the pool's table
-    first.  The inherited switchboard is detached (:meth:`Observability.
-    detach <repro.obs.runtime.Observability.detach>`) and, when a capture
-    config was shipped with the dispatch, the unit runs under a fresh
-    :class:`~repro.obs.collector.UnitCapture` whose spool travels back
-    with the outcome.
-    """
+    """Per-unit entry point inside a pool worker: run unit ``index`` of
+    the batch through :func:`~repro.obs.collector.run_unit`."""
     import multiprocessing
 
-    unit = _resolve_shared(unit)
-    OBS.detach()
     worker = multiprocessing.current_process().name
-    start = time.perf_counter()
-    if config is not None:
-        outcome, telemetry = run_unit_captured(
-            runner, unit, config, worker, attempt=attempt
-        )
-    else:
-        outcome = runner(unit)
-        telemetry = None
-    return outcome, time.perf_counter() - start, worker, telemetry
+    outcome, elapsed_s, telemetry = run_unit(
+        runner, _BATCH[index], config, worker, attempt
+    )
+    return outcome, elapsed_s, worker, telemetry
 
 
 class ParallelExecutor(Executor):
@@ -499,7 +417,7 @@ class ParallelExecutor(Executor):
         self.timeout_s = timeout_s
 
     def _pool(
-        self, shared: Tuple[Any, ...]
+        self, batch: Tuple[WorkUnit, ...]
     ) -> concurrent.futures.ProcessPoolExecutor:
         if OBS.enabled:
             OBS.bus.emit(
@@ -509,8 +427,8 @@ class ParallelExecutor(Executor):
             )
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=_install_shared,
-            initargs=(shared,),
+            initializer=_install_batch,
+            initargs=(batch,),
         )
         _register_exit_hook()
         return pool
@@ -545,83 +463,84 @@ class ParallelExecutor(Executor):
 
     def _execute(self, units, runner, results, checkpoint, broadcast,
                  collector, campaign):
-        pending: List[WorkUnit] = list(units)
-        failures: List[Tuple[WorkUnit, str]] = []
+        batch = tuple(units)
+        pending: Sequence[int] = range(len(batch))
+        failures: List[Tuple[int, str]] = []
         config = collector.worker_config() if collector is not None else None
-        shared, stubs = hoist_shared(pending)
-        dispatched = {unit.key: stub for unit, stub in zip(pending, stubs)}
-        pool = self._pool(shared)
+        pool = self._pool(batch)
         clean = False
         try:
             for attempt in range(1, self.max_attempts + 1):
                 failures = []
                 recycle = False
                 futures = []
-                for unit in pending:
-                    self._note_dispatch(unit, attempt)
+                for index in pending:
+                    self._note_dispatch(batch[index], attempt)
                     try:
                         futures.append(
                             (
-                                unit,
+                                index,
                                 # `attempt` rides along so retried units
                                 # stamp attempt=2... on their trace
                                 # context instead of replaying as a
                                 # second attempt=1.
                                 pool.submit(
-                                    _worker_call, runner,
-                                    dispatched[unit.key], config, attempt,
+                                    _worker_call, runner, index, config,
+                                    attempt,
                                 ),
                             )
                         )
                     except concurrent.futures.process.BrokenProcessPool:
                         # An earlier unit already killed the pool; count
                         # this one as failed without a future.
-                        failures.append((unit, "worker process died"))
+                        failures.append((index, "worker process died"))
                         recycle = True
-                for unit, future in futures:
+                for index, future in futures:
                     try:
                         outcome, elapsed, worker, telemetry = future.result(
                             timeout=self.timeout_s
                         )
                     except concurrent.futures.TimeoutError:
                         failures.append(
-                            (unit, f"timed out after {self.timeout_s}s")
+                            (index, f"timed out after {self.timeout_s}s")
                         )
                         recycle = True
                         continue
                     except concurrent.futures.process.BrokenProcessPool:
-                        failures.append((unit, "worker process died"))
+                        failures.append((index, "worker process died"))
                         recycle = True
                         continue
                     except Exception as error:  # noqa: BLE001 — retried
                         failures.append(
-                            (unit, f"{type(error).__name__}: {error}")
+                            (index, f"{type(error).__name__}: {error}")
                         )
                         continue
                     if collector is not None:
                         collector.collect(telemetry)
                     self._complete(
-                        unit, outcome, attempt, elapsed, worker,
+                        batch[index], outcome, attempt, elapsed, worker,
                         results, checkpoint, broadcast,
                     )
                 pending = []
                 if failures:
                     if recycle:
                         # Stalled or dead workers poison the pool; start a
-                        # fresh one for the retry pass.
+                        # fresh one, with the same batch, for the retry pass.
                         self._shutdown(pool, status="recycled", terminate=True)
-                        pool = self._pool(shared)
+                        pool = self._pool(batch)
                     if attempt < self.max_attempts:
-                        for unit, reason in failures:
-                            self._note_retry(unit, attempt, reason)
-                        pending = [unit for unit, _ in failures]
+                        for index, reason in failures:
+                            self._note_retry(batch[index], attempt, reason)
+                        pending = [index for index, _ in failures]
                 if not pending:
                     break
             clean = not failures
         finally:
             self._shutdown(pool, terminate=not clean)
         if failures:
-            raise FarmExecutionError(failures)
+            raise FarmExecutionError(
+                [(batch[index], reason) for index, reason in failures]
+            )
 
 
 def available_cpus() -> int:

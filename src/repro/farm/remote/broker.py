@@ -524,6 +524,9 @@ class FarmBroker:
                             - len(campaign.leases.completed)
                             - len(campaign.failed),
                         )
+                    # Its unshipped events must not open the next
+                    # campaign's trace.
+                    self.telemetry.drain_events()
                     self._campaign = None
 
     def _accept_submit(
@@ -896,6 +899,7 @@ class FarmBroker:
         campaign._announced = True
         offsets = self.telemetry.clock_offsets()
         client_offset = offsets.pop(campaign.client_name, 0.0)
+        events, dropped = self.telemetry.drain_events()
         campaign.push({
             "type": "campaign_done",
             "campaign": campaign.id,
@@ -903,7 +907,8 @@ class FarmBroker:
             "failed": sorted(campaign.failed),
             "duplicates_dropped": campaign.leases.duplicates,
             "reissues": campaign.reissues,
-            "telemetry": self.telemetry.drain_events(),
+            "telemetry": events,
+            "events_dropped": dropped,
             "clock": {
                 "offsets": offsets,
                 "client_offset_s": client_offset,

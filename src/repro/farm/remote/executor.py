@@ -232,14 +232,18 @@ class RemoteExecutor(Executor):
         """Fold the broker's shipped control-plane story into our trace.
 
         The ``campaign_done`` frame carries the broker's buffered event
-        payloads (pre-stamped with the *broker's* wall clock) and the
-        per-worker clock offsets it estimated.  Replaying them here puts
+        payloads (pre-stamped with the *broker's* wall clock), the count
+        its full buffer dropped (the ``farm.broker.dropped_events``
+        counter) and the per-worker clock offsets it estimated.  Replaying them here puts
         lease lifetimes, re-issues and duplicates into the client trace;
         the closing ``broker_clock_sync`` event gives ``obs timeline``
         what it needs to align every track onto the client's axis.
         """
         if not OBS.enabled:
             return
+        dropped = int(frame.get("events_dropped") or 0)
+        if dropped:
+            OBS.metrics.counter("farm.broker.dropped_events").inc(dropped)
         events = frame.get("telemetry")
         if isinstance(events, list):
             for payload in events:

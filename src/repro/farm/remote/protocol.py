@@ -35,7 +35,9 @@ frame            direction  meaning
 ``unit_failed``  broker  →  (to client) a unit exhausted its attempts
 ``campaign_done`` broker →  (to client) every unit is done or failed;
                             also carries the broker's buffered telemetry
-                            events and per-worker ``clock`` offsets
+                            events, the count its full buffer dropped
+                            (``events_dropped``) and per-worker
+                            ``clock`` offsets
 ``stats``        both       (role ``stats``) observer asks; broker
                             answers with the live farm snapshot that
                             ``repro farm-top`` renders

@@ -17,8 +17,9 @@ surfaces the rest of the repo already speaks:
   worker=worker name) because the broker emits from many connection
   threads and the process-global trace context is not thread-safe.
   Payloads are buffered per campaign so the ``campaign_done`` frame can
-  ship them to the submitting client, whose trace then tells the
-  broker-side story.
+  ship them, with the count a full buffer dropped, to the submitting
+  client, whose trace then tells the broker-side story.  A campaign
+  dropped with its client discards its buffer.
 * **Clock skew** — :class:`ClockEstimator` turns the paired
   wall+monotonic stamps carried by hello/heartbeat frames into a
   min-filtered per-worker offset (the classic min-RTT argument: the
@@ -166,18 +167,13 @@ class BrokerTelemetry:
             OBS.bus.emit(payload)
         return payload
 
-    def drain_events(self) -> List[Dict[str, object]]:
-        """Hand over (and clear) the buffered event payloads."""
+    def drain_events(self) -> Tuple[List[Dict[str, object]], int]:
+        """Hand over (and clear) the buffered event payloads, with the
+        count of events the full buffer discarded since the last drain."""
         with self._lock:
             events, self._events = self._events, []
-            self._events_dropped = 0
-            return events
-
-    @property
-    def events_dropped(self) -> int:
-        """Events discarded because the campaign buffer overflowed."""
-        with self._lock:
-            return self._events_dropped
+            dropped, self._events_dropped = self._events_dropped, 0
+            return events, dropped
 
     # -- clock skew ------------------------------------------------------------
 
@@ -201,11 +197,6 @@ class BrokerTelemetry:
         with self._lock:
             estimators = dict(self._clocks)
         return {name: est.offset_s for name, est in estimators.items()}
-
-    def forget_clock(self, name: str) -> None:
-        """Drop ``name``'s estimator (client disconnected)."""
-        with self._lock:
-            self._clocks.pop(name, None)
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):

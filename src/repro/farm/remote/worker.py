@@ -15,10 +15,10 @@ A worker is a tiny synchronous loop around one broker connection:
    attempt, campaign gone) is not an error: the broker already has what
    it needs and the worker simply asks for the next unit.
 
-Telemetry: when the dispatch carries a capture config, the unit runs
-under :func:`repro.obs.collector.run_unit_captured` — the same spool
-capture the process pool uses — and the resulting ``WorkerTelemetry``
-rides back inside the result frame.  Remote traces therefore merge
+Telemetry: a unit runs through :func:`repro.obs.collector.run_unit`, the
+call the serial executor and the process pool make too; when the dispatch
+carries a capture config, the resulting ``WorkerTelemetry`` rides back
+inside the result frame.  Remote traces therefore merge
 event-comparable with serial and process-pool traces.
 
 The global observability runtime is neutralised on startup exactly like
@@ -46,7 +46,7 @@ from repro.farm.remote.protocol import (
     unpack,
 )
 from repro.farm.remote.telemetry import clock_stamp
-from repro.obs.collector import run_unit_captured
+from repro.obs.collector import run_unit
 from repro.obs.runtime import OBS
 
 logger = logging.getLogger("repro.farm.remote")
@@ -141,7 +141,6 @@ def _execute_unit(
     """Run one leased unit; build the result frame (ok or error)."""
     key = str(frame["key"])
     attempt = int(frame.get("attempt") or 1)
-    started = time.perf_counter()
     try:
         ref = str(frame["runner"])
         if ref not in runners:
@@ -149,13 +148,9 @@ def _execute_unit(
         runner = runners[ref]
         unit = unpack(str(frame["unit"]))
         config = unpack(str(frame["config"])) if frame.get("config") else None
-        if config is not None:
-            outcome, telemetry = run_unit_captured(
-                runner, unit, config, worker=name, attempt=attempt
-            )
-        else:
-            outcome = runner(unit)
-            telemetry = None
+        outcome, elapsed_s, telemetry = run_unit(
+            runner, unit, config, name, attempt
+        )
     except BaseException as exc:  # noqa: BLE001 — report, don't die
         logger.warning("unit %s attempt %d failed: %s", key, attempt, exc)
         return {
@@ -163,7 +158,6 @@ def _execute_unit(
             "key": key,
             "attempt": attempt,
             "ok": False,
-            "elapsed_s": time.perf_counter() - started,
             "error": f"{type(exc).__name__}: {exc}",
         }
     return {
@@ -171,7 +165,7 @@ def _execute_unit(
         "key": key,
         "attempt": attempt,
         "ok": True,
-        "elapsed_s": time.perf_counter() - started,
+        "elapsed_s": elapsed_s,
         "outcome": pack(outcome),
         "telemetry": pack(telemetry) if telemetry is not None else None,
     }

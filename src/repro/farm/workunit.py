@@ -11,9 +11,8 @@ workers the farm had.  That is what makes a farm run bit-identical to a
 serial run.
 
 Units are plain picklable dataclasses: a :class:`~repro.farm.executor.
-ParallelExecutor` ships them to worker processes (a payload value that
-several units share goes once per worker, see :func:`~repro.farm.
-executor.hoist_shared`), and a :class:`~repro.farm.checkpoint.
+ParallelExecutor` hands its batch of them to each worker process once and
+then dispatches indices into it, and a :class:`~repro.farm.checkpoint.
 CheckpointStore` writes their results to disk for resume.
 """
 

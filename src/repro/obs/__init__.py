@@ -83,7 +83,7 @@ from repro.obs.report import (
     trace_summary_data,
 )
 from repro.obs.runtime import OBS, configure, enable, reset
-from repro.obs.timeline import build_chrome_trace, write_chrome_trace
+from repro.obs.timeline import build_chrome_trace
 
 __all__ = [
     "EventBus",
@@ -116,6 +116,5 @@ __all__ = [
     "stop_profiling",
     "trace_summary_data",
     "worker_utilization",
-    "write_chrome_trace",
     "write_folded",
 ]

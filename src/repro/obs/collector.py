@@ -19,8 +19,8 @@ module closes them:
 * **Deterministic merge** — :class:`FarmCollector` replays every unit's
   spooled events and metric observations into the parent's sinks in
   **submission order**, regardless of worker count, scheduling or
-  completion order.  Both executors route unit telemetry through the
-  same capture/merge pipeline, so a 4-worker run's merged trace and
+  completion order.  Every executor runs a unit through :func:`run_unit`
+  and merges its telemetry here, so a 4-worker run's merged trace and
   metric histograms are identical to the serial run's.
 
 :class:`FarmProgressReporter` is the live half: a plain sink that turns
@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO
 
 from repro.obs.events import (
     EventBus,
@@ -50,10 +49,10 @@ from repro.obs.profile import (
 )
 from repro.obs.runtime import OBS
 
-#: Default per-unit spool bound.  A unit past this many events keeps
-#: running; the overflow is counted (``dropped_events``) and surfaced as
-#: a ``farm.spool.dropped_events`` counter at merge time.
-DEFAULT_SPOOL_CAPACITY = 200_000
+#: Per-unit spool bound.  A unit past this many events keeps running;
+#: the overflow is counted (``dropped_events``) and surfaced as a
+#: ``farm.spool.dropped_events`` counter at merge time.
+SPOOL_CAPACITY = 200_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class WorkerCaptureConfig:
     """
 
     trace_id: str
-    spool_capacity: int = DEFAULT_SPOOL_CAPACITY
     profile: Optional[ProfileConfig] = None
 
 
@@ -98,7 +96,7 @@ class SpoolSink:
     ready to replay through any sink in the parent process.
     """
 
-    def __init__(self, capacity: int = DEFAULT_SPOOL_CAPACITY) -> None:
+    def __init__(self, capacity: int = SPOOL_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -122,12 +120,8 @@ class SpoolSink:
 class UnitCapture:
     """Swaps the global switchboard to a per-unit spool, and back.
 
-    Used in two places with the same semantics:
-
-    * the serial executor wraps each in-process unit run;
-    * :func:`run_unit_captured` wraps the runner inside a pool worker.
-
-    While active, ``OBS.bus`` feeds only the spool and ``OBS.metrics``
+    :func:`run_unit` wraps every captured unit run in one, whichever
+    executor runs it.  While active, ``OBS.bus`` feeds only the spool and ``OBS.metrics``
     is a fresh raw-tracking registry, so nothing the unit emits reaches
     the parent sinks directly — it all arrives via the deterministic
     merge.  The previous bus/registry/context are restored on
@@ -145,7 +139,7 @@ class UnitCapture:
         self.unit_key = unit_key
         self.worker = worker
         self.attempt = attempt
-        self.spool = SpoolSink(config.spool_capacity)
+        self.spool = SpoolSink(SPOOL_CAPACITY)
         self._saved_enabled = OBS.enabled
         self._saved_bus = OBS.bus
         self._saved_metrics = OBS.metrics
@@ -206,27 +200,36 @@ class UnitCapture:
             clear_trace_context()
 
 
-def run_unit_captured(
+def run_unit(
     runner,
     unit,
-    config: WorkerCaptureConfig,
+    config: Optional[WorkerCaptureConfig],
     worker: str,
     attempt: int = 1,
 ):
-    """Execute ``runner(unit)`` under a worker-side capture.
+    """Run ``runner(unit)``; ``(outcome, elapsed_s, telemetry)``.
 
-    Returns ``(outcome, telemetry)``.  On an exception the capture is
+    The one unit call of every executor: serial, a pool worker and a
+    socket worker.  With a ``config`` the unit runs under a
+    :class:`UnitCapture` stamped with ``worker`` and ``attempt`` (so a
+    retry's events are distinguishable from the first try's), and
+    ``telemetry`` is its :class:`WorkerTelemetry`; without one it runs
+    bare and ``telemetry`` is ``None``.  On an exception the capture is
     discarded and the error propagates (the parent counts the attempt as
-    failed either way).  ``attempt`` stamps the trace context so a
-    retry's events are distinguishable from the first try's.
+    failed either way).
     """
+    start = time.perf_counter()
+    if config is None:
+        outcome = runner(unit)
+        return outcome, time.perf_counter() - start, None
     capture = UnitCapture(config, unit.key, worker, attempt=attempt)
     try:
         outcome = runner(unit)
     except BaseException:
         capture.abort()
         raise
-    return outcome, capture.finish()
+    telemetry = capture.finish()
+    return outcome, time.perf_counter() - start, telemetry
 
 
 def _telemetry_measurements(telemetry: WorkerTelemetry) -> int:
@@ -246,40 +249,17 @@ class FarmCollector:
     identical for any worker count and any completion order.
     """
 
-    def __init__(
-        self,
-        campaign: str,
-        unit_keys: Sequence[str],
-        spool_capacity: int = DEFAULT_SPOOL_CAPACITY,
-    ) -> None:
+    def __init__(self, campaign: str, unit_keys: Sequence[str]) -> None:
         self.campaign = campaign or "farm"
-        self.spool_capacity = spool_capacity
         self._order: List[str] = list(unit_keys)
         self._telemetry: Dict[str, WorkerTelemetry] = {}
         self._merged = False
 
     def worker_config(self) -> WorkerCaptureConfig:
-        """The capture config shipped with every dispatch."""
+        """The capture config every unit of the run is dispatched with."""
         return WorkerCaptureConfig(
-            trace_id=self.campaign,
-            spool_capacity=self.spool_capacity,
-            profile=active_profile_config(),
+            trace_id=self.campaign, profile=active_profile_config()
         )
-
-    @contextmanager
-    def capture_unit(
-        self, unit_key: str, worker: str = "serial", attempt: int = 1
-    ) -> Iterator[None]:
-        """Serial-executor scope: capture one in-process unit run."""
-        capture = UnitCapture(
-            self.worker_config(), unit_key, worker, attempt=attempt
-        )
-        try:
-            yield
-        except BaseException:
-            capture.abort()
-            raise
-        self.collect(capture.finish())
 
     def collect(self, telemetry: Optional[WorkerTelemetry]) -> None:
         """Store one unit's telemetry (latest successful attempt wins)."""

@@ -30,9 +30,7 @@ trace holds hundreds of thousands; the unit spans carry their counts).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.farm import align_records
 
@@ -303,14 +301,3 @@ def _thread_name(tid: int, name: str) -> Dict[str, object]:
         "name": "thread_name",
         "args": {"name": name},
     }
-
-
-def write_chrome_trace(
-    records: Iterable[Dict[str, object]],
-    path: Union[str, Path],
-    indent: Optional[int] = None,
-) -> Path:
-    """Write the Chrome-trace JSON for ``records`` to ``path``."""
-    path = Path(path)
-    path.write_text(json.dumps(build_chrome_trace(records), indent=indent))
-    return path

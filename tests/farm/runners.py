@@ -127,3 +127,13 @@ def import_probe_runner(unit: WorkUnit) -> UnitOutcome:
         measurements=outcome.measurements,
         rtp=outcome.rtp,
     )
+
+
+def bus_tenure_runner(unit: WorkUnit) -> UnitOutcome:
+    """Counts the units, this one included, run on this ``OBS.bus``.
+
+    A worker that keeps one switchboard counts 1, 2, 3...; one that swaps
+    in a fresh bus before every unit reads 1 each time.
+    """
+    OBS.bus.units_served = getattr(OBS.bus, "units_served", 0) + 1
+    return UnitOutcome(value=OBS.bus.units_served, measurements=1)

@@ -262,7 +262,7 @@ class TestCheckpointIntegration:
             True, True, False, False
         ]
         # and now the checkpoint holds all four
-        assert CheckpointStore(path).completed_keys() == {
+        assert set(CheckpointStore(path).load()) == {
             u.key for u in units
         }
 

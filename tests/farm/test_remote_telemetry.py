@@ -138,9 +138,10 @@ class TestBrokerTelemetry:
         telemetry.emit(
             event("lease_issued", key="u/1", attempt=1, worker="w")
         )
-        drained = telemetry.drain_events()
+        drained, dropped = telemetry.drain_events()
         assert [p["type"] for p in drained] == ["lease_issued"]
-        assert telemetry.drain_events() == []
+        assert dropped == 0
+        assert telemetry.drain_events() == ([], 0)
 
     def test_buffer_overflow_keeps_head_and_counts_drops(self, monkeypatch):
         import repro.farm.remote.telemetry as mod
@@ -151,10 +152,10 @@ class TestBrokerTelemetry:
             telemetry.emit(
                 event("lease_issued", key=f"u/{i}", attempt=1, worker="w")
             )
-        assert telemetry.events_dropped == 2
-        drained = telemetry.drain_events()
+        drained, dropped = telemetry.drain_events()
         assert [p["key"] for p in drained] == ["u/0", "u/1", "u/2"]
-        assert telemetry.events_dropped == 0  # drain resets the count
+        assert dropped == 2
+        assert telemetry.drain_events() == ([], 0)  # drain resets the count
 
     def test_emitted_payloads_reach_the_local_trace(self, tmp_path):
         trace = tmp_path / "broker.jsonl"
@@ -184,12 +185,60 @@ class TestBrokerTelemetry:
         telemetry.observe_clock("w", clock_stamp())
         assert set(telemetry.clock_offsets()) == {"w"}
 
-    def test_forget_clock_drops_one_estimator(self):
-        telemetry = BrokerTelemetry()
-        telemetry.observe_clock("a", clock_stamp())
-        telemetry.observe_clock("b", clock_stamp())
-        telemetry.forget_clock("a")
-        assert set(telemetry.clock_offsets()) == {"b"}
+
+def _serve_one_campaign(live, campaign, keys):
+    """Run ``keys`` as ``campaign`` through a raw-frame worker; the
+    client's ``campaign_done`` frame."""
+    client = _connect(live.address)
+    worker = _connect(live.address)
+    try:
+        assert _hello(client, "client")["type"] == "welcome"
+        assert _submit(client, campaign, keys)["type"] == "accepted"
+        assert _hello(worker, "worker", worker="w1")["type"] == "welcome"
+        for _ in keys:
+            unit = _pull(worker)
+            _deliver(worker, unit["key"], unit["attempt"])
+        return _drain_until(client, "campaign_done")[-1]
+    finally:
+        client.close()
+        worker.close()
+
+
+class TestCampaignEventBuffer:
+    def test_a_dropped_campaign_leaves_no_events_for_the_next(self):
+        with FarmBroker(port=0, poll_s=0.05) as live:
+            gone = _connect(live.address)
+            assert _hello(gone, "client")["type"] == "welcome"
+            assert _submit(gone, "campaign-A", ["u/1"])["type"] == "accepted"
+            gone.close()  # no worker ever came: the campaign is dropped
+            address = "%s:%d" % live.address
+            deadline = time.monotonic() + 10.0
+            while fetch_broker_stats(address)["campaign"] is not None:
+                assert time.monotonic() < deadline, "campaign-A not dropped"
+                time.sleep(0.02)
+            done = _serve_one_campaign(live, "campaign-B", ["u/1"])
+        traced = {payload.get("trace_id") for payload in done["telemetry"]}
+        assert "campaign-A" not in traced
+        started = [
+            payload["campaign"] for payload in done["telemetry"]
+            if payload["type"] == "broker_campaign_started"
+        ]
+        assert started == ["campaign-B"]
+
+    def test_a_full_buffer_is_counted_on_the_client(self, monkeypatch):
+        import repro.farm.remote.telemetry as mod
+        from repro.farm.remote.executor import RemoteExecutor
+
+        monkeypatch.setattr(mod, "EVENT_BUFFER_LIMIT", 2)
+        with FarmBroker(port=0, poll_s=0.05) as live:
+            done = _serve_one_campaign(live, "full", ["u/1", "u/2"])
+            client = RemoteExecutor(broker=live.address)
+        assert len(done["telemetry"]) == 2
+        assert done["events_dropped"] > 0
+        obs.enable()
+        client._replay_broker_telemetry("full", done)
+        dropped = obs.OBS.metrics.counters["farm.broker.dropped_events"]
+        assert dropped.value == done["events_dropped"]
 
 
 class TestHeartbeatSkewStamps:

@@ -1,11 +1,13 @@
-"""A payload value many units share crosses to each pool worker once.
+"""A pool worker gets its batch once; a dispatch sends an index.
 
 A lot's deck is the same object in every die unit.  ``ParallelExecutor``
-hoists it (and any other shared non-scalar payload value) into a table
-its pool workers receive once, so each dispatched unit carries only a
-placeholder.  These tests pin the size of what is dispatched, that the
-hoist changes no result under ``fork`` or ``spawn``, and that retries,
-recycled pools and pilot runs still see complete units.
+hands the whole batch to its pool's initializer, so a worker inherits it
+under ``fork`` and unpickles it once under ``spawn`` or ``forkserver``
+(pickle's memo sends the shared deck once), and each submit carries only
+the unit's index.  These tests pin the size of what is submitted, that
+results are unchanged under every start method, that a worker detaches
+its inherited telemetry once, and that retries, recycled pools and pilot
+runs still see complete units.
 """
 
 import concurrent.futures
@@ -25,22 +27,21 @@ from repro.core.lot import EnvironmentalSweep, LotCharacterizer
 from repro.core.wafer_probe import WaferProber
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.wafer import RadialVariationModel, Wafer
-from repro.farm.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    _SharedRef,
-    hoist_shared,
-)
+from repro.farm.executor import ParallelExecutor, SerialExecutor
 from repro.farm.workunit import WorkUnit
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.random_gen import RandomTestGenerator
 
-from tests.farm.runners import echo_runner, stall_once_runner
+from tests.farm.runners import (
+    bus_tenure_runner,
+    echo_runner,
+    stall_once_runner,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Upper bound on one dispatched die unit of a 100-test lot.  The deck
-#: alone pickles to about 0.9 MB; the rest of a unit is about 0.5 kB.
+#: Upper bound on the pickled arguments of one pool submit.  A die unit's
+#: deck of 100 tests alone pickles to about 0.9 MB.
 UNIT_BYTES_BOUND = 1024
 
 
@@ -64,18 +65,25 @@ def _lot_export(executor, dies=3, tests=4, **kwargs):
 
 
 class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    """Process pool that keeps every unit it is handed."""
+    """Process pool that keeps its initializer's and each submit's
+    arguments."""
 
-    dispatched = []
+    initargs = []
+    submitted = []
+
+    def __init__(self, *args, initargs=(), **kwargs):
+        self.initargs.append(initargs)
+        super().__init__(*args, initargs=initargs, **kwargs)
 
     def submit(self, fn, *args, **kwargs):
-        self.dispatched.append(args[1])
+        self.submitted.append(args)
         return super().submit(fn, *args, **kwargs)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    _RecordingPool.dispatched = []
+    _RecordingPool.initargs = []
+    _RecordingPool.submitted = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", _RecordingPool
     )
@@ -86,36 +94,28 @@ def test_a_dispatched_die_unit_of_a_100_test_lot_is_small(recording_pool):
     deck = _deck(100)
     report = _lot().run(deck, n_dies=2, executor=ParallelExecutor(workers=2))
     assert report.dies == _lot().run(deck, n_dies=2).dies
-    sizes = [len(pickle.dumps(unit)) for unit in recording_pool.dispatched]
+    sizes = [len(pickle.dumps(args)) for args in recording_pool.submitted]
     assert len(sizes) == 2
     assert max(sizes) < UNIT_BYTES_BOUND
 
 
-def test_a_unit_with_nothing_shared_is_submitted_unchanged(recording_pool):
+def test_a_submit_names_its_unit_by_index_into_the_batch(recording_pool):
     units = [
-        WorkUnit(key=f"u/{i}", kind="k", payload={"n": i, "name": "same"},
-                 index=i)
+        WorkUnit(key=f"u/{i}", kind="k", payload={"n": i}, index=i)
         for i in range(3)
     ]
-    table, stubs = hoist_shared(units)
-    assert table == ()
-    assert all(stub is unit for stub, unit in zip(stubs, units))
-    ParallelExecutor(workers=1).run(units, echo_runner)
-    dispatched = recording_pool.dispatched
-    assert sorted(map(id, dispatched)) == sorted(map(id, units))
+    results = ParallelExecutor(workers=1).run(units, echo_runner)
+    assert [result.value["key"] for result in results] == ["u/0", "u/1", "u/2"]
+    ((batch,),) = recording_pool.initargs
+    assert sorted(map(id, batch)) == sorted(map(id, units))
+    indices = [args[1] for args in recording_pool.submitted]
+    assert sorted(indices) == [0, 1, 2]
 
 
-def test_hoist_keeps_unshared_values_and_one_slot_per_object():
-    deck, die_a, die_b = ("t1", "t2"), ["a"], ["b"]
-    units = [
-        WorkUnit(key="u/a", kind="k", payload={"die": die_a, "tests": deck}),
-        WorkUnit(key="u/b", kind="k", payload={"die": die_b, "tests": deck}),
-    ]
-    table, stubs = hoist_shared(units)
-    assert table == (deck,)
-    assert [stub.payload["die"] for stub in stubs] == [die_a, die_b]
-    assert [list(stub.payload) for stub in stubs] == [["die", "tests"]] * 2
-    assert all(stub.payload["tests"] is not deck for stub in stubs)
+def test_a_pool_worker_detaches_its_switchboard_once():
+    units = [WorkUnit(key=f"u/{i}", kind="k", index=i) for i in range(3)]
+    results = ParallelExecutor(workers=1).run(units, bus_tenure_runner)
+    assert sorted(result.value for result in results) == [1, 2, 3]
 
 
 def test_lot_export_is_byte_identical_serial_and_two_workers():
@@ -153,10 +153,14 @@ def test_farmed_sweep_is_identical_serial_and_two_workers(recording_pool):
         return result.trip_points.tobytes(), result.measurements
 
     assert sweep(ParallelExecutor(workers=2)) == sweep(SerialExecutor())
-    # Pilot first, then three cells that share one test object.
-    cells = recording_pool.dispatched[1:]
-    assert len(cells) == 3
-    assert all(isinstance(cell.payload["test"], _SharedRef) for cell in cells)
+    # Pilot first, then a batch of three cells that share one test object
+    # and are each submitted as an index.
+    (pilot,), (cells,) = recording_pool.initargs
+    assert len(pilot) == 1 and len(cells) == 3
+    assert len({id(cell.payload["test"]) for cell in cells}) == 1
+    sizes = [len(pickle.dumps(args)) for args in recording_pool.submitted]
+    assert len(sizes) == 4
+    assert max(sizes) < UNIT_BYTES_BOUND
 
 
 def test_a_recycled_pool_still_resolves_shared_values(tmp_path):
@@ -175,9 +179,10 @@ def test_a_recycled_pool_still_resolves_shared_values(tmp_path):
     assert max(result.attempts for result in results) == 2
 
 
-SPAWN_SCRIPT = """
+START_METHOD_SCRIPT = """
 import json
 import multiprocessing
+import sys
 
 from repro.core.lot import LotCharacterizer
 from repro.farm.executor import ParallelExecutor, SerialExecutor
@@ -196,25 +201,34 @@ def export(executor):
 
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
+    multiprocessing.set_start_method(sys.argv[1])
     same = export(SerialExecutor()) == export(ParallelExecutor(workers=2))
     print(json.dumps({"method": multiprocessing.get_start_method(),
                       "identical": same}))
 """
 
 
-def test_lot_export_is_identical_under_spawn(tmp_path):
-    script = tmp_path / "spawn_lot.py"
-    script.write_text(SPAWN_SCRIPT)
+def _assert_lot_export_identical_under(method, tmp_path):
+    """Under ``method`` each pool worker unpickles the batch itself."""
+    script = tmp_path / "start_method_lot.py"
+    script.write_text(START_METHOD_SCRIPT)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True,
-        env=env, timeout=300,
+        [sys.executable, str(script), method], capture_output=True,
+        text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "method": "spawn", "identical": True,
+        "method": method, "identical": True,
     }
+
+
+def test_lot_export_is_identical_under_spawn(tmp_path):
+    _assert_lot_export_identical_under("spawn", tmp_path)
+
+
+def test_lot_export_is_identical_under_forkserver(tmp_path):
+    _assert_lot_export_identical_under("forkserver", tmp_path)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import collector as collector_module
 from repro.farm.executor import (
     FarmExecutionError,
     ParallelExecutor,
@@ -15,7 +16,7 @@ from repro.obs.collector import (
     FarmCollector,
     SpoolSink,
     WorkerCaptureConfig,
-    run_unit_captured,
+    run_unit,
 )
 from repro.obs.events import (
     current_trace_context,
@@ -71,10 +72,11 @@ class TestUnitCapture:
         obs.enable(sink)
         outer_bus, outer_metrics = obs.OBS.bus, obs.OBS.metrics
         unit = _units(1)[0]
-        outcome, telemetry = run_unit_captured(
+        outcome, elapsed_s, telemetry = run_unit(
             emitting_runner, unit, WorkerCaptureConfig(trace_id="c"), "w0"
         )
         assert outcome.measurements == 1
+        assert elapsed_s >= 0.0
         # nothing leaked to the outer sink; switchboard restored
         assert sink.events == []
         assert obs.OBS.bus is outer_bus
@@ -92,17 +94,28 @@ class TestUnitCapture:
         # capture enables it just for the unit.
         assert not obs.OBS.enabled
         unit = _units(1)[0]
-        _, telemetry = run_unit_captured(
+        _, _, telemetry = run_unit(
             emitting_runner, unit, WorkerCaptureConfig(trace_id="c"), "w0"
         )
         assert telemetry.events
         assert not obs.OBS.enabled
 
+    def test_without_a_config_the_unit_runs_bare(self):
+        sink = obs.RingBufferSink()
+        obs.enable(sink)
+        outcome, elapsed_s, telemetry = run_unit(
+            emitting_runner, _units(1)[0], None, "w0"
+        )
+        assert outcome.measurements == 1 and elapsed_s >= 0.0
+        assert telemetry is None
+        # Nothing captured: the unit's event went to the live sink.
+        assert [e["type"] for e in sink.events] == ["measurement"]
+
     def test_exception_discards_capture_and_restores(self):
         obs.enable()
         bus = obs.OBS.bus
         with pytest.raises(RuntimeError, match="permanent tester fault"):
-            run_unit_captured(
+            run_unit(
                 failing_runner, _units(1)[0],
                 WorkerCaptureConfig(trace_id="c"), "w0",
             )
@@ -118,8 +131,10 @@ class TestFarmCollectorMerge:
         # collect out of submission order, as a parallel run would
         for key, index in (("c", 2), ("a", 0), ("b", 1)):
             unit = WorkUnit(key=key, index=index, kind="test", payload={})
-            with collector.capture_unit(key, worker=f"w{index}"):
-                emitting_runner(unit)
+            _, _, telemetry = run_unit(
+                emitting_runner, unit, collector.worker_config(), f"w{index}"
+            )
+            collector.collect(telemetry)
         collector.merge()
         merged = [e for e in sink.events if "ts" in e]
         spans = [e["span_id"] for e in merged]
@@ -136,19 +151,23 @@ class TestFarmCollectorMerge:
         obs.enable(sink)
         collector = FarmCollector("camp", ["a"])
         unit = WorkUnit(key="a", index=0, kind="test", payload={})
-        with collector.capture_unit("a"):
-            emitting_runner(unit)
+        collector.collect(
+            run_unit(emitting_runner, unit, collector.worker_config(), "w")[2]
+        )
         collector.merge()
         first = len(sink.events)
         collector.merge()
         assert len(sink.events) == first
 
-    def test_spool_drops_surface_as_counter(self):
+    def test_spool_drops_surface_as_counter(self, monkeypatch):
+        monkeypatch.setattr(collector_module, "SPOOL_CAPACITY", 2)
         obs.enable()
-        collector = FarmCollector("camp", ["a"], spool_capacity=2)
+        collector = FarmCollector("camp", ["a"])
         unit = WorkUnit(key="a", index=4, kind="test", payload={})
-        with collector.capture_unit("a"):
-            emitting_runner(unit)  # 5 events into a capacity-2 spool
+        # 5 events into a capacity-2 spool
+        collector.collect(
+            run_unit(emitting_runner, unit, collector.worker_config(), "w")[2]
+        )
         collector.merge()
         dropped = obs.OBS.metrics.counters["farm.spool.dropped_events"]
         assert dropped.value == 3

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.farm import align_records, extract_clock_sync
-from repro.obs.timeline import build_chrome_trace, write_chrome_trace
+from repro.obs.timeline import build_chrome_trace
 
 
 def _records():
@@ -94,14 +94,6 @@ class TestBuildChromeTrace:
             [{"type": "mystery", "ts": 1.0}, {"type": "measurement"}]
         )
         assert all(e["ph"] == "M" for e in doc["traceEvents"])
-
-
-class TestWriteChromeTrace:
-    def test_round_trip(self, tmp_path):
-        path = write_chrome_trace(_records(), tmp_path / "t.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["displayTimeUnit"] == "ms"
-        assert loaded == build_chrome_trace(_records())
 
 
 def _broker_records():

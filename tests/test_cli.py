@@ -143,6 +143,13 @@ class TestFarmFlags:
         assert main(["--workers", "1"] + command) == 0
         assert capsys.readouterr().out == plain
 
+    def test_a_given_farm_flag_on_a_non_farm_command_is_noted(self, capsys):
+        # An empty --resume path is still a given flag.
+        assert main(["--resume", "", "march"]) == 0
+        assert capsys.readouterr().err.startswith(
+            "note: --workers/--resume/--broker are ignored by 'march'"
+        )
+
     def test_broker_alone_selects_remote_backend(self, monkeypatch):
         from repro.core.lot import LotCharacterizer
         from repro.farm.remote.executor import RemoteExecutor
@@ -179,12 +186,17 @@ class TestFarmFlags:
         )
         assert "Traceback" not in done.stderr + done.stdout
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_non_positive_workers_is_a_one_line_error(self, workers):
+    @pytest.mark.parametrize("workers, command", [
+        pytest.param("0", ["lot", "--dies", "2", "--tests", "2"], id="0"),
+        pytest.param("-3", ["lot", "--dies", "2", "--tests", "2"], id="-3"),
+        # A command the farm flags do not reach still rejects the value.
+        pytest.param("0", ["march"], id="0-march"),
+    ])
+    def test_non_positive_workers_is_a_one_line_error(self, workers, command):
         src = Path(repro.__file__).resolve().parents[1]
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", "--workers", workers,
-             "lot", "--dies", "2", "--tests", "2"],
+             *command],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
