@@ -366,8 +366,8 @@ def _install_batch(units: Tuple[WorkUnit, ...]) -> None:
 def _worker_call(
     runner: UnitRunner,
     index: int,
-    config: Optional[WorkerCaptureConfig] = None,
-    attempt: int = 1,
+    config: Optional[WorkerCaptureConfig],
+    attempt: int,
 ):
     """Per-unit entry point inside a pool worker: run unit ``index`` of
     the batch through :func:`~repro.obs.collector.run_unit`."""

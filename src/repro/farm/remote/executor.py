@@ -234,10 +234,11 @@ class RemoteExecutor(Executor):
         The ``campaign_done`` frame carries the broker's buffered event
         payloads (pre-stamped with the *broker's* wall clock), the count
         its full buffer dropped (the ``farm.broker.dropped_events``
-        counter) and the per-worker clock offsets it estimated.  Replaying them here puts
-        lease lifetimes, re-issues and duplicates into the client trace;
-        the closing ``broker_clock_sync`` event gives ``obs timeline``
-        what it needs to align every track onto the client's axis.
+        counter) and the per-worker clock offsets it estimated.
+        Replaying them here puts lease lifetimes, re-issues and
+        duplicates into the client trace; the closing
+        ``broker_clock_sync`` event gives ``obs timeline`` what it needs
+        to align every track onto the client's axis.
         """
         if not OBS.enabled:
             return

@@ -121,12 +121,13 @@ class UnitCapture:
     """Swaps the global switchboard to a per-unit spool, and back.
 
     :func:`run_unit` wraps every captured unit run in one, whichever
-    executor runs it.  While active, ``OBS.bus`` feeds only the spool and ``OBS.metrics``
-    is a fresh raw-tracking registry, so nothing the unit emits reaches
-    the parent sinks directly — it all arrives via the deterministic
-    merge.  The previous bus/registry/context are restored on
-    :meth:`finish` or :meth:`abort` (inherited sinks are detached, never
-    closed: in a forked worker they belong to the parent).
+    executor runs it.  While active, ``OBS.bus`` feeds only the spool
+    and ``OBS.metrics`` is a fresh raw-tracking registry, so nothing the
+    unit emits reaches the parent sinks directly — it all arrives via
+    the deterministic merge.  The previous bus/registry/context are
+    restored on :meth:`finish` or :meth:`abort` (inherited sinks are
+    detached, never closed: in a forked worker they belong to the
+    parent).
     """
 
     def __init__(

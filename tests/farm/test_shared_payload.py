@@ -18,7 +18,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.ate.measurement import MeasurementModel

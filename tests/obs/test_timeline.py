@@ -1,7 +1,5 @@
 """Chrome-trace / Perfetto timeline export."""
 
-import json
-
 import pytest
 
 from repro.obs.farm import align_records, extract_clock_sync
