@@ -64,9 +64,11 @@ The ``obs`` subcommand family inspects what the flags above record::
     repro-characterize obs bench-import runs.jsonl BENCH_*.json --suffix @ci
     repro-characterize obs alerts   --url http://127.0.0.1:8765
 
-``obs compare``, ``obs bench-import`` and ``obs report`` also accept
-``--db store.db`` in place of the JSONL history: the run records then
-come from (or go to) a :mod:`repro.store` SQLite result store.
+``obs compare``, ``obs bench-import`` and ``obs report --runs`` read or
+write one kind of run history, a ``runs.jsonl`` file; their ``--db``
+option and the ``store import|runs`` command were removed.  ``serve``
+appends each completed job's run record to the ``runs.jsonl`` next to
+its store.
 
 The service family turns campaigns into jobs (see ``docs/service.md``)::
 
@@ -77,8 +79,6 @@ The service family turns campaigns into jobs (see ``docs/service.md``)::
     repro-characterize jobs fetch  --url URL job-0001 --report out.html
     repro-characterize jobs list   --url URL
     repro-characterize jobs cancel --url URL job-0002
-    repro-characterize store import --db store.db runs.jsonl
-    repro-characterize store runs   --db store.db
 
 ``obs insight`` prints the decision-level story of a trace (SUTP audit,
 NN votes, GA convergence, WCR classes); ``obs profile`` the per-phase
@@ -420,12 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "measurement-cost regression beyond the threshold"
         ),
     )
-    obs_compare.add_argument("history_file", nargs="?", metavar="RUNS")
-    obs_compare.add_argument(
-        "--db", metavar="DB",
-        help="read the run history from this repro.store database "
-        "instead of a RUNS jsonl file",
-    )
+    obs_compare.add_argument("history_file", metavar="RUNS")
     obs_compare.add_argument(
         "--baseline", required=True, metavar="NAME",
         help="name of the baseline run record",
@@ -480,11 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="runs.jsonl history to include as the run-history table",
     )
     obs_report.add_argument(
-        "--db", metavar="DB",
-        help="repro.store database to read the run-history table from "
-        "(alternative to --runs)",
-    )
-    obs_report.add_argument(
         "--title", default="Characterization run report",
         help="report heading",
     )
@@ -496,16 +486,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "so 'obs compare' can gate them"
         ),
     )
-    obs_bench.add_argument("history_file", nargs="?", metavar="RUNS")
+    obs_bench.add_argument("history_file", metavar="RUNS")
     obs_bench.add_argument(
         "bench_files", nargs="+", metavar="BENCH_JSON",
         help="BENCH_*.json records written by the benchmark suite",
-    )
-    obs_bench.add_argument(
-        "--db", metavar="DB",
-        help="import into this repro.store database instead of a RUNS "
-        "jsonl file (raw payloads land in bench_records, gateable run "
-        "records in runs)",
     )
     obs_bench.add_argument(
         "--suffix", default="",
@@ -623,8 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_service_parsers(commands) -> None:
     """The characterization-service command families (see docs/service.md):
-    ``serve`` (the HTTP job API), ``jobs`` (its client) and ``store``
-    (the SQLite result store)."""
+    ``serve`` (the HTTP job API) and ``jobs`` (its client)."""
     serve = commands.add_parser(
         "serve",
         help="run the characterization job service (HTTP/JSON API)",
@@ -759,37 +742,6 @@ def _add_service_parsers(commands) -> None:
     )
     add_url(cancel)
     cancel.add_argument("job_id", metavar="JOB")
-
-    store = commands.add_parser(
-        "store", help="inspect and migrate the SQLite result store"
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-
-    store_import = store_sub.add_parser(
-        "import",
-        help="migrate runs.jsonl history / wcdb exports into the store",
-    )
-    store_import.add_argument("--db", required=True, metavar="DB")
-    store_import.add_argument(
-        "history_files", nargs="*", metavar="RUNS_JSONL",
-        help="runs.jsonl files to import (tolerant loader: torn lines "
-        "are counted and skipped)",
-    )
-    store_import.add_argument(
-        "--wcdb", action="append", default=[], metavar="FILE",
-        help="worst-case database JSON export to import (repeatable; "
-        "dedup on test + condition, worst record wins)",
-    )
-    store_import.add_argument(
-        "--scope", default="", metavar="NAME",
-        help="scope label for imported worst-case records (default: '')",
-    )
-
-    store_runs = store_sub.add_parser(
-        "runs", help="list the run records stored in a database"
-    )
-    store_runs.add_argument("--db", required=True, metavar="DB")
-    store_runs.add_argument("--json", action="store_true")
 
 
 def _cmd_march(args) -> int:
@@ -1028,41 +980,11 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _resolve_history(args):
-    """The run history an obs subcommand should work against.
-
-    Exactly one of the positional RUNS jsonl path and ``--db`` must be
-    given; ``--db`` opens the :class:`repro.store.ResultStore` and
-    adapts it to the :class:`~repro.obs.history.RunHistory` interface,
-    so the comparison/import code is identical for both backends.
-    Returns ``None`` (after printing the usage error) when the choice
-    is ambiguous or absent.
-    """
-    from repro import obs
-
-    if args.history_file and args.db:
-        print(
-            "error: give either a RUNS jsonl file or --db, not both",
-            file=sys.stderr,
-        )
-        return None
-    if args.db:
-        from repro.store import ResultStore
-
-        return ResultStore(args.db).run_history()
-    if args.history_file:
-        return obs.RunHistory(args.history_file)
-    print("error: a RUNS jsonl file or --db is required", file=sys.stderr)
-    return None
-
-
 def _cmd_obs(args) -> int:
     from repro import obs
 
     if args.obs_command == "compare":
-        history = _resolve_history(args)
-        if history is None:
-            return 2
+        history = obs.RunHistory(args.history_file)
         try:
             comparison = obs.compare_runs(
                 history,
@@ -1087,9 +1009,7 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "bench-import":
         import json
 
-        history = _resolve_history(args)
-        if history is None:
-            return 2
+        history = obs.RunHistory(args.history_file)
         for bench_file in args.bench_files:
             try:
                 payload = json.loads(Path(bench_file).read_text())
@@ -1105,15 +1025,10 @@ def _cmd_obs(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            name = str(payload["bench"]) + args.suffix
-            store = getattr(history, "store", None)
-            if store is not None:
-                # --db: keep the raw payload too (bench_records table),
-                # not just the converted run record.
-                record = store.import_bench_payload(payload, name=name)
-            else:
-                record = obs.bench_run_record(payload, name=name)
-                history.append(record)
+            record = obs.bench_run_record(
+                payload, name=str(payload["bench"]) + args.suffix
+            )
+            history.append(record)
             print(
                 f"bench {record['run']!r} imported: "
                 f"{record['measurements']} measurements, "
@@ -1185,18 +1100,12 @@ def _cmd_obs(args) -> int:
         print(obs.render_insight(obs.build_insight(fold)))
     elif args.obs_command == "report":
         runs = None
-        if args.runs and args.db:
-            print(
-                "error: give either --runs or --db, not both",
-                file=sys.stderr,
-            )
-            return 2
-        if args.db:
-            from repro.store import ResultStore
-
-            runs = ResultStore(args.db).run_history().load().records
-        elif args.runs:
+        if args.runs:
             try:
+                # The loader reads a missing file as an empty history
+                # (what appenders and `obs compare` want); a history
+                # the report was asked to show must exist.
+                Path(args.runs).stat()
                 runs = obs.RunHistory(args.runs).load().records
             except OSError as exc:
                 print(
@@ -1597,77 +1506,6 @@ def _cmd_jobs(args) -> int:
     raise AssertionError(f"unhandled jobs command {args.jobs_command!r}")
 
 
-def _cmd_store(args) -> int:
-    import json
-
-    from repro.store import ResultStore
-
-    store = ResultStore(args.db)
-    if args.store_command == "import":
-        if not args.history_files and not args.wcdb:
-            print(
-                "error: nothing to import "
-                "(give runs.jsonl files and/or --wcdb)",
-                file=sys.stderr,
-            )
-            return 2
-        for history_file in args.history_files:
-            # The history loader tolerates absent files (an empty
-            # history is normal for appenders); a *migration* of a path
-            # that does not exist is a typo and must fail loudly.
-            if not Path(history_file).exists():
-                print(
-                    f"error: cannot read {history_file}: no such file",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                result = store.import_runs_jsonl(history_file)
-            except OSError as exc:
-                print(
-                    f"error: cannot read {history_file}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            print(f"{history_file}: {result.describe()}")
-        for wcdb_file in args.wcdb:
-            try:
-                payload = json.loads(Path(wcdb_file).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(
-                    f"error: cannot read {wcdb_file}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            imported = store.import_wcdb_payload(payload, scope=args.scope)
-            print(
-                f"{wcdb_file}: {imported} worst-case record(s) imported "
-                f"(scope {args.scope!r})"
-            )
-        return 0
-
-    if args.store_command == "runs":
-        records = store.runs()
-        if args.json:
-            print(json.dumps(records, indent=2, sort_keys=True))
-            return 0
-        if not records:
-            print("no runs stored")
-            return 0
-        for record in records:
-            wall = record.get("wall_s")
-            wall_note = (
-                f"{wall:.3f}s" if isinstance(wall, (int, float)) else "?"
-            )
-            print(
-                f"{record.get('run')}  {record.get('campaign', '?'):<10}  "
-                f"{record.get('measurements', 0)} measurements, "
-                f"{wall_note} wall"
-            )
-        return 0
-    raise AssertionError(f"unhandled store command {args.store_command!r}")
-
-
 _COMMANDS = {
     "march": _cmd_march,
     "random": _cmd_random,
@@ -1682,7 +1520,6 @@ _COMMANDS = {
     "obs": _cmd_obs,
     "serve": _cmd_serve,
     "jobs": _cmd_jobs,
-    "store": _cmd_store,
     "farm-broker": _cmd_farm_broker,
     "farm-top": _cmd_farm_top,
     "farm-worker": _cmd_farm_worker,
@@ -1692,7 +1529,7 @@ _COMMANDS = {
 #: setup/teardown (``serve`` job subprocesses carry their own traces;
 #: remote workers spool telemetry back to the submitting client).
 _NO_TELEMETRY_COMMANDS = (
-    "obs", "serve", "jobs", "store", "farm-broker", "farm-top", "farm-worker"
+    "obs", "serve", "jobs", "farm-broker", "farm-top", "farm-worker"
 )
 
 

@@ -2,10 +2,10 @@
 
 Campaign state is persisted as it happens — the ``runs.jsonl`` run
 history, the farm's checkpoint store, the telemetry trace and the
-worst-case database export.  All of them feed
-the :mod:`repro.store` migration path, so a torn line or half-written
-file is not just a local nuisance: it is a corrupt record a later
-``repro store import`` would have to forgive.  This module centralizes
+worst-case database export.  All of them are read back by later
+commands, so a torn line or half-written file is not just a local
+nuisance: it is a corrupt record every later reader would have to
+forgive.  This module centralizes
 the two disciplines that prevent torn data (the same ones
 ``benchmarks/conftest.py`` applies to BENCH records) and the one
 definition of what reading "tolerantly" means:

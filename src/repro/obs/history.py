@@ -136,9 +136,11 @@ class RunHistory:
     def append(self, record: Dict[str, object]) -> None:
         """Append one record, durably (flush + fsync).
 
-        A run record is written once at campaign exit; a crash right
-        then must not leave a torn line for the next load — or for a
-        ``repro store import`` migration — to drop.
+        A run record is written once at campaign exit (or job
+        completion); a crash right then must not leave a torn line for
+        the next load to drop.  Concurrent appenders (the service's job
+        workers, a ``--run-log`` campaign) interleave whole lines: each
+        record is one write to a file opened for appending.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as handle:

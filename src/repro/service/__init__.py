@@ -23,9 +23,11 @@ as *jobs* behind a long-running HTTP/JSON service (ROADMAP item 1):
 * :mod:`repro.service.client` — the urllib client behind the
   ``repro jobs`` CLI family, with backoff polling and SSE streaming.
 
-Jobs and results persist in :class:`repro.store.ResultStore`, so a
-restarted server lists and serves completed work and fails whatever the
-dead process left in flight.  See ``docs/service.md``.
+Jobs and worst-case results persist in :class:`repro.store.ResultStore`,
+so a restarted server lists and serves completed work and fails whatever
+the dead process left in flight; each completed job's run record is
+appended to the ``runs.jsonl`` history next to the store file.  See
+``docs/service.md``.
 """
 
 # Exports resolve lazily (PEP 562): the CLI reads the farm command list

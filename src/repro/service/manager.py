@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Union
 
-from repro.obs.history import RUN_KIND, RUN_SCHEMA
+from repro.obs.history import RUN_KIND, RUN_SCHEMA, RunHistory
 from repro.service.progress import job_progress
 from repro.service.spec import (
     JobSpec,
@@ -152,6 +152,7 @@ class JobManager:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.store = store
+        self.history = RunHistory(store.history_path)
         # Resolved so persisted job paths (and the --trace/--database
         # argv built from them) stay valid inside job subprocesses,
         # whose working directory is the job dir itself.
@@ -364,13 +365,14 @@ class JobManager:
         self._signal_done(job_id)
 
     def _ingest_artifacts(self, job: Dict[str, object]) -> None:
-        """Fold a completed job's results into the store.
+        """Fold a completed job's results into the store and the history.
 
         The worst-case export (when the command produces one) lands in
-        the ``worst_case_records`` table scoped by job id, and a run
-        record named after the job lands in ``runs`` — so run-history
-        comparisons and later SPC tooling see service jobs without
-        touching the job directory.
+        the store's ``worst_case_records`` table scoped by job id, and a
+        run record named after the job is appended to the run history
+        (:attr:`ResultStore.history_path`, ``runs.jsonl`` next to the
+        store file) — so ``obs compare`` and later SPC tooling see
+        service jobs without touching the job directory.
         """
         job_id = str(job["job_id"])
         job_dir = Path(str(job["job_dir"]))
@@ -383,7 +385,7 @@ class JobManager:
         fresh = self.store.get_job(job_id) or job
         started = float(fresh.get("started_ts") or 0.0)
         finished = float(fresh.get("finished_ts") or 0.0)
-        self.store.append_run(
+        self.history.append(
             {
                 "schema": RUN_SCHEMA,
                 "kind": RUN_KIND,

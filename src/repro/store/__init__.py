@@ -1,39 +1,28 @@
-"""Persistent result store for characterization runs (SQLite-backed).
+"""Persistent result store for the characterization service (SQLite).
 
-The CLI's ad-hoc JSONL artifacts (``runs.jsonl`` histories, worst-case
-database exports) work for one-shot runs; a long-running
-characterization service needs a real store.  This package provides it:
+A long-running characterization service needs a real store for what
+its jobs produce.  This package provides it: :class:`ResultStore`, one
+SQLite file with typed tables for worst-case test records (deduplicated
+on test + condition) and service jobs.
 
-* :class:`ResultStore` — one SQLite file with typed tables for run-cost
-  records, worst-case test records (deduplicated on test + condition),
-  service jobs, and imported benchmark payloads;
-* :class:`StoreRunHistory` — a ``RunHistory``-shaped adapter so the
-  existing ``obs compare`` / ``obs report`` machinery reads the store
-  through its ``--db`` flag without new comparison code;
-* ``repro store import`` (CLI) — migrates existing JSONL history into
-  the store, inheriting the tolerant loader's crash-forgiveness.
+Run-cost records are not stored here.  The one run history is the
+``runs.jsonl`` file (:class:`repro.obs.history.RunHistory`); the
+service appends each completed job's record to the one next to the
+store file, and ``obs compare`` / ``obs report`` read it.
 
 The schema (:mod:`repro.store.schema`) is versioned and written in the
 SQL subset SQLite shares with PostgreSQL, so scaling the store up is a
 connection-string change, not a rewrite.  See ``docs/service.md``.
 """
 
-from repro.store.db import (
-    ACTIVE_JOB_STATES,
-    JOB_STATES,
-    JsonlImportResult,
-    ResultStore,
-    StoreRunHistory,
-)
+from repro.store.db import ACTIVE_JOB_STATES, JOB_STATES, ResultStore
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, schema_version
 
 __all__ = [
     "ACTIVE_JOB_STATES",
     "JOB_STATES",
-    "JsonlImportResult",
     "ResultStore",
     "SCHEMA_VERSION",
-    "StoreRunHistory",
     "ensure_schema",
     "schema_version",
 ]

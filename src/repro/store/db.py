@@ -1,10 +1,10 @@
 """SQLite-backed characterization result store.
 
 :class:`ResultStore` is the persistence layer behind the
-characterization service and the ``--db`` variants of the ``obs``
-commands.  It holds four kinds of records (see
-:mod:`repro.store.schema`): run-cost records, worst-case test records,
-service jobs, and imported benchmark payloads.
+characterization service.  It holds two kinds of records (see
+:mod:`repro.store.schema`): worst-case test records and service jobs.
+Run-cost records live in the ``runs.jsonl`` history next to the store
+file (:attr:`ResultStore.history_path`).
 
 Concurrency model: the store opens one short-lived connection per
 operation.  That keeps the class thread-safe without sharing
@@ -23,8 +23,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.core.database import WorstCaseDatabase
-from repro.obs.history import RUN_KIND, HistoryLoad, RunHistory, bench_run_record
 from repro.store.schema import SCHEMA_VERSION, ensure_schema
 
 #: Job states, in lifecycle order.  ``queued`` and ``running`` are the
@@ -34,13 +32,17 @@ ACTIVE_JOB_STATES = ("queued", "running")
 
 
 class ResultStore:
-    """One SQLite file holding runs, worst-case records, jobs, benches."""
+    """One SQLite file holding worst-case records and service jobs."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        #: The run history: the service appends each completed job's
+        #: record here, and the version-3 migration moved the old
+        #: ``runs`` table here.
+        self.history_path = self.path.with_name("runs.jsonl")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connect() as conn:
-            self.schema_version = ensure_schema(conn)
+            self.schema_version = ensure_schema(conn, self.history_path)
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
@@ -50,91 +52,6 @@ class ResultStore:
             conn.commit()
         finally:
             conn.close()
-
-    # -- runs ------------------------------------------------------------------
-
-    def append_run(self, record: Dict[str, object]) -> None:
-        """Store one run record (the ``runs.jsonl`` line, as a row).
-
-        The full record is kept as a JSON document; the indexed columns
-        are projections for querying.  Append order is preserved (the
-        rowid), matching the JSONL history's file order.
-        """
-        cpu_s = record.get("cpu_s")
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT INTO runs (run, campaign, command, ts, wall_s, "
-                "cpu_s, measurements, record) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    str(record.get("run", "")),
-                    str(record.get("campaign", "") or ""),
-                    str(record.get("command", "") or ""),
-                    float(record.get("ts", 0.0) or 0.0),
-                    float(record.get("wall_s", 0.0) or 0.0),
-                    float(cpu_s) if isinstance(cpu_s, (int, float)) else None,
-                    int(record.get("measurements", 0) or 0),
-                    json.dumps(record, sort_keys=True),
-                ),
-            )
-
-    def runs(self) -> List[Dict[str, object]]:
-        """Every stored run record, in append order."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT record FROM runs ORDER BY id"
-            ).fetchall()
-        return [json.loads(row[0]) for row in rows]
-
-    def run_names(self) -> List[str]:
-        """Distinct run names, in first-appearance order."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT run FROM runs GROUP BY run ORDER BY MIN(id)"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def find_run(self, name: str) -> Optional[Dict[str, object]]:
-        """The most recent record named ``name`` (``None`` if absent)."""
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT record FROM runs WHERE run = ? ORDER BY id DESC",
-                (name,),
-            ).fetchone()
-        return json.loads(row[0]) if row else None
-
-    def latest_run(self) -> Optional[Dict[str, object]]:
-        """The most recently appended run record."""
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT record FROM runs ORDER BY id DESC"
-            ).fetchone()
-        return json.loads(row[0]) if row else None
-
-    def run_history(self) -> "StoreRunHistory":
-        """A :class:`repro.obs.history.RunHistory`-shaped view of ``runs``.
-
-        This is what lets ``obs compare --db`` / ``obs report --db``
-        reuse the JSONL comparison code unchanged.
-        """
-        return StoreRunHistory(self)
-
-    def import_runs_jsonl(
-        self, path: Union[str, Path]
-    ) -> "JsonlImportResult":
-        """Migrate a ``runs.jsonl`` history into the store.
-
-        Uses the history's tolerant loader, so the migration inherits
-        its forgiveness: torn lines are counted and skipped,
-        unknown-schema records are kept.  Append order is preserved.
-        """
-        loaded = RunHistory(path).load()
-        for record in loaded.records:
-            self.append_run(record)
-        return JsonlImportResult(
-            imported=len(loaded.records),
-            dropped_lines=loaded.dropped_lines,
-            unknown_schema=loaded.unknown_schema,
-        )
 
     # -- worst-case records ----------------------------------------------------
 
@@ -157,10 +74,6 @@ class ResultStore:
             for summary in rows:
                 changed += self._upsert_wc_record(conn, summary, scope)
         return changed
-
-    def import_wcdb(self, database: WorstCaseDatabase, scope: str = "") -> int:
-        """Import a live :class:`WorstCaseDatabase` (same dedup rules)."""
-        return self.import_wcdb_payload(database.export_payload(), scope=scope)
 
     @staticmethod
     def _upsert_wc_record(
@@ -361,45 +274,6 @@ class ResultStore:
             )
         return interrupted
 
-    # -- bench records ---------------------------------------------------------
-
-    def import_bench_payload(
-        self, payload: Dict[str, object], name: Optional[str] = None
-    ) -> Dict[str, object]:
-        """Store one ``BENCH_*.json`` payload.
-
-        The raw payload lands in ``bench_records`` (provenance); the
-        converted, gateable run record (see
-        :func:`repro.obs.history.bench_run_record`) lands in ``runs`` so
-        ``obs compare --db`` treats benches exactly like campaign runs.
-        Returns the run record.
-        """
-        record = bench_run_record(payload, name=name)
-        cpu_s = payload.get("cpu_s")
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT INTO bench_records (bench, imported_ts, wall_s, "
-                "cpu_s, payload) VALUES (?, ?, ?, ?, ?)",
-                (
-                    str(payload.get("bench", "")),
-                    time.time(),
-                    float(payload.get("wall_s", 0.0) or 0.0),
-                    float(cpu_s) if isinstance(cpu_s, (int, float)) else None,
-                    json.dumps(payload, sort_keys=True),
-                ),
-            )
-        self.append_run(record)
-        return record
-
-    def bench_payloads(self) -> List[Dict[str, object]]:
-        """Every imported bench payload, oldest first."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT payload FROM bench_records ORDER BY id"
-            ).fetchall()
-        return [json.loads(row[0]) for row in rows]
-
-
 _JOB_COLUMNS = (
     "job_id, state, spec, created_ts, started_ts, finished_ts, "
     "exit_code, error, job_dir, request_id"
@@ -423,66 +297,9 @@ def _job_row_to_dict(row) -> Dict[str, object]:
     }
 
 
-class JsonlImportResult:
-    """Outcome of a ``runs.jsonl`` migration."""
-
-    def __init__(
-        self, imported: int, dropped_lines: int, unknown_schema: int
-    ) -> None:
-        self.imported = imported
-        self.dropped_lines = dropped_lines
-        self.unknown_schema = unknown_schema
-
-    def describe(self) -> str:
-        parts = [f"{self.imported} record(s) imported"]
-        if self.dropped_lines:
-            parts.append(f"{self.dropped_lines} malformed line(s) skipped")
-        if self.unknown_schema:
-            parts.append(
-                f"{self.unknown_schema} unknown-schema record(s) kept"
-            )
-        return ", ".join(parts)
-
-
-class StoreRunHistory:
-    """:class:`ResultStore` adapter with the ``RunHistory`` interface.
-
-    ``obs compare``/``obs report``/``obs bench-import`` accept either a
-    JSONL history or this adapter; the comparison logic
-    (:func:`repro.obs.history.compare_runs`) never knows which backend
-    it is reading.
-    """
-
-    def __init__(self, store: ResultStore) -> None:
-        self.store = store
-        self.path = store.path  # compare_runs names this in errors
-
-    def append(self, record: Dict[str, object]) -> None:
-        self.store.append_run(record)
-
-    def load(self) -> HistoryLoad:
-        records = [
-            record
-            for record in self.store.runs()
-            if record.get("kind") == RUN_KIND or "run" in record
-        ]
-        return HistoryLoad(records=records)
-
-    def next_default_name(self) -> str:
-        return f"run-{len(self.store.runs())}"
-
-    def find(self, name: str) -> Optional[Dict[str, object]]:
-        return self.store.find_run(name)
-
-    def latest(self) -> Optional[Dict[str, object]]:
-        return self.store.latest_run()
-
-
 __all__ = [
     "ACTIVE_JOB_STATES",
     "JOB_STATES",
-    "JsonlImportResult",
     "ResultStore",
     "SCHEMA_VERSION",
-    "StoreRunHistory",
 ]

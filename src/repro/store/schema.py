@@ -1,18 +1,17 @@
 """Versioned SQL schema for the characterization result store.
 
-One schema version, four typed tables plus a metadata table:
+Schema version 3 has two typed tables plus a metadata table:
 
-* ``runs`` — run-cost records, superseding the ad-hoc ``runs.jsonl``
-  history (the full record is kept as a JSON document next to the
-  indexed columns, so the tolerant-load guarantees of
-  :class:`repro.obs.history.RunHistory` carry over);
 * ``worst_case_records`` — :class:`repro.core.database.WorstCaseDatabase`
   rows, deduplicated on ``(scope, test_name, condition)``;
 * ``jobs`` — the characterization-service job table (spec, state
-  machine, artifact paths);
-* ``bench_records`` — raw ``BENCH_*.json`` payloads as imported by
-  ``repro obs bench-import`` (their *gateable* run records additionally
-  land in ``runs`` so ``obs compare --db`` sees them).
+  machine, artifact paths).
+
+Run-cost records are not kept here: they live in the ``runs.jsonl``
+history next to the store file (:class:`repro.obs.history.RunHistory`).
+Versions 1 and 2 also had ``runs`` and ``bench_records`` tables; the
+version-3 migration copies every ``runs`` row to that history before it
+drops both.
 
 Portability is a design constraint: every statement sticks to the SQL
 subset SQLite and PostgreSQL share — ``TEXT``/``INTEGER``/``REAL``
@@ -29,9 +28,12 @@ database at :data:`SCHEMA_VERSION` or walks an old one forward.
 from __future__ import annotations
 
 import sqlite3
+from pathlib import Path
 from typing import List, Sequence
 
-SCHEMA_VERSION = 2
+from repro.ioutil import fsync_handle
+
+SCHEMA_VERSION = 3
 
 #: DDL for a fresh version-1 database.
 SCHEMA_V1: Sequence[str] = (
@@ -102,9 +104,18 @@ SCHEMA_V2: Sequence[str] = (
     "ALTER TABLE jobs ADD COLUMN request_id TEXT NOT NULL DEFAULT ''",
 )
 
+#: Version 2 -> 3: run records move to the ``runs.jsonl`` history;
+#: :func:`ensure_schema` appends the ``runs`` rows there first.  The raw
+#: bench payloads go with ``bench_records``: their gateable records are
+#: rows of ``runs``.
+SCHEMA_V3: Sequence[str] = (
+    "DROP TABLE runs",
+    "DROP TABLE bench_records",
+)
+
 #: ``MIGRATIONS[n]`` is the statement list taking version n -> n + 1.
 #: Version 0 means "empty database": the fresh-create path.
-MIGRATIONS: List[Sequence[str]] = [SCHEMA_V1, SCHEMA_V2]
+MIGRATIONS: List[Sequence[str]] = [SCHEMA_V1, SCHEMA_V2, SCHEMA_V3]
 
 
 def schema_version(conn: sqlite3.Connection) -> int:
@@ -118,8 +129,13 @@ def schema_version(conn: sqlite3.Connection) -> int:
     return int(row[0]) if row else 0
 
 
-def ensure_schema(conn: sqlite3.Connection) -> int:
+def ensure_schema(conn: sqlite3.Connection, history_path: Path) -> int:
     """Create or upgrade the schema; returns the resulting version.
+
+    Each step runs in one transaction with its version bump.  The
+    version-3 step first appends the ``runs`` rows, in id order, to the
+    ``runs.jsonl`` file at ``history_path``; a crash before the step
+    commits repeats those lines on the next open rather than losing them.
 
     Raises
     ------
@@ -136,6 +152,9 @@ def ensure_schema(conn: sqlite3.Connection) -> int:
             f"downgrading the store"
         )
     while version < SCHEMA_VERSION:
+        if version == 2:
+            _copy_runs_to_history(conn, history_path)
+        conn.execute("BEGIN")
         for statement in MIGRATIONS[version]:
             conn.execute(statement)
         version += 1
@@ -146,3 +165,17 @@ def ensure_schema(conn: sqlite3.Connection) -> int:
         )
         conn.commit()
     return version
+
+
+def _copy_runs_to_history(conn: sqlite3.Connection, history_path: Path) -> None:
+    """Append the ``runs`` table's records to the JSONL history, durably.
+
+    The ``record`` column holds each record as ``RunHistory.append``
+    writes it (sorted-key JSON), so the lines are the history's own.
+    """
+    rows = conn.execute("SELECT record FROM runs ORDER BY id").fetchall()
+    if not rows:
+        return
+    with history_path.open("a") as handle:
+        handle.write("".join(record + "\n" for (record,) in rows))
+        fsync_handle(handle)

@@ -181,16 +181,12 @@ class TestObsCompareCLI:
         ) == 3
         assert "available runs: (none)" in capsys.readouterr().err
 
-    def test_both_jsonl_and_db_is_an_input_error(self, tmp_path, capsys):
-        assert main(
-            ["obs", "compare", str(tmp_path / "runs.jsonl"),
-             "--db", str(tmp_path / "store.db"), "--baseline", "base"]
-        ) == 2
-        assert "not both" in capsys.readouterr().err
-
     def test_neither_jsonl_nor_db_is_an_input_error(self, capsys):
-        assert main(["obs", "compare", "--baseline", "base"]) == 2
-        assert "--db is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "compare", "--baseline", "base"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: RUNS" in err
 
     def test_progress_flag_reports_units(self, tmp_path, capsys):
         assert main(

@@ -151,18 +151,21 @@ class TestObsReportCLI:
         assert code == 2
         assert "error" in capsys.readouterr().err.lower()
 
-    def test_missing_runs_file_is_tolerated(
+    def test_missing_runs_file_is_an_error(
         self, lot_trace, tmp_path, capsys
     ):
-        # RunHistory.load() treats a missing file as an empty history
-        # (same tolerance as every other obs loader), so the report is
-        # still written — just without run-history rows.
+        # RunHistory.load() reads a missing file as an empty history,
+        # but a mistyped --runs path must not render "no history
+        # supplied" and exit 0.
         trace, _ = lot_trace
         out = tmp_path / "no-runs.html"
         code = main(
             ["obs", "report", str(trace), str(out),
              "--runs", str(tmp_path / "absent-runs.jsonl")]
         )
-        assert code == 0
-        capsys.readouterr()
-        parse_report(out.read_text())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read run history: ")
+        assert "absent-runs.jsonl" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro.cli import main
+from repro.obs.history import RunHistory
 from repro.service import JobManager, JobSpec, ServiceClient, serve_in_thread
 from repro.store import ResultStore
 
@@ -206,8 +207,8 @@ class TestParity:
             {r["test_name"] for r in exported["records"]}
             == {r["test_name"] for r in served["records"]}
         )
-        # ...and the job landed a run-cost record for obs compare --db
-        record = store.find_run(job_id)
+        # ...and the job appended a run-cost record for obs compare
+        record = RunHistory(store.history_path).find(job_id)
         assert record is not None
         assert record["measurements"] == service_artifacts["progress"][
             "measurements"

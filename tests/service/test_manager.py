@@ -7,10 +7,13 @@ cancelled-while-queued job never starts) are actually asserted, not
 just likely.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.cli import main
+from repro.obs.history import RunHistory
 from repro.service.manager import JobManager, JobOutcome
 from repro.service.spec import JobSpec
 from repro.store import ResultStore
@@ -188,10 +191,16 @@ class TestOutcomes:
         job = manager.wait(job_id, timeout=WAIT)
         assert job["state"] == "completed"
         assert job["exit_code"] == 0
-        record = store.find_run(job_id)
+        record = RunHistory(store.history_path).find(job_id)
         assert record is not None
+        assert set(record) == {
+            "schema", "kind", "run", "campaign", "command", "ts", "wall_s",
+            "cpu_s", "workers", "seed", "measurements", "per_test",
+            "farm_units", "farm_retries", "checkpoint_dropped_lines",
+        }
         assert record["campaign"] == "service"
         assert record["command"] == "hunt"
+        assert store.history_path == tmp_path / "runs.jsonl"
         manager.shutdown()
 
     def test_failing_runner_fails_the_job(self, store, tmp_path):
@@ -203,7 +212,8 @@ class TestOutcomes:
         assert job["state"] == "failed"
         assert job["exit_code"] == 3
         assert job["error"] == "boom"
-        assert store.find_run(job_id) is None  # failures are not runs
+        # failures are not runs
+        assert RunHistory(store.history_path).find(job_id) is None
         manager.shutdown()
 
     def test_runner_exception_fails_the_job(self, store, tmp_path):
@@ -228,6 +238,68 @@ class TestOutcomes:
         assert progress["phase"] is None
         runner.release(job_id)
         manager.shutdown()
+
+
+class FlakyRunner:
+    """Completes every job but the ones it is told to fail."""
+
+    def __init__(self, failing):
+        self.failing = set(failing)
+
+    def run(self, job):
+        if str(job["job_id"]) in self.failing:
+            return JobOutcome(exit_code=1, error="boom")
+        return JobOutcome(exit_code=0)
+
+
+class TestRunHistory:
+    JOBS = 8
+    FAILING = ("job-0003", "job-0006")
+
+    @pytest.fixture
+    def history(self, store, tmp_path):
+        # Both workers append to one file; a short switch interval makes
+        # their appends interleave as often as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manager = _manager(
+                store, tmp_path, FlakyRunner(self.FAILING), max_workers=2
+            )
+            job_ids = [
+                str(manager.submit(SPEC)["job_id"])
+                for _ in range(self.JOBS)
+            ]
+            for job_id in job_ids:
+                assert manager.wait(job_id, timeout=WAIT)["state"] in (
+                    "completed", "failed",
+                )
+            manager.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        return RunHistory(store.history_path)
+
+    def test_two_workers_append_one_whole_line_per_completed_job(
+        self, history
+    ):
+        loaded = history.load()
+        assert loaded.dropped_lines == 0
+        names = sorted(record["run"] for record in loaded.records)
+        assert names == sorted(
+            f"job-{index:04d}" for index in range(1, self.JOBS + 1)
+            if f"job-{index:04d}" not in self.FAILING
+        )
+
+    def test_obs_compare_reads_the_service_history(self, history, capsys):
+        runs = str(history.path)
+        assert main(
+            ["obs", "compare", runs, "--baseline", "job-0001",
+             "--run", "job-0001"]
+        ) == 0
+        assert "verdict: ok" in capsys.readouterr().out
+        assert main(["obs", "compare", runs, "--baseline", "ghost"]) == 3
+        err = capsys.readouterr().err
+        assert "available runs:" in err and "'job-0001'" in err
 
 
 class TestRecovery:

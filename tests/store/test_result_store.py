@@ -1,13 +1,11 @@
-"""SQLite result store: schema, runs, worst-case dedup, jobs, benches."""
+"""SQLite result store: schema and migrations, worst-case dedup, jobs."""
 
 import json
 import sqlite3
 
 import pytest
 
-from repro.core.database import WorstCaseDatabase, WorstCaseRecord
-from repro.obs.history import RUN_KIND, RUN_SCHEMA, RunHistory, compare_runs
-from repro.patterns.random_gen import RandomTestGenerator
+from repro.obs.history import RUN_KIND, RUN_SCHEMA, RunHistory
 from repro.store import (
     ACTIVE_JOB_STATES,
     JOB_STATES,
@@ -15,6 +13,7 @@ from repro.store import (
     SCHEMA_VERSION,
     schema_version,
 )
+from repro.store.schema import SCHEMA_V1, SCHEMA_V2
 
 
 def _run_record(name, measurements, wall_s=1.0):
@@ -62,9 +61,12 @@ class TestSchema:
 
     def test_reopen_is_idempotent(self, tmp_path):
         path = tmp_path / "store.db"
-        ResultStore(path).append_run(_run_record("a", 1))
+        ResultStore(path).create_job("job-0001", {"command": "lot"})
         again = ResultStore(path)
-        assert [r["run"] for r in again.runs()] == ["a"]
+        assert again.schema_version == SCHEMA_VERSION
+        assert [j["job_id"] for j in again.list_jobs()] == ["job-0001"]
+        # a store that never had run rows writes no history
+        assert not again.history_path.exists()
 
     def test_newer_schema_is_refused(self, tmp_path):
         path = tmp_path / "store.db"
@@ -80,60 +82,6 @@ class TestSchema:
     def test_parent_directory_is_created(self, tmp_path):
         store = ResultStore(tmp_path / "deep" / "nested" / "store.db")
         assert store.path.exists()
-
-
-class TestRuns:
-    def test_append_find_latest(self, tmp_path):
-        store = ResultStore(tmp_path / "store.db")
-        store.append_run(_run_record("a", 10))
-        store.append_run(_run_record("b", 20))
-        store.append_run(_run_record("a", 30))  # re-recorded: latest wins
-        assert store.find_run("a")["measurements"] == 30
-        assert store.latest_run()["run"] == "a"
-        assert store.find_run("nope") is None
-        assert store.run_names() == ["a", "b"]
-
-    def test_history_adapter_drives_compare_runs(self, tmp_path):
-        store = ResultStore(tmp_path / "store.db")
-        store.append_run(_run_record("base", 100))
-        store.append_run(_run_record("fat", 200))
-        history = store.run_history()
-        comparison = compare_runs(
-            history, baseline_name="base", run_name="fat"
-        )
-        assert comparison.regressed
-        same = compare_runs(history, baseline_name="base", run_name="base")
-        assert not same.regressed
-        assert history.next_default_name() == "run-2"
-
-    def test_jsonl_import_reproduces_compare_verdict(self, tmp_path):
-        # The migration contract: a compare that regressed against the
-        # JSONL history regresses identically against the imported store.
-        jsonl = RunHistory(tmp_path / "runs.jsonl")
-        jsonl.append(_run_record("base", 100, wall_s=1.0))
-        jsonl.append(_run_record("next", 180, wall_s=1.1))
-        store = ResultStore(tmp_path / "store.db")
-        result = store.import_runs_jsonl(jsonl.path)
-        assert result.imported == 2
-        assert result.dropped_lines == 0
-        before = compare_runs(jsonl, baseline_name="base", run_name="next")
-        after = compare_runs(
-            store.run_history(), baseline_name="base", run_name="next"
-        )
-        assert before.regressed and after.regressed
-        assert before.measurement_delta_pct == after.measurement_delta_pct
-        assert before.render() == after.render()
-
-    def test_jsonl_import_counts_torn_lines(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        with path.open("w") as handle:
-            handle.write(json.dumps(_run_record("ok", 1)) + "\n")
-            handle.write('{"torn": \n')
-        store = ResultStore(tmp_path / "store.db")
-        result = store.import_runs_jsonl(path)
-        assert result.imported == 1
-        assert result.dropped_lines == 1
-        assert "1 malformed line(s) skipped" in result.describe()
 
 
 class TestWorstCaseRecords:
@@ -209,21 +157,6 @@ class TestWorstCaseRecords:
         only = store.export_wcdb_payload(scope="job-1")
         assert [r["wcr"] for r in only["records"]] == [0.5]
 
-    def test_live_database_import(self, tmp_path):
-        database = WorstCaseDatabase()
-        test = RandomTestGenerator(seed=1).batch(1)[0].renamed("live")
-        database.add(
-            WorstCaseRecord(
-                test=test, measured_value=19.0, wcr=0.6, wcr_class=None,
-                technique="vdd_binary_search",
-            )
-        )
-        store = ResultStore(tmp_path / "store.db")
-        assert store.import_wcdb(database, scope="s") == 1
-        out = store.export_wcdb_payload(scope="s")
-        assert out["records"][0]["test_name"] == "live"
-
-
 class TestJobs:
     SPEC = {"command": "lot", "params": {"dies": 2}, "seed": 0}
 
@@ -274,18 +207,89 @@ class TestJobs:
         assert store.get_job("done-one")["state"] == "completed"
 
 
-class TestBenchRecords:
-    PAYLOAD = {
-        "schema": 1,
-        "bench": "bench_batched_grid",
-        "wall_s": 1.25,
-        "cpu_s": 1.2,
-        "data": {"measurements": 400},
-    }
+def _v2_store(path, runs):
+    """A store file as version 2 left it: jobs, worst-case rows, the
+    ``runs`` table (rows inserted out of id order) and one bench row."""
+    with sqlite3.connect(str(path)) as conn:
+        for statement in (*SCHEMA_V1, *SCHEMA_V2):
+            conn.execute(statement)
+        conn.execute(
+            "INSERT INTO store_meta (key, value) "
+            "VALUES ('schema_version', '2')"
+        )
+        conn.execute(
+            "INSERT INTO jobs (job_id, state, spec, created_ts, job_dir, "
+            "request_id) VALUES ('job-0001', 'completed', "
+            "'{\"command\": \"lot\"}', 5.0, '/srv/jobs/job-0001', 'rid-1')"
+        )
+        conn.execute(
+            "INSERT INTO worst_case_records (scope, test_name, condition, "
+            "technique, wcr, functional_failure) "
+            "VALUES ('job-0001', 't1', '{\"vdd\": 1.8}', 'ga', 0.7, 0)"
+        )
+        for row_id, record in runs:
+            conn.execute(
+                "INSERT INTO runs (id, run, record) VALUES (?, ?, ?)",
+                (row_id, record["run"], json.dumps(record, sort_keys=True)),
+            )
+        conn.execute(
+            "INSERT INTO bench_records (bench, payload) "
+            "VALUES ('grid', '{\"bench\": \"grid\"}')"
+        )
 
-    def test_import_lands_in_both_tables(self, tmp_path):
+
+def _rows(path, table):
+    with sqlite3.connect(str(path)) as conn:
+        return conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+
+
+def _tables(path):
+    with sqlite3.connect(str(path)) as conn:
+        rows = conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall()
+    return {name for (name,) in rows}
+
+
+class TestMigrationToV3:
+    RUNS = [
+        (2, _run_record("second", 20)),
+        (1, _run_record("first", 10)),
+        (3, _run_record("third", 30)),
+    ]
+
+    def test_run_rows_move_to_the_history_in_id_order(self, tmp_path):
+        path = tmp_path / "store.db"
+        _v2_store(path, self.RUNS)
+        jobs, wc_rows = _rows(path, "jobs"), _rows(path, "worst_case_records")
+
+        store = ResultStore(path)
+
+        assert store.schema_version == 3 == SCHEMA_VERSION
+        with sqlite3.connect(str(path)) as conn:
+            assert schema_version(conn) == 3
+        assert _rows(path, "jobs") == jobs
+        assert _rows(path, "worst_case_records") == wc_rows
+        assert store.get_job("job-0001")["request_id"] == "rid-1"
+        assert store.history_path == tmp_path / "runs.jsonl"
+        loaded = RunHistory(store.history_path).load()
+        assert loaded.dropped_lines == 0
+        assert loaded.records == [
+            record for _, record in sorted(self.RUNS, key=lambda r: r[0])
+        ]
+        assert not {"runs", "bench_records"} & _tables(path)
+
+    def test_records_append_after_an_existing_history(self, tmp_path):
+        history = RunHistory(tmp_path / "runs.jsonl")
+        history.append(_run_record("older", 5))
+        _v2_store(tmp_path / "store.db", self.RUNS)
+        ResultStore(tmp_path / "store.db")
+        ResultStore(tmp_path / "store.db")  # a second open copies nothing
+        names = [r["run"] for r in history.load().records]
+        assert names == ["older", "first", "second", "third"]
+
+    def test_fresh_store_has_neither_run_table(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
-        record = store.import_bench_payload(self.PAYLOAD, name="grid@ci")
-        assert record["run"] == "grid@ci"
-        assert store.bench_payloads() == [self.PAYLOAD]
-        assert store.find_run("grid@ci")["measurements"] == 400
+        assert _tables(store.path) == {
+            "store_meta", "worst_case_records", "jobs",
+        }

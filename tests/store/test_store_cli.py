@@ -1,163 +1,44 @@
-"""CLI surfaces of the result store: store import/runs, --db variants."""
+"""CLI surfaces around the result store: the wcdb export the service
+ingests, and the run-history flags that read ``runs.jsonl`` only."""
 
 import json
 
 import pytest
 
-from repro.cli import main
-from repro.store import ResultStore
+from repro.cli import _build_parser, main
 
 
-def _record_run(tmp_path, name, dies):
-    assert main(
-        ["--run-log", str(tmp_path / "runs.jsonl"), "--run-name", name,
-         "lot", "--dies", str(dies), "--tests", "2"]
-    ) == 0
+class TestRemovedStoreSurfaces:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "runs", "--db", "x.db"],
+            ["store", "import", "--db", "x.db", "runs.jsonl"],
+            ["obs", "compare", "--db", "x.db", "--baseline", "b"],
+            ["obs", "compare", "runs.jsonl", "--db", "x.db",
+             "--baseline", "b"],
+            ["obs", "bench-import", "runs.jsonl", "B.json", "--db", "x.db"],
+            ["obs", "report", "trace.jsonl", "--db", "x.db"],
+        ],
+        ids=[
+            "store-runs", "store-import", "compare-db-only",
+            "compare-runs-and-db", "bench-import-db", "report-db",
+        ],
+    )
+    def test_is_an_argparse_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no database was created
 
-
-class TestStoreImport:
-    def test_jsonl_migration_reproduces_compare_verdict(
-        self, tmp_path, capsys
-    ):
-        # The acceptance path: record runs to JSONL, compare there, then
-        # migrate into SQLite and get the identical verdict from --db.
-        _record_run(tmp_path, "base", 2)
-        _record_run(tmp_path, "bigger", 4)
-        runs = str(tmp_path / "runs.jsonl")
-        db = str(tmp_path / "store.db")
-        capsys.readouterr()
-
-        jsonl_code = main(
-            ["obs", "compare", runs, "--baseline", "base", "--run", "bigger"]
-        )
-        jsonl_out = capsys.readouterr().out
-
-        assert main(["store", "import", "--db", db, runs]) == 0
-        assert "2 record(s) imported" in capsys.readouterr().out
-
-        db_code = main(
-            ["obs", "compare", "--db", db,
-             "--baseline", "base", "--run", "bigger"]
-        )
-        db_out = capsys.readouterr().out
-        assert (jsonl_code, jsonl_out) == (db_code, db_out)
-        assert jsonl_code == 1  # 2 -> 4 dies is a genuine cost regression
-
-    def test_wcdb_import(self, tmp_path, capsys):
-        wcdb = tmp_path / "wcdb.json"
-        assert main(
-            ["--seed", "3", "lot", "--dies", "2", "--tests", "2",
-             "--database", str(wcdb)]
-        ) == 0
-        db = str(tmp_path / "store.db")
-        capsys.readouterr()
-        assert main(
-            ["store", "import", "--db", db, "--wcdb", str(wcdb),
-             "--scope", "lot-3"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "worst-case record(s) imported" in out
-        assert "scope 'lot-3'" in out
-        assert ResultStore(db).wc_record_count(scope="lot-3") > 0
-
-    def test_nothing_to_import_is_an_error(self, tmp_path, capsys):
-        assert main(
-            ["store", "import", "--db", str(tmp_path / "store.db")]
-        ) == 2
-        assert "nothing to import" in capsys.readouterr().err
-
-    def test_unreadable_inputs_are_clean_errors(self, tmp_path, capsys):
-        db = str(tmp_path / "store.db")
-        assert main(
-            ["store", "import", "--db", db, str(tmp_path / "ghost.jsonl")]
-        ) == 2
-        assert "cannot read" in capsys.readouterr().err
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        assert main(["store", "import", "--db", db, "--wcdb", str(bad)]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-
-class TestStoreRuns:
-    def test_listing(self, tmp_path, capsys):
-        _record_run(tmp_path, "alpha", 2)
-        db = str(tmp_path / "store.db")
-        assert main(
-            ["store", "import", "--db", db, str(tmp_path / "runs.jsonl")]
-        ) == 0
-        capsys.readouterr()
-        assert main(["store", "runs", "--db", db]) == 0
-        out = capsys.readouterr().out
-        assert "alpha" in out
-        assert "measurements" in out
-
-    def test_json_listing(self, tmp_path, capsys):
-        _record_run(tmp_path, "alpha", 2)
-        db = str(tmp_path / "store.db")
-        main(["store", "import", "--db", db, str(tmp_path / "runs.jsonl")])
-        capsys.readouterr()
-        assert main(["store", "runs", "--db", db, "--json"]) == 0
-        records = json.loads(capsys.readouterr().out)
-        assert [r["run"] for r in records] == ["alpha"]
-
-    def test_empty_store(self, tmp_path, capsys):
-        assert main(
-            ["store", "runs", "--db", str(tmp_path / "store.db")]
-        ) == 0
-        assert "no runs stored" in capsys.readouterr().out
-
-
-class TestObsDbVariants:
-    def test_bench_import_into_db(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_thing.json"
-        bench.write_text(json.dumps(
-            {"schema": 1, "bench": "thing", "wall_s": 0.5,
-             "data": {"measurements": 42}}
-        ))
-        db = str(tmp_path / "store.db")
-        assert main(
-            ["obs", "bench-import", "--db", db, str(bench),
-             "--suffix", "@ci"]
-        ) == 0
-        assert "thing@ci" in capsys.readouterr().out
-        store = ResultStore(db)
-        assert store.find_run("thing@ci")["measurements"] == 42
-        assert store.bench_payloads()[0]["bench"] == "thing"
-
-    def test_bench_import_rejects_both_backends(self, tmp_path, capsys):
-        assert main(
-            ["obs", "bench-import", str(tmp_path / "runs.jsonl"),
-             str(tmp_path / "BENCH_x.json"),
-             "--db", str(tmp_path / "store.db")]
-        ) == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_report_runs_table_from_db(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        assert main(
-            ["--trace", str(trace), "--run-log",
-             str(tmp_path / "runs.jsonl"), "--run-name", "r1",
-             "lot", "--dies", "2", "--tests", "2"]
-        ) == 0
-        db = str(tmp_path / "store.db")
-        main(["store", "import", "--db", db, str(tmp_path / "runs.jsonl")])
-        capsys.readouterr()
-        out_html = tmp_path / "report.html"
-        assert main(
-            ["obs", "report", str(trace), str(out_html), "--db", db]
-        ) == 0
-        assert "report written" in capsys.readouterr().out
-        assert "r1" in out_html.read_text()
-
-    def test_report_rejects_both_backends(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        main(["--trace", str(trace), "march"])
-        capsys.readouterr()
-        assert main(
-            ["obs", "report", str(trace), "--runs", "x.jsonl",
-             "--db", "y.db"]
-        ) == 2
-        assert "not both" in capsys.readouterr().err
+    def test_store_paths_of_serve_and_alerts_remain(self):
+        parser = _build_parser()
+        assert parser.parse_args(["serve", "--db", "s.db"]).db == "s.db"
+        assert parser.parse_args(
+            ["obs", "alerts", "--db", "s.db"]
+        ).db == "s.db"
 
 
 class TestLotDatabaseExport:
